@@ -387,8 +387,9 @@ def _harmonize_classes(
 def _align(name: str, table: EmbeddingTable, manifest: Manifest) -> tuple[EmbeddingTable, Manifest]:
     """Order manifest records to match pooled embedding rows, 1:1 by clip id."""
     by_id = {r.clip_id: r for r in manifest.records}
+    embedded = set(table.clip_ids)
     missing = [c for c in table.clip_ids if c not in by_id]
-    extra = [r.clip_id for r in manifest.records if r.clip_id not in set(table.clip_ids)]
+    extra = [r.clip_id for r in manifest.records if r.clip_id not in embedded]
     if missing or extra:
         raise ValidationError(
             f"dataset {name!r}: embeddings and manifest disagree on clips "
@@ -408,7 +409,20 @@ def _identity_genre_map(manifests: list[Manifest]) -> GenreMap:
     return GenreMap(tuple(sorted(observed)) or (UNKNOWN_GENRE,), {})
 
 
-def load_domains(config: ExperimentConfig) -> tuple[DomainData, DomainData, tuple[str, ...], GenreMap, SplitGuard]:
+@dataclass(frozen=True)
+class Corpus:
+    """Both datasets' file contents: pooled rows aligned 1:1 with harmonised
+    manifest records, the genre map and each row's reduced genre. Immutable,
+    so one load serves every job of a matrix."""
+
+    tables: tuple[EmbeddingTable, EmbeddingTable]
+    manifests: tuple[Manifest, Manifest]
+    genres: tuple[tuple[str, ...], tuple[str, ...]]
+    classes: tuple[str, ...]
+    genre_map: GenreMap
+
+
+def load_corpus(config: ExperimentConfig) -> Corpus:
     manifests = []
     tables = []
     for entry in config.datasets:
@@ -424,19 +438,34 @@ def load_domains(config: ExperimentConfig) -> tuple[DomainData, DomainData, tupl
         genre_map = load_genre_map(config.genre_map)
     else:
         genre_map = _identity_genre_map(manifests)
+    genres = tuple(
+        tuple(reduce_genres(r.genres, genre_map) for r in manifest.records) for manifest in manifests
+    )
+    return Corpus(tuple(tables), tuple(manifests), genres, classes, genre_map)
+
+
+def load_domains(
+    config: ExperimentConfig, corpus: Corpus | None = None
+) -> tuple[DomainData, DomainData, tuple[str, ...], GenreMap, SplitGuard]:
+    """Per-run domains over ``corpus`` (loaded from ``config`` when not
+    given), with a fresh split guard and no transforms."""
+    if corpus is None:
+        corpus = load_corpus(config)
     guard = SplitGuard(
         {
             entry.name: np.asarray(
                 [i for i, r in enumerate(man.records) if r.split == TEST], dtype=np.intp
             )
-            for entry, man in zip(config.datasets, manifests)
+            for entry, man in zip(config.datasets, corpus.manifests)
         }
     )
-    domains = []
-    for entry, table, manifest in zip(config.datasets, tables, manifests):
-        genres = tuple(reduce_genres(r.genres, genre_map) for r in manifest.records)
-        domains.append(DomainData(entry.name, table, manifest, genres, guard))
-    return domains[0], domains[1], classes, genre_map, guard
+    domains = [
+        DomainData(entry.name, table, manifest, genres, guard)
+        for entry, table, manifest, genres in zip(
+            config.datasets, corpus.tables, corpus.manifests, corpus.genres
+        )
+    ]
+    return domains[0], domains[1], corpus.classes, corpus.genre_map, guard
 
 
 # --- bias fitting ---------------------------------------------------------
@@ -639,8 +668,12 @@ def _wrap(exc: DebiasKitError, config: ExperimentConfig, **context) -> PipelineE
     )
 
 
-def run_strategy(config: ExperimentConfig, *, evaluate_cells: bool = True) -> RunResult:
-    """Execute one strategy end to end and assemble its report."""
+def run_strategy(
+    config: ExperimentConfig, *, evaluate_cells: bool = True, corpus: Corpus | None = None
+) -> RunResult:
+    """Execute one strategy end to end and assemble its report. ``corpus``,
+    when given, must have been loaded from a config with the same datasets,
+    classes and genre map."""
     strategy = config.strategy
     scope = config.effective_scope()
     if strategy in SCOPE_FREE_STRATEGIES and config.scope != "global":
@@ -650,7 +683,7 @@ def run_strategy(config: ExperimentConfig, *, evaluate_cells: bool = True) -> Ru
             stacklevel=2,
         )
     seeds = config.run_seeds()
-    domain_a, domain_b, classes, genre_map, guard = load_domains(config)
+    domain_a, domain_b, classes, genre_map, guard = load_domains(config, corpus)
     domains = (domain_a, domain_b)
     kernelized = strategy in KERNEL_STRATEGIES
     space = SPACE_KERNELIZED if kernelized else SPACE_ORIGINAL
@@ -882,9 +915,10 @@ def run_matrix(
 ) -> MatrixResult:
     """Run each (strategy, scope) plus the shared baseline; render the grid.
 
-    The baseline is always computed (deltas need it) and computed once. Each
-    run gets its own master seed derived from the base seed. A failing run
-    aborts the matrix after writing a partial-results manifest.
+    The baseline is always computed (deltas need it) and computed once. The
+    corpus is loaded once and shared; each run gets its own domains, split
+    guard and master seed derived from the base seed. A failing run aborts
+    the matrix after writing a partial-results manifest.
     """
     if not strategies or not scopes:
         raise ValidationError("strategies and scopes must be non-empty")
@@ -894,6 +928,7 @@ def run_matrix(
         os.makedirs(out_dir, exist_ok=True)
     reports: dict[tuple[str, str], ExperimentReport] = {}
     audits: dict[str, dict] = {}
+    corpus = None
     for strategy, scope in jobs:
         run_config = replace(
             base_config,
@@ -902,7 +937,9 @@ def run_matrix(
             seed=derive_seed(base_config.seed, f"run:{strategy}:{scope}"),
         )
         try:
-            result = run_strategy(run_config)
+            if corpus is None:
+                corpus = load_corpus(base_config)
+            result = run_strategy(run_config, corpus=corpus)
         except DebiasKitError as exc:
             if out_dir is not None:
                 _write_partial(out_dir, jobs, reports, (strategy, scope), exc)

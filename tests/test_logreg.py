@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+from debiaskit import logreg
+from debiaskit.data import NEG, POS, pool_frames
 from debiaskit.errors import FoldDegenerateError, SingleClassError
 from debiaskit.logreg import (
     DEFAULT_C_GRID,
+    GRAD_TOL,
+    ClassifierModel,
     cv_select_c,
     logreg_objective,
     predict_scores,
@@ -13,6 +18,7 @@ from debiaskit.logreg import (
     train_logreg,
 )
 from debiaskit.metrics import roc_auc
+from debiaskit.synth import default_spec, generate_biased_corpus
 
 
 def make_separable(n=60, dim=4, margin=3.0, seed=0):
@@ -26,6 +32,54 @@ def make_separable(n=60, dim=4, margin=3.0, seed=0):
     )
     y = np.concatenate([np.ones(half, dtype=bool), np.zeros(half, dtype=bool)])
     return x, y
+
+
+def make_shifted(n, dim, seed):
+    """Overlapping classes with per-feature offsets, like pooled embeddings."""
+    rng = np.random.default_rng(seed)
+    y = np.arange(n) % 2 == 0
+    x = rng.standard_normal((n, dim)) + rng.normal(0.0, 0.3, dim)
+    x[y] += 1.2 * rng.standard_normal(dim) / np.sqrt(dim)
+    return x, y
+
+
+def stock_problem():
+    """The first 900 labelled clips of one class in the stock corpus: 900 x 64."""
+    tables, manifests, _ = generate_biased_corpus(default_spec())
+    table = pool_frames(tables["synthA"])
+    by_id = {r.clip_id: r for r in manifests["synthA"].records}
+    labels = [by_id[c].labels.get("class0") for c in table.clip_ids]
+    rows = [i for i, label in enumerate(labels) if label in (POS, NEG)][:900]
+    return table.vectors[rows], np.asarray([labels[i] == POS for i in rows])
+
+
+def reference_fit(x, y, c_value, *, warm_start=None):
+    """The solver this module replaced, kept as the reference: scipy L-BFGS-B
+    with the same gradient tolerance and iteration cap."""
+
+    def loss_grad(theta):
+        loss, grad_w, grad_b = logreg_objective(theta[:-1], theta[-1], x, y, c_value)
+        return loss, np.append(grad_w, grad_b)
+
+    start = np.zeros(x.shape[1] + 1) if warm_start is None else warm_start
+    result = scipy.optimize.minimize(
+        loss_grad,
+        start,
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": 10_000, "maxfun": 40_000, "gtol": 1e-6, "ftol": 0.0},
+    )
+    _, grad = loss_grad(result.x)
+    return ClassifierModel(
+        weights=result.x[:-1],
+        intercept=float(result.x[-1]),
+        c_value=c_value,
+        converged=bool(np.abs(grad).max() <= GRAD_TOL),
+        n_iter=int(result.nit),
+        grad_norm=float(np.abs(grad).max()),
+        initial_loss=float(loss_grad(start)[0]),
+        final_loss=float(result.fun),
+    )
 
 
 # --- objective ------------------------------------------------------------
@@ -135,12 +189,6 @@ def test_invalid_c_rejected():
             train_logreg(x, y, c_value=bad)
 
 
-def test_direction_returns_weight_vector():
-    x, y = make_separable(seed=9)
-    model = train_logreg(x, y, c_value=1.0)
-    np.testing.assert_array_equal(model.direction(), model.weights)
-
-
 def test_scores_monotone_in_linear_score():
     x, y = make_separable(seed=10)
     model = train_logreg(x, y, c_value=1.0)
@@ -149,6 +197,76 @@ def test_scores_monotone_in_linear_score():
     order = np.argsort(linear)
     assert (np.diff(scores[order]) >= 0).all()
     assert ((scores > 0.0) & (scores < 1.0)).all()
+
+
+@pytest.mark.parametrize("c_value", [1e-8, 1e-2, 1.0, 1e4])
+@pytest.mark.parametrize("n, dim", [(400, 20), (60, 120)])
+def test_newton_matches_lbfgs_reference(n, dim, c_value):
+    x, y = make_shifted(n, dim, seed=17)
+    model = train_logreg(x, y, c_value)
+    ref = reference_fit(x, y, c_value)
+    assert model.converged
+    assert model.final_loss <= ref.final_loss + 1e-9 * abs(ref.final_loss)
+    # The reported loss and gradient describe the returned point.
+    loss, grad_w, grad_b = logreg_objective(model.weights, model.intercept, x, y, c_value)
+    assert loss == pytest.approx(model.final_loss, rel=1e-12)
+    assert max(np.abs(grad_w).max(), abs(grad_b)) == pytest.approx(model.grad_norm, abs=1e-12)
+    # Strong convexity bounds the distance between two points by the sum of
+    # their gradient norms over the smallest Hessian eigenvalue; both fits
+    # are only as exact as their gradients, so the bound has a factor 2 spare.
+    theta_ref = np.append(ref.weights, ref.intercept)
+    xa = np.hstack([x, np.ones((n, 1))])
+    p = 1.0 / (1.0 + np.exp(-(xa @ theta_ref)))
+    reg = np.append(np.full(dim, 1.0 / c_value), 0.0)
+    hessian = xa.T @ ((p * (1.0 - p))[:, None] * xa) + np.diag(reg)
+    grad_sum = 0.0
+    for fit in (model, ref):
+        _, grad_w, grad_b = logreg_objective(fit.weights, fit.intercept, x, y, c_value)
+        grad_sum += float(np.linalg.norm(np.append(grad_w, grad_b)))
+    bound = 2.0 * grad_sum / np.linalg.eigvalsh(hessian)[0]
+    assert np.abs(model.weights - ref.weights).max() <= bound
+    assert abs(model.intercept - ref.intercept) <= bound
+
+
+def test_cv_selects_the_reference_c_on_a_stock_problem(monkeypatch):
+    x, y = stock_problem()
+    selected, scores = cv_select_c(x, y, seed=3)
+    monkeypatch.setattr(logreg, "train_logreg", reference_fit)
+    ref_selected, ref_scores = cv_select_c(x, y, seed=3)
+    assert selected == ref_selected
+    for c_value, score in scores.items():
+        assert score == pytest.approx(ref_scores[c_value], abs=1e-6)
+
+
+def test_fit_at_the_float64_floor_counts_as_converged():
+    # At C = 1e-8 the regularisation gradient is ~1e2 and cancels the data
+    # gradient; float64 cannot show the loss decrease that would take the
+    # absolute gradient below GRAD_TOL, so the fit stops early and the
+    # scale-aware test judges it converged.
+    x, y = stock_problem()
+    model = train_logreg(x, y, 1e-8)
+    assert model.grad_norm > GRAD_TOL
+    assert model.converged
+    assert model.n_iter < 10
+
+
+def test_far_warm_start_reaches_the_cold_start_optimum():
+    # Saturated margins make the first Newton steps overshoot; the line
+    # search has to cut them back.
+    x, y = make_shifted(200, 10, seed=19)
+    cold = train_logreg(x, y, 1.0)
+    far = train_logreg(x, y, 1.0, warm_start=np.full(11, 30.0))
+    assert far.converged
+    assert far.final_loss <= far.initial_loss
+    np.testing.assert_allclose(far.weights, cold.weights, atol=1e-6)
+
+
+def test_iteration_cap_reports_not_converged(monkeypatch):
+    x, y = make_shifted(200, 10, seed=18)
+    monkeypatch.setattr(logreg, "MAX_ITER", 1)
+    model = train_logreg(x, y, 1.0)
+    assert model.n_iter == 1
+    assert not model.converged
 
 
 # --- folds ----------------------------------------------------------------

@@ -3,6 +3,7 @@ strategy-by-scope matrix, and exact replication of a pipeline cell by an
 independent re-implementation of the training recipe."""
 
 import json
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,9 +12,14 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from conftest import SMALL_SPEC, corpus_config, write_corpus
+from debiaskit import pipeline
 from debiaskit.data import (
     NEG,
     POS,
+    TRAIN,
+    EmbeddingTable,
+    Manifest,
+    ManifestRecord,
     balanced_subsample,
     load_embeddings,
     load_manifest,
@@ -24,6 +30,7 @@ from debiaskit.guard import PHASE_BIAS
 from debiaskit.logreg import cv_select_c, predict_scores, train_logreg
 from debiaskit.metrics import roc_auc
 from debiaskit.pipeline import (
+    _align,
     _matrix_jobs,
     config_from_dict,
     fit_bias,
@@ -554,6 +561,54 @@ def test_matrix_failure_writes_partial_results_manifest(small_corpus, tmp_path):
     assert manifest["pending"] == []
     assert (out_dir / "report_none_global.json").exists()
     assert not (out_dir / "report.json").exists()
+
+
+def test_matrix_loads_the_corpus_once_and_guards_each_run_afresh(
+    small_corpus, tmp_path, monkeypatch
+):
+    entries, _, gm_path = small_corpus
+    loaded = []
+    original = pipeline.load_embeddings
+
+    def counting_load(path, fmt):
+        loaded.append(path)
+        return original(path, fmt)
+
+    monkeypatch.setattr(pipeline, "load_embeddings", counting_load)
+    config = corpus_config(entries, gm_path, "none", **FAST)
+    result = run_matrix(config, ["LDA"], ["global"])
+    assert sorted(loaded) == sorted(e.embeddings for e in entries)
+    for strategy, scope in result.jobs:
+        alone = run_strategy(
+            replace(
+                config,
+                strategy=strategy,
+                scope=scope,
+                seed=derive_seed(config.seed, f"run:{strategy}:{scope}"),
+            )
+        )
+        assert result.audits[f"{strategy}:{scope}"] == alone.audit
+        assert result.reports[(strategy, scope)] == alone.report
+
+
+def _align_seconds(n_clips):
+    ids = [f"clip{i:06d}" for i in range(n_clips)]
+    table = EmbeddingTable(ids, np.zeros(n_clips), np.zeros((n_clips, 1)))
+    records = tuple(ManifestRecord(c, "d", TRAIN, (), {}) for c in reversed(ids))
+    manifest = Manifest(records, ())
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        _, aligned = _align("d", table, manifest)
+        best = min(best, time.perf_counter() - start)
+    assert [r.clip_id for r in aligned.records] == ids
+    return best
+
+
+def test_align_is_linear_in_the_clip_count():
+    # 8x the clips: about 8x the time when linear, 64x when quadratic.
+    ratio = _align_seconds(16_000) / _align_seconds(2_000)
+    assert ratio < 24, ratio
 
 
 def test_matrix_rejects_empty_request(small_corpus):
