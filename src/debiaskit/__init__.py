@@ -14,6 +14,7 @@ from .bias import (
     fit_lda_direction,
     subspace_correlation,
 )
+from .config import ExperimentConfig, load_config
 from .data import (
     EmbeddingTable,
     GenreMap,
@@ -40,18 +41,8 @@ from .kernel import (
 )
 from .logreg import ClassifierModel, cv_select_c, predict_scores, train_logreg
 from .metrics import roc_auc
-from .pipeline import (
-    ExperimentConfig,
-    load_config,
-    run_matrix,
-    run_strategy,
-)
-from .projection import (
-    ClasswiseDebias,
-    DebiasOperator,
-    projector_from_direction,
-    projector_from_subspace,
-)
+from .pipeline import run_matrix, run_strategy
+from .projection import DebiasOperator, projector_from_direction, projector_from_subspace
 from .report import ExperimentReport, build_report, load_report, render_table, save_report
 from .seeding import derive_run_seeds, derive_seed
 from .synth import (
@@ -69,7 +60,6 @@ __all__ = [
     "BiasDirection",
     "BiasSpec",
     "ClassifierModel",
-    "ClasswiseDebias",
     "DebiasKitError",
     "DebiasOperator",
     "EmbeddingTable",

@@ -18,15 +18,10 @@ import json
 import os
 import sys
 
+from .config import load_config, read_json
 from .data import save_embeddings, save_genre_map, save_manifest
 from .errors import DebiasKitError, ValidationError
-from .pipeline import (
-    SCOPES,
-    STRATEGIES,
-    load_config,
-    run_matrix,
-    run_strategy,
-)
+from .pipeline import run_matrix, run_strategy
 from .report import load_report, render_table, save_report
 from .synth import (
     default_spec,
@@ -80,8 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_synth(args) -> int:
     if args.spec is not None:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            spec = spec_from_dict(json.load(handle))
+        spec = spec_from_dict(read_json(args.spec, "synth spec"))
     else:
         spec = default_spec()
     tables, manifests, truth = generate_biased_corpus(spec)
@@ -143,12 +137,6 @@ def _cmd_matrix(args) -> int:
     config = load_config(args.config)
     strategies = [s for s in args.strategies.split(",") if s]
     scopes = [s for s in args.scopes.split(",") if s]
-    for strategy in strategies:
-        if strategy not in STRATEGIES:
-            raise ValidationError(f"unknown strategy {strategy!r}")
-    for scope in scopes:
-        if scope not in SCOPES:
-            raise ValidationError(f"unknown scope {scope!r}")
     result = run_matrix(config, strategies, scopes)
     print(result.rendered.text, end="")
     if config.output_dir is not None:

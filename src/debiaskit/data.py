@@ -238,12 +238,6 @@ def _check_finite(vectors: np.ndarray) -> None:
         raise NonFiniteError("non-finite embedding value", row=int(np.where(~finite)[0][0]))
 
 
-def binary_size(table: EmbeddingTable) -> int:
-    """Exact byte size of the binary serialization of ``table``."""
-    per_row = sum(4 + len(c.encode("utf-8")) + 4 + 4 * table.dim for c in table.clip_ids)
-    return _HEADER.size + per_row
-
-
 # --- manifests ------------------------------------------------------------
 
 

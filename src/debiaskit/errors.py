@@ -14,32 +14,26 @@ class DebiasKitError(Exception):
 # --- input parsing and validation ---------------------------------------
 
 
-class ParseError(DebiasKitError):
+class _InputError(DebiasKitError):
+    """An input problem, located by file path and line when known."""
+
+    def __init__(self, message: str, *, line: int | None = None, path: str | None = None):
+        self.line = line
+        self.path = path
+        prefix = ""
+        if path is not None:
+            prefix += f"{path}:"
+        if line is not None:
+            prefix += f"line {line}: "
+        super().__init__(prefix + message)
+
+
+class ParseError(_InputError):
     """Malformed input text (bad JSON line, unreadable number, ...)."""
 
-    def __init__(self, message: str, *, line: int | None = None, path: str | None = None):
-        self.line = line
-        self.path = path
-        prefix = ""
-        if path is not None:
-            prefix += f"{path}:"
-        if line is not None:
-            prefix += f"line {line}: "
-        super().__init__(prefix + message)
 
-
-class ValidationError(DebiasKitError):
+class ValidationError(_InputError):
     """Structurally readable input that violates a contract."""
-
-    def __init__(self, message: str, *, line: int | None = None, path: str | None = None):
-        self.line = line
-        self.path = path
-        prefix = ""
-        if path is not None:
-            prefix += f"{path}:"
-        if line is not None:
-            prefix += f"line {line}: "
-        super().__init__(prefix + message)
 
 
 class FormatError(DebiasKitError):
@@ -86,10 +80,6 @@ class RankDeficientError(DebiasKitError):
         self.singular_values = singular_values
         self.correlated_pairs = correlated_pairs
         super().__init__(message)
-
-
-class UnknownClassError(DebiasKitError):
-    """Lookup for a class name with no fitted artifact."""
 
 
 class InvalidGammaError(DebiasKitError):

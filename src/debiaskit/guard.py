@@ -26,6 +26,8 @@ PHASE_EVALUATE = "evaluate"
 FIT_PHASES = (PHASE_POOL, PHASE_STANDARDIZE, PHASE_KERNEL, PHASE_BIAS, PHASE_TRAIN)
 ALL_PHASES = FIT_PHASES + (PHASE_EVALUATE,)
 
+_NO_ROWS = np.empty(0, dtype=np.intp)  # held-out rows of a dataset the guard does not know
+
 
 @dataclass
 class AccessRecord:
@@ -47,7 +49,6 @@ class SplitGuard:
         self.test_indices = {
             name: np.asarray(idx, dtype=np.intp) for name, idx in self.test_indices.items()
         }
-        self._test_sets = {name: frozenset(idx.tolist()) for name, idx in self.test_indices.items()}
 
     def enter(self, phase: str) -> None:
         if phase not in ALL_PHASES:
@@ -56,15 +57,14 @@ class SplitGuard:
 
     def check(self, dataset: str, indices: np.ndarray) -> None:
         """Record an access; reject held-out rows outside the scoring phase."""
-        test_set = self._test_sets.get(dataset, frozenset())
-        touched = [i for i in np.asarray(indices).ravel().tolist() if i in test_set]
-        self.records.append(
-            AccessRecord(self.phase, dataset, int(np.asarray(indices).size), len(touched))
-        )
-        if touched and self.phase != PHASE_EVALUATE:
+        indices = np.asarray(indices).ravel()
+        test_mask = np.isin(indices, self.test_indices.get(dataset, _NO_ROWS))
+        touched = indices[test_mask]
+        self.records.append(AccessRecord(self.phase, dataset, indices.size, touched.size))
+        if touched.size and self.phase != PHASE_EVALUATE:
             raise LeakageError(
                 f"held-out rows of {dataset!r} read during phase {self.phase!r}: "
-                f"indices {sorted(touched)[:5]}{'...' if len(touched) > 5 else ''}"
+                f"indices {np.sort(touched)[:5].tolist()}{'...' if touched.size > 5 else ''}"
             )
 
     def audit(self) -> dict:

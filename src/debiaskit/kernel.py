@@ -9,13 +9,11 @@ time and fully determined by (dim, dprime, gamma, seed).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .data import EmbeddingTable, load_embeddings, save_embeddings
 from .errors import (
     DimensionMismatchError,
     InsufficientSampleError,
@@ -58,10 +56,6 @@ class Standardizer:
                 f"standardizer dimension {self.mean.shape[0]} does not match {x.shape[-1]}"
             )
         return (x - self.mean) / self.scale
-
-    def inverse(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        return z * self.scale + self.mean
 
 
 def fit_standardizer(x: np.ndarray) -> Standardizer:
@@ -157,39 +151,3 @@ def transform_rff(kernel_map: KernelMap, x: np.ndarray) -> np.ndarray:
         rows @ kernel_map.frequencies.T + kernel_map.phases
     )
     return out[0] if single else out
-
-
-def save_kernel_map(kernel_map: KernelMap, table_path: str, sidecar_path: str) -> None:
-    """Persist the map: frequencies in the binary embedding container plus a
-    JSON sidecar carrying (gamma, seed, dprime, dim). Loading regenerates the
-    map from the sidecar parameters and verifies it against the stored table."""
-    ids = tuple(f"w{j}" for j in range(kernel_map.dprime))
-    table = EmbeddingTable(ids, np.arange(kernel_map.dprime), kernel_map.frequencies)
-    save_embeddings(table, table_path, "binary")
-    with open(sidecar_path, "w", encoding="utf-8") as handle:
-        json.dump(
-            {
-                "gamma": kernel_map.gamma,
-                "seed": kernel_map.seed,
-                "dprime": kernel_map.dprime,
-                "dim": kernel_map.input_dim,
-            },
-            handle,
-            sort_keys=True,
-        )
-        handle.write("\n")
-
-
-def load_kernel_map(table_path: str, sidecar_path: str) -> KernelMap:
-    with open(sidecar_path, "r", encoding="utf-8") as handle:
-        sidecar = json.load(handle)
-    rebuilt = fit_rff(
-        int(sidecar["dim"]), int(sidecar["dprime"]), float(sidecar["gamma"]), int(sidecar["seed"])
-    )
-    stored = load_embeddings(table_path, "binary")
-    if stored.vectors.shape != rebuilt.frequencies.shape:
-        raise ValidationError("stored frequency table does not match sidecar shape")
-    # The container stores float32, so compare at float32 relative precision.
-    if not np.allclose(stored.vectors, rebuilt.frequencies, rtol=1e-5, atol=1e-30):
-        raise ValidationError("stored frequency table disagrees with regenerated map")
-    return rebuilt

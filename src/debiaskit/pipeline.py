@@ -1,10 +1,13 @@
 """Experiment orchestration: strategy x scope x transfer-direction runs.
 
-The run proceeds in phases — pool, standardize, kernel, bias, train,
-evaluate — and every read of embedding rows goes through a split guard, so
-held-out rows provably never feed any fitted statistic. Feature transforms
-(standardization, random features, global debias) are applied lazily per
-row access, which keeps the fit phases touching training rows only.
+The run proceeds in phases — standardize, kernel, bias, train, evaluate —
+and every read of embedding rows passes its clip indices through a split
+guard, so held-out rows provably never feed any fitted statistic.
+Original-space strategies gather rows straight from the pooled table. Kernel
+strategies build each domain's random-feature rows once per phase: the
+training rows in the kernel phase, the held-out rows on entering evaluate.
+A fitted operator, global or per class, is applied to each gathered training
+or test set, so no projected copy of the rows is kept.
 
 Strategies: "none" (baseline), "LDA" (single-direction removal), "mLDA"
 (per-genre subspace removal), "K" (random-feature space, no removal),
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,6 +30,18 @@ from .bias import (
     bias_correlation,
     fit_lda_direction,
     subspace_correlation,
+)
+
+# Config parsing lives in .config; these names stay importable from here.
+from .config import (
+    SCOPES,
+    STRATEGIES,
+    DatasetEntry,
+    ExperimentConfig,
+    config_from_dict,
+    effective_scope,
+    load_config,
+    warn_if_scope_ignored,
 )
 from .data import (
     NEG,
@@ -51,8 +65,8 @@ from .errors import (
     DebiasKitError,
     DegenerateMeansError,
     EmptyClassError,
+    LeakageError,
     PipelineError,
-    SingleClassError,
     ValidationError,
     ZeroVectorError,
 )
@@ -64,19 +78,8 @@ from .guard import (
     PHASE_TRAIN,
     SplitGuard,
 )
-from .kernel import (
-    DEFAULT_DPRIME_FACTOR,
-    fit_rff,
-    fit_standardizer,
-    transform_rff,
-)
-from .logreg import (
-    DEFAULT_C_GRID,
-    DEFAULT_FOLDS,
-    cv_select_c,
-    predict_scores,
-    train_logreg,
-)
+from .kernel import fit_rff, fit_standardizer, transform_rff
+from .logreg import cv_select_c, predict_scores, train_logreg
 from .metrics import roc_auc
 from .projection import DebiasOperator, projector_from_direction, projector_from_subspace
 from .report import (
@@ -90,223 +93,17 @@ from .report import (
     render_table,
     save_report,
 )
-from .seeding import derive_run_seeds, derive_seed
+from .seeding import derive_seed
 
-STRATEGIES = ("none", "LDA", "mLDA", "K", "KLDA", "mKLDA")
-SCOPES = ("global", "classwise")
-SCOPE_FREE_STRATEGIES = ("none", "K")
-KERNEL_STRATEGIES = ("K", "KLDA", "mKLDA")
-MULTI_STRATEGIES = ("mLDA", "mKLDA")
-PROJECTING_STRATEGIES = ("LDA", "mLDA", "KLDA", "mKLDA")
-
-SPACE_ORIGINAL = "original"
-SPACE_KERNELIZED = "kernelized"
-
-DEFAULT_MIN_GENRE_SAMPLES = 5
-
-
-@dataclass(frozen=True)
-class DatasetEntry:
-    name: str
-    embeddings: str
-    manifest: str
-    fmt: str  # "csv" | "binary"
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    datasets: tuple[DatasetEntry, DatasetEntry]
-    strategy: str
-    scope: str
-    seed: int
-    genre_map: str | None = None
-    classes: tuple[str, ...] | None = None
-    dprime_factor: int = DEFAULT_DPRIME_FACTOR
-    gamma: float | str = "median"
-    shrinkage: float = 1e-2
-    c_grid: tuple[float, ...] = DEFAULT_C_GRID
-    cv_folds: int = DEFAULT_FOLDS
-    min_genre_samples: int = DEFAULT_MIN_GENRE_SAMPLES
-    seeds_override: dict[str, int] = field(default_factory=dict)
-    output_dir: str | None = None
-
-    def effective_scope(self) -> str:
-        return "global" if self.strategy in SCOPE_FREE_STRATEGIES else self.scope
-
-    def run_seeds(self) -> dict[str, int]:
-        seeds = derive_run_seeds(self.seed)
-        seeds.update(self.seeds_override)
-        return seeds
-
-    def to_dict(self) -> dict:
-        """Science-relevant resolved fields; excludes the output directory so
-        the fingerprint (and the report file) do not depend on where results land."""
-        return {
-            "datasets": [
-                {"name": d.name, "embeddings": d.embeddings, "manifest": d.manifest, "format": d.fmt}
-                for d in self.datasets
-            ],
-            "genre_map": self.genre_map,
-            "classes": list(self.classes) if self.classes is not None else None,
-            "strategy": self.strategy,
-            "scope": self.scope,
-            "dprime_factor": self.dprime_factor,
-            "gamma": self.gamma,
-            "shrinkage": self.shrinkage,
-            "c_grid": list(self.c_grid),
-            "cv_folds": self.cv_folds,
-            "min_genre_samples": self.min_genre_samples,
-            "seed": self.seed,
-            "seeds_override": dict(self.seeds_override),
-        }
-
-
-def _infer_format(path: str) -> str:
-    return "csv" if path.endswith(".csv") else "binary"
-
-
-def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate a JSON config; relative paths resolve against the
-    config file's own directory."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-    except OSError as exc:
-        raise ValidationError(f"cannot open config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config is not valid JSON: {exc}", path=path) from exc
-    if not isinstance(obj, dict):
-        raise ValidationError("config must be a JSON object", path=path)
-    base_dir = os.path.dirname(os.path.abspath(path))
-    return config_from_dict(obj, base_dir=base_dir)
-
-
-def config_from_dict(obj: dict, base_dir: str | None = None) -> ExperimentConfig:
-    known = {
-        "datasets",
-        "genre_map",
-        "classes",
-        "strategy",
-        "scope",
-        "dprime_factor",
-        "gamma",
-        "shrinkage",
-        "c_grid",
-        "cv_folds",
-        "min_genre_samples",
-        "seed",
-        "seeds",
-        "output_dir",
-    }
-    unknown = sorted(set(obj) - known)
-    if unknown:
-        raise ValidationError(f"unknown config fields: {unknown}")
-    for required in ("datasets", "strategy", "seed"):
-        if required not in obj:
-            raise ValidationError(f"config is missing required field {required!r}")
-
-    def resolve(p: str | None) -> str | None:
-        if p is None:
-            return None
-        if base_dir is not None and not os.path.isabs(p):
-            return os.path.join(base_dir, p)
-        return p
-
-    raw_datasets = obj["datasets"]
-    if not isinstance(raw_datasets, list) or len(raw_datasets) != 2:
-        raise ValidationError("config needs exactly two dataset entries")
-    entries = []
-    for raw in raw_datasets:
-        for key in ("name", "embeddings", "manifest"):
-            if key not in raw:
-                raise ValidationError(f"dataset entry missing field {key!r}")
-        emb = resolve(raw["embeddings"])
-        man = resolve(raw["manifest"])
-        fmt = raw.get("format", _infer_format(emb))
-        if fmt not in ("csv", "binary"):
-            raise ValidationError(f"unknown embedding format {fmt!r}")
-        entries.append(DatasetEntry(raw["name"], emb, man, fmt))
-    if entries[0].name == entries[1].name:
-        raise ValidationError("dataset names must be distinct")
-
-    strategy = obj["strategy"]
-    if strategy not in STRATEGIES:
-        raise ValidationError(f"unknown strategy {strategy!r} (expected one of {STRATEGIES})")
-    scope = obj.get("scope", "global")
-    if scope not in SCOPES:
-        raise ValidationError(f"unknown scope {scope!r} (expected one of {SCOPES})")
-    if strategy in SCOPE_FREE_STRATEGIES and scope != "global":
-        warnings.warn(
-            f"scope {scope!r} is ignored for strategy {strategy!r} (no bias fit)",
-            UserWarning,
-            stacklevel=2,
-        )
-
-    gamma = obj.get("gamma", "median")
-    if gamma != "median":
-        gamma = float(gamma)
-        if not (gamma > 0 and np.isfinite(gamma)):
-            raise ValidationError(f"gamma must be positive and finite or 'median', got {gamma}")
-    dprime_factor = int(obj.get("dprime_factor", DEFAULT_DPRIME_FACTOR))
-    if dprime_factor < 1:
-        raise ValidationError("dprime_factor must be >= 1")
-    shrinkage = float(obj.get("shrinkage", 1e-2))
-    if not (shrinkage >= 0 and np.isfinite(shrinkage)):
-        raise ValidationError("shrinkage must be a finite non-negative number")
-    c_grid = tuple(float(c) for c in obj.get("c_grid", DEFAULT_C_GRID))
-    if not c_grid or any(not (c > 0 and np.isfinite(c)) for c in c_grid):
-        raise ValidationError("c_grid must be a non-empty list of positive numbers")
-    cv_folds = int(obj.get("cv_folds", DEFAULT_FOLDS))
-    if cv_folds < 2:
-        raise ValidationError("cv_folds must be >= 2")
-    min_genre_samples = int(obj.get("min_genre_samples", DEFAULT_MIN_GENRE_SAMPLES))
-    if min_genre_samples < 2:
-        raise ValidationError("min_genre_samples must be >= 2")
-    seeds_override = {}
-    for purpose, value in dict(obj.get("seeds", {})).items():
-        if purpose not in ("sampling", "rff", "cv"):
-            raise ValidationError(f"unknown seed purpose {purpose!r}")
-        seeds_override[purpose] = int(value)
-    classes = obj.get("classes")
-    if classes is not None:
-        classes = tuple(str(c) for c in classes)
-        if len(set(classes)) != len(classes) or not classes:
-            raise ValidationError("classes must be a non-empty list of unique names")
-
-    config = ExperimentConfig(
-        datasets=(entries[0], entries[1]),
-        strategy=strategy,
-        scope=scope,
-        seed=int(obj["seed"]),
-        genre_map=resolve(obj.get("genre_map")),
-        classes=classes,
-        dprime_factor=dprime_factor,
-        gamma=gamma,
-        shrinkage=shrinkage,
-        c_grid=c_grid,
-        cv_folds=cv_folds,
-        min_genre_samples=min_genre_samples,
-        seeds_override=seeds_override,
-        output_dir=resolve(obj.get("output_dir")),
-    )
-    for entry in config.datasets:
-        for file_path in (entry.embeddings, entry.manifest):
-            if not os.path.exists(file_path):
-                raise ValidationError(f"referenced file does not exist: {file_path}")
-    if config.genre_map is not None and not os.path.exists(config.genre_map):
-        raise ValidationError(f"referenced file does not exist: {config.genre_map}")
-    return config
-
-
-# --- guarded per-dataset feature store ------------------------------------
+# --- guarded per-dataset rows ---------------------------------------------
 
 
 class DomainData:
-    """Pooled clip-level rows with manifest alignment and guarded access.
+    """One dataset's pooled rows, aligned manifest and guarded row access.
 
-    Transforms (standardize, random features, global debias) are applied
-    lazily inside :meth:`rows`, so fitted statistics only ever see the rows
-    they were explicitly given.
+    :meth:`rows` passes the clip indices of every read to the split guard,
+    then gathers from the pooled table or, after :meth:`build_features`,
+    from the feature rows built for the current phase.
     """
 
     def __init__(
@@ -327,7 +124,7 @@ class DomainData:
         self.manifest = manifest
         self.genres = genres
         self.guard = guard
-        self._transforms: list = []
+        self._features: np.ndarray | None = None
         splits = [r.split for r in manifest.records]
         self.train_indices = np.asarray(
             [i for i, s in enumerate(splits) if s == TRAIN], dtype=np.intp
@@ -336,21 +133,42 @@ class DomainData:
             [i for i, s in enumerate(splits) if s == TEST], dtype=np.intp
         )
 
-    def add_transform(self, fn) -> None:
-        self._transforms.append(fn)
+    def build_features(self, indices: np.ndarray, featurize) -> None:
+        """Map the rows at ``indices`` through ``featurize`` once; from now on
+        :meth:`rows` serves those rows, and only those, from the result. The
+        previous feature rows are released first."""
+        self._features = None
+        indices = np.asarray(indices, dtype=np.intp)
+        raw = self.rows(indices)
+        self._built = indices
+        self._positions = np.full(self.table.n_rows, -1, dtype=np.intp)
+        self._positions[indices] = np.arange(indices.size)
+        self._features = featurize(raw)
+        self._features.setflags(write=False)
 
     def rows(self, indices: np.ndarray) -> np.ndarray:
         """The only path to feature rows; audited by the split guard."""
         indices = np.asarray(indices, dtype=np.intp)
         self.guard.check(self.name, indices)
-        out = self.table.vectors[indices]
-        for fn in self._transforms:
-            out = fn(out)
-        return out
+        if self._features is None:
+            return self.table.vectors[indices]
+        if np.array_equal(indices, self._built):
+            # A read of every built row, as the global bias fit makes, is
+            # served without a copy: the copy would double peak memory.
+            return self._features
+        positions = self._positions[indices]
+        if (positions < 0).any():
+            missing = np.sort(indices[positions < 0])
+            raise LeakageError(
+                f"rows of {self.name!r} read during phase {self.guard.phase!r} are "
+                f"not among the built feature rows: indices {missing[:5].tolist()}"
+                f"{'...' if missing.size > 5 else ''}"
+            )
+        return self._features[positions]
 
-    def train_rows_by_genre(self) -> dict[str, np.ndarray]:
+    def group_by_genre(self, indices: np.ndarray) -> dict[str, np.ndarray]:
         buckets: dict[str, list[int]] = {}
-        for i in self.train_indices.tolist():
+        for i in np.asarray(indices).tolist():
             buckets.setdefault(self.genres[i], []).append(i)
         return {g: np.asarray(ix, dtype=np.intp) for g, ix in buckets.items()}
 
@@ -448,7 +266,7 @@ def load_domains(
     config: ExperimentConfig, corpus: Corpus | None = None
 ) -> tuple[DomainData, DomainData, tuple[str, ...], GenreMap, SplitGuard]:
     """Per-run domains over ``corpus`` (loaded from ``config`` when not
-    given), with a fresh split guard and no transforms."""
+    given), with a fresh split guard and no feature rows built yet."""
     if corpus is None:
         corpus = load_corpus(config)
     guard = SplitGuard(
@@ -557,16 +375,16 @@ def fit_bias(
     strategy = config.strategy
     scope = config.effective_scope()
     outcome = BiasFit()
-    multi = strategy in MULTI_STRATEGIES
-    applies = strategy in PROJECTING_STRATEGIES
+    multi = STRATEGIES[strategy].multi
+    applies = STRATEGIES[strategy].projecting
 
     if scope == "global" or not applies:
         if multi:
             directions = _fit_pair_directions(
                 domain_a,
                 domain_b,
-                domain_a.train_rows_by_genre(),
-                domain_b.train_rows_by_genre(),
+                domain_a.group_by_genre(domain_a.train_indices),
+                domain_b.group_by_genre(domain_b.train_indices),
                 genre_map.targets,
                 config,
                 scope="global",
@@ -602,13 +420,11 @@ def fit_bias(
     for class_name in classes:
         pos_a, pos_b = _subsample_positive_pools(domain_a, domain_b, class_name, sampling_seed)
         if multi:
-            genre_pools_a = _group_by_genre(domain_a, pos_a)
-            genre_pools_b = _group_by_genre(domain_b, pos_b)
             directions = _fit_pair_directions(
                 domain_a,
                 domain_b,
-                genre_pools_a,
-                genre_pools_b,
+                domain_a.group_by_genre(pos_a),
+                domain_b.group_by_genre(pos_b),
                 genre_map.targets,
                 config,
                 scope="classwise",
@@ -640,13 +456,6 @@ def fit_bias(
     return outcome
 
 
-def _group_by_genre(domain: DomainData, indices: np.ndarray) -> dict[str, np.ndarray]:
-    buckets: dict[str, list[int]] = {}
-    for i in np.asarray(indices).tolist():
-        buckets.setdefault(domain.genres[i], []).append(i)
-    return {g: np.asarray(ix, dtype=np.intp) for g, ix in buckets.items()}
-
-
 # --- the run itself -------------------------------------------------------
 
 
@@ -668,6 +477,25 @@ def _wrap(exc: DebiasKitError, config: ExperimentConfig, **context) -> PipelineE
     )
 
 
+def _fit_feature_map(config: ExperimentConfig, domains, guard: SplitGuard, rff_seed: int):
+    """Fit the standardizer and the random-feature map on both domains'
+    training rows; return the raw-rows -> random-features function."""
+    guard.enter(PHASE_STANDARDIZE)
+    train_stack = np.vstack([d.rows(d.train_indices) for d in domains])
+    standardizer = fit_standardizer(train_stack)
+    guard.enter(PHASE_KERNEL)
+    standardized_train = standardizer.apply(train_stack)
+    dim = standardized_train.shape[1]
+    kernel_map = fit_rff(
+        dim,
+        config.dprime_factor * dim,
+        config.gamma,
+        rff_seed,
+        x_sample=standardized_train,
+    )
+    return lambda raw: transform_rff(kernel_map, standardizer.apply(raw))
+
+
 def run_strategy(
     config: ExperimentConfig, *, evaluate_cells: bool = True, corpus: Corpus | None = None
 ) -> RunResult:
@@ -676,39 +504,18 @@ def run_strategy(
     classes and genre map."""
     strategy = config.strategy
     scope = config.effective_scope()
-    if strategy in SCOPE_FREE_STRATEGIES and config.scope != "global":
-        warnings.warn(
-            f"scope {config.scope!r} is ignored for strategy {strategy!r} (no bias fit)",
-            UserWarning,
-            stacklevel=2,
-        )
+    warn_if_scope_ignored(strategy, config.scope)
     seeds = config.run_seeds()
     domain_a, domain_b, classes, genre_map, guard = load_domains(config, corpus)
     domains = (domain_a, domain_b)
-    kernelized = strategy in KERNEL_STRATEGIES
-    space = SPACE_KERNELIZED if kernelized else SPACE_ORIGINAL
+    kernelized = STRATEGIES[strategy].kernelized
 
-    # Shared feature space: standardize + random features, training rows only.
+    # Shared feature space: standardize + random features, fitted on training
+    # rows; each domain's training rows are mapped once, here.
     if kernelized:
-        guard.enter(PHASE_STANDARDIZE)
-        train_stack = np.vstack(
-            [d.rows(d.train_indices) for d in domains]
-        )
-        standardizer = fit_standardizer(train_stack)
+        featurize = _fit_feature_map(config, domains, guard, seeds["rff"])
         for d in domains:
-            d.add_transform(standardizer.apply)
-        guard.enter(PHASE_KERNEL)
-        standardized_train = standardizer.apply(train_stack)
-        dim = standardized_train.shape[1]
-        kernel_map = fit_rff(
-            dim,
-            config.dprime_factor * dim,
-            config.gamma,
-            seeds["rff"],
-            x_sample=standardized_train,
-        )
-        for d in domains:
-            d.add_transform(lambda rows, _km=kernel_map: transform_rff(_km, rows))
+            d.build_features(d.train_indices, featurize)
 
     # Bias directions / subspaces, fitted on training rows.
     guard.enter(PHASE_BIAS)
@@ -716,10 +523,10 @@ def run_strategy(
         bias_fit = fit_bias(config, domain_a, domain_b, classes, genre_map, seeds["sampling"])
     except DebiasKitError as exc:
         raise _wrap(exc, config) from exc
-    if bias_fit.global_operator is not None:
-        op = bias_fit.global_operator
-        for d in domains:
-            d.add_transform(op.apply)
+
+    def debiased(class_name: str, x: np.ndarray) -> np.ndarray:
+        op = bias_fit.class_operators.get(class_name, bias_fit.global_operator)
+        return x if op is None else op.apply(x)
 
     # Per-class training sets and models per training domain.
     guard.enter(PHASE_TRAIN)
@@ -738,9 +545,7 @@ def run_strategy(
             raise _wrap(exc, config, class_name=class_name) from exc
         for domain, pos_idx, neg_idx in ((domain_a, pos_a, neg_a), (domain_b, pos_b, neg_b)):
             try:
-                x = np.vstack([domain.rows(pos_idx), domain.rows(neg_idx)])
-                if class_name in bias_fit.class_operators:
-                    x = bias_fit.class_operators[class_name].apply(x)
+                x = debiased(class_name, domain.rows(np.concatenate([pos_idx, neg_idx])))
                 y = np.concatenate(
                     [np.ones(len(pos_idx), dtype=bool), np.zeros(len(neg_idx), dtype=bool)]
                 )
@@ -754,15 +559,16 @@ def run_strategy(
     cells: list[Cell] = []
     if evaluate_cells:
         guard.enter(PHASE_EVALUATE)
+        if kernelized:
+            for d in domains:
+                d.build_features(d.test_indices, featurize)
         for train_domain in domains:
             for eval_domain in domains:
                 class_auc: dict[str, float] = {}
                 for class_name in classes:
                     try:
                         idx, y = _labeled_test_rows(eval_domain, class_name)
-                        x = eval_domain.rows(idx)
-                        if class_name in bias_fit.class_operators:
-                            x = bias_fit.class_operators[class_name].apply(x)
+                        x = debiased(class_name, eval_domain.rows(idx))
                         model = models[class_name][train_domain.name]
                         class_auc[class_name] = roc_auc(predict_scores(model, x), y)
                     except DebiasKitError as exc:
@@ -777,6 +583,7 @@ def run_strategy(
                     Cell(train_domain.name, eval_domain.name, strategy, scope, class_auc, mean)
                 )
 
+    space = "kernelized" if kernelized else "original"
     correlations = _correlations(strategy, scope, space, domains, classes, models, bias_fit)
     histogram = _genre_histogram(domains, classes)
 
@@ -901,8 +708,7 @@ def _matrix_jobs(strategies: list[str], scopes: list[str]) -> list[tuple[str, st
         for scope in scopes:
             if scope not in SCOPES:
                 raise ValidationError(f"unknown scope {scope!r}")
-            effective = "global" if strategy in SCOPE_FREE_STRATEGIES else scope
-            job = (strategy, effective)
+            job = (strategy, effective_scope(strategy, scope))
             if job not in jobs:
                 jobs.append(job)
     return jobs

@@ -16,7 +16,6 @@ from .bias import BiasDirection
 from .errors import (
     DimensionMismatchError,
     RankDeficientError,
-    UnknownClassError,
     ZeroVectorError,
 )
 
@@ -145,20 +144,3 @@ def projector_from_subspace(
             correlated_pairs=pairs,
         )
     return DebiasOperator(left, sv, tuple(_provenance(d) for d in directions))
-
-
-@dataclass(frozen=True)
-class ClasswiseDebias:
-    """One operator per class, applied to that class's features only."""
-
-    operators: dict[str, DebiasOperator]
-
-    def apply(self, class_name: str, x: np.ndarray) -> np.ndarray:
-        if class_name not in self.operators:
-            raise UnknownClassError(f"no fitted operator for class {class_name!r}")
-        return self.operators[class_name].apply(x)
-
-    def operator(self, class_name: str) -> DebiasOperator:
-        if class_name not in self.operators:
-            raise UnknownClassError(f"no fitted operator for class {class_name!r}")
-        return self.operators[class_name]

@@ -16,10 +16,9 @@ import io
 import json
 from dataclasses import dataclass, field
 
+from .config import SCOPES, STRATEGIES, effective_scope
 from .errors import IncompleteMatrixError, LayoutError, ValidationError
 
-STRATEGY_ORDER = ("none", "LDA", "mLDA", "K", "KLDA", "mKLDA")
-SCOPE_ORDER = ("global", "classwise")
 BASELINE = "none"
 DELTA_FLAG_PP = 0.1
 
@@ -300,10 +299,10 @@ def _transfer_columns(report: ExperimentReport) -> list[tuple[str, str, bool]]:
 
 def _render_table1(report: ExperimentReport) -> RenderedTable:
     combos = report.strategies()
-    strategies = [s for s in STRATEGY_ORDER if any(c[0] == s for c in combos)]
+    strategies = [s for s in STRATEGIES if any(c[0] == s for c in combos)]
     if not strategies:
         raise LayoutError("report holds no cells to render")
-    scopes = [s for s in SCOPE_ORDER if any(c[1] == s and c[0] != BASELINE for c in combos)]
+    scopes = [s for s in SCOPES if any(c[1] == s and c[0] != BASELINE for c in combos)]
     if not scopes:
         scopes = ["global"]
     # Deltas are defined against the no-debias baseline; a report without
@@ -325,7 +324,7 @@ def _render_table1(report: ExperimentReport) -> RenderedTable:
         for scope in scopes:
             # The baseline and plain-kernel rows are scope-free; render their
             # single set of numbers in every scope group, as the source table does.
-            actual_scope = "global" if strategy in ("none", "K") else scope
+            actual_scope = effective_scope(strategy, scope)
             for train, test, is_cross in columns:
                 try:
                     cell = report.cell(train, test, strategy, actual_scope)

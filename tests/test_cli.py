@@ -132,6 +132,30 @@ def test_run_prints_table_and_writes_outputs(cli_corpus, capsys):
     assert audit["clean"] is True
 
 
+@pytest.mark.parametrize(
+    "command, extras",
+    [
+        ("run", {"dprime_factor": "abc"}),
+        ("run", {"seed": "x"}),
+        ("run", {"seeds": [1]}),
+        ("run", {"c_grid": 5}),
+        ("run", {"cv_folds": None}),
+        ("run", {"classes": 3}),
+        ("run", {"datasets": [1, 2]}),
+        ("synth", None),
+    ],
+)
+def test_malformed_input_ends_in_one_line_json_error(cli_corpus, capsys, command, extras):
+    corpus_dir, entries = cli_corpus
+    if command == "synth":
+        argv = ["synth", "--spec", str(corpus_dir / "nonexistent.json"), "--out", str(corpus_dir / "x")]
+    else:
+        argv = ["run", "--config", write_config(corpus_dir, entries, **extras)]
+    assert main(argv) == 1
+    payload, _ = read_stderr_error(capsys)
+    assert payload["error"] == "ValidationError"
+
+
 def test_run_without_output_dir_only_prints(cli_corpus, capsys):
     corpus_dir, entries = cli_corpus
     config_path = write_config(corpus_dir, entries, strategy="none")

@@ -14,7 +14,6 @@ from debiaskit.data import (
     Manifest,
     ManifestRecord,
     balanced_subsample,
-    binary_size,
     eligible_indices,
     load_embeddings,
     load_genre_map,
@@ -160,7 +159,6 @@ def test_binary_size_formula(tmp_path):
     # field, the encoded id, the frame field, and dim 4-byte floats.
     expected = 16 + sum(4 + len(i.encode("utf-8")) + 4 + dim * 4 for i in ids)
     assert path.stat().st_size == expected
-    assert binary_size(table) == expected
 
 
 def test_binary_rejects_bad_magic(tmp_path):

@@ -14,9 +14,7 @@ from debiaskit.kernel import (
     Standardizer,
     fit_rff,
     fit_standardizer,
-    load_kernel_map,
     median_heuristic_gamma,
-    save_kernel_map,
     transform_rff,
 )
 
@@ -58,13 +56,6 @@ def test_test_rows_use_training_statistics():
     train = np.array([[0.0], [2.0]])
     fitted = fit_standardizer(train)
     np.testing.assert_allclose(fitted.apply(np.array([[5.0]])), [[4.0]])
-
-
-def test_inverse_round_trip():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((50, 4)) * 3.0 + 1.0
-    fitted = fit_standardizer(x)
-    np.testing.assert_allclose(fitted.inverse(fitted.apply(x)), x, atol=1e-12)
 
 
 def test_standardizer_rejects_empty_and_nonfinite():
@@ -215,36 +206,3 @@ def test_map_shape_properties():
 def test_kernel_map_validation():
     with pytest.raises(DimensionMismatchError):
         KernelMap(np.zeros((4, 3)), np.zeros(5), 0.5, 0)
-
-
-# --- persistence ----------------------------------------------------------
-
-
-def test_save_load_round_trip(tmp_path):
-    kernel_map = fit_rff(6, 48, 0.7, seed=31)
-    table = tmp_path / "freqs.emb"
-    sidecar = tmp_path / "map.json"
-    save_kernel_map(kernel_map, str(table), str(sidecar))
-    loaded = load_kernel_map(str(table), str(sidecar))
-    np.testing.assert_array_equal(loaded.frequencies, kernel_map.frequencies)
-    np.testing.assert_array_equal(loaded.phases, kernel_map.phases)
-    assert loaded.gamma == kernel_map.gamma
-    assert loaded.seed == kernel_map.seed
-    x = np.random.default_rng(7).standard_normal((5, 6))
-    np.testing.assert_array_equal(
-        transform_rff(loaded, x), transform_rff(kernel_map, x)
-    )
-
-
-def test_load_detects_tampered_sidecar(tmp_path):
-    kernel_map = fit_rff(6, 48, 0.7, seed=31)
-    table = tmp_path / "freqs.emb"
-    sidecar = tmp_path / "map.json"
-    save_kernel_map(kernel_map, str(table), str(sidecar))
-    import json
-
-    content = json.loads(sidecar.read_text())
-    content["seed"] = 999
-    sidecar.write_text(json.dumps(content))
-    with pytest.raises(Exception):
-        load_kernel_map(str(table), str(sidecar))

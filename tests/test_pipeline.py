@@ -16,6 +16,7 @@ from debiaskit import pipeline
 from debiaskit.data import (
     NEG,
     POS,
+    TEST,
     TRAIN,
     EmbeddingTable,
     Manifest,
@@ -25,8 +26,8 @@ from debiaskit.data import (
     load_manifest,
     pool_frames,
 )
-from debiaskit.errors import PipelineError, ValidationError
-from debiaskit.guard import PHASE_BIAS
+from debiaskit.errors import LeakageError, PipelineError, ValidationError
+from debiaskit.guard import PHASE_BIAS, PHASE_EVALUATE
 from debiaskit.logreg import cv_select_c, predict_scores, train_logreg
 from debiaskit.metrics import roc_auc
 from debiaskit.pipeline import (
@@ -462,6 +463,33 @@ def test_pipeline_errors_carry_run_context(tmp_path):
     assert err.class_name == "class0"
     assert "[strategy=none" in str(err)
     assert "class=class0" in str(err)
+
+
+@pytest.mark.parametrize("strategy", ["LDA", "KLDA"])
+def test_held_out_index_in_a_training_pool_is_refused(small_corpus, monkeypatch, strategy):
+    entries, _, gm_path = small_corpus
+    original = pipeline.balanced_subsample
+
+    def leaky(manifest_a, manifest_b, class_name, state, seed):
+        idx_a, idx_b = original(manifest_a, manifest_b, class_name, state, seed)
+        held_out = next(i for i, r in enumerate(manifest_a.records) if r.split == TEST)
+        return np.append(idx_a, held_out), idx_b
+
+    monkeypatch.setattr(pipeline, "balanced_subsample", leaky)
+    with pytest.raises(PipelineError) as excinfo:
+        run_strategy(corpus_config(entries, gm_path, strategy, **FAST))
+    assert isinstance(excinfo.value.__cause__, LeakageError)
+
+
+def test_built_feature_rows_serve_only_their_own_indices(small_corpus):
+    entries, _, gm_path = small_corpus
+    domain, _, _, _, guard = load_domains(corpus_config(entries, gm_path, "K"))
+    guard.enter(PHASE_EVALUATE)
+    domain.build_features(domain.test_indices, lambda raw: 2.0 * raw)
+    for picked in (domain.test_indices, domain.test_indices[::-2]):
+        assert_array_equal(domain.rows(picked), 2.0 * domain.table.vectors[picked])
+    with pytest.raises(LeakageError, match="not among the built feature rows"):
+        domain.rows(domain.train_indices[:1])
 
 
 # --- the matrix ------------------------------------------------------------

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from debiaskit.bias import BiasDirection
-from debiaskit.errors import (
-    DimensionMismatchError,
-    RankDeficientError,
-    UnknownClassError,
-)
+from debiaskit.errors import DimensionMismatchError, RankDeficientError
 from debiaskit.projection import (
-    ClasswiseDebias,
     DebiasOperator,
     projector_from_direction,
     projector_from_subspace,
@@ -224,25 +219,3 @@ def test_refit_after_projection_is_degenerate():
     # Any remaining separation along w is numerically zero.
     assert abs(pa @ w).max() <= 1e-8 * np.abs(x_a).max()
     assert abs(pb @ w).max() <= 1e-8 * np.abs(x_b).max()
-
-
-# --- class-keyed dispatch -------------------------------------------------
-
-
-def test_classwise_lookup_and_missing_class():
-    op = projector_from_direction(direction([1.0, 0.0]))
-    table = ClasswiseDebias({"guitar": op})
-    assert table.operator("guitar") is op
-    with pytest.raises(UnknownClassError):
-        table.operator("piano")
-    with pytest.raises(UnknownClassError):
-        table.apply("piano", np.zeros((1, 2)))
-
-
-def test_classwise_same_operator_equals_global():
-    rng = np.random.default_rng(8)
-    op = projector_from_direction(direction(rng.standard_normal(5)))
-    table = ClasswiseDebias({"a": op, "b": op})
-    x = rng.standard_normal((6, 5))
-    np.testing.assert_array_equal(table.apply("a", x), op.apply(x))
-    np.testing.assert_array_equal(table.apply("b", x), op.apply(x))
