@@ -45,29 +45,6 @@ class BiasDirection:
         vector.setflags(write=False)
         object.__setattr__(self, "vector", vector)
 
-    def to_dict(self) -> dict:
-        return {
-            "vector": [float(v) for v in self.vector],
-            "scope": self.scope,
-            "class": self.class_name,
-            "genre": self.genre,
-            "n_a": self.n_a,
-            "n_b": self.n_b,
-            "shrinkage": self.shrinkage,
-        }
-
-    @staticmethod
-    def from_dict(obj: dict) -> "BiasDirection":
-        return BiasDirection(
-            np.asarray(obj["vector"], dtype=np.float64),
-            obj["scope"],
-            obj.get("class"),
-            obj.get("genre"),
-            int(obj["n_a"]),
-            int(obj["n_b"]),
-            float(obj["shrinkage"]),
-        )
-
 
 def _validate_group(x: np.ndarray, name: str) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=np.float64)

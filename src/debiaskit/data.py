@@ -130,34 +130,37 @@ def _load_csv(path: str) -> EmbeddingTable:
         handle = open(path, "r", newline="", encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty CSV file") from None
-        if len(header) < 3 or header[0] != "clip_id" or header[1] != "frame":
-            raise FormatError(f"{path}: header must start with clip_id,frame,e0,...")
-        dim = len(header) - 2
-        expected = ["clip_id", "frame"] + [f"e{i}" for i in range(dim)]
-        if header != expected:
-            raise FormatError(f"{path}: malformed header {header[:4]}...")
-        ids: list[str] = []
-        frames: list[int] = []
-        rows: list[list[float]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 2:
-                raise FormatError(
-                    f"{path}: row at line {line_no} has {len(row) - 2} values, expected {dim}"
-                )
+    try:
+        with handle:
+            reader = csv.reader(handle)
             try:
-                frames.append(int(row[1]))
-                rows.append([float(v) for v in row[2:]])
-            except ValueError as exc:
-                raise ParseError(str(exc), line=line_no, path=path) from exc
-            ids.append(row[0])
+                header = next(reader)
+            except StopIteration:
+                raise FormatError(f"{path}: empty CSV file") from None
+            if len(header) < 3 or header[0] != "clip_id" or header[1] != "frame":
+                raise FormatError(f"{path}: header must start with clip_id,frame,e0,...")
+            dim = len(header) - 2
+            expected = ["clip_id", "frame"] + [f"e{i}" for i in range(dim)]
+            if header != expected:
+                raise FormatError(f"{path}: malformed header {header[:4]}...")
+            ids: list[str] = []
+            frames: list[int] = []
+            rows: list[list[float]] = []
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != dim + 2:
+                    raise FormatError(
+                        f"{path}: row at line {line_no} has {len(row) - 2} values, expected {dim}"
+                    )
+                try:
+                    frames.append(int(row[1]))
+                    rows.append([float(v) for v in row[2:]])
+                except ValueError as exc:
+                    raise ParseError(str(exc), line=line_no, path=path) from exc
+                ids.append(row[0])
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
     vectors = np.asarray(rows, dtype=np.float64).reshape(len(ids), dim)
     _check_finite(vectors)
     return EmbeddingTable(tuple(ids), np.asarray(frames), vectors)
@@ -191,6 +194,13 @@ def _load_binary(path: str) -> EmbeddingTable:
     if dim < 1:
         raise FormatError(f"{path}: dimension must be >= 1")
     offset = _HEADER.size
+    # Each row takes at least its two u32 fields and its values; check the
+    # claimed rows fit the file before allocating for them.
+    if n_rows * (8 + 4 * dim) > len(blob) - offset:
+        raise FormatError(
+            f"{path}: header claims {n_rows} rows of dimension {dim}, "
+            f"more than the {len(blob) - offset} bytes that follow"
+        )
     ids: list[str] = []
     frames: list[int] = []
     vectors = np.empty((n_rows, dim), dtype=np.float64)
@@ -275,6 +285,8 @@ def load_manifest(path: str) -> Manifest:
             lines = handle.read().splitlines()
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8 ({exc.reason})", path=path) from exc
     raw: list[tuple[int, dict]] = []
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
@@ -283,6 +295,8 @@ def load_manifest(path: str) -> Manifest:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"malformed JSON ({exc.msg})", line=line_no, path=path) from exc
+        except RecursionError as exc:
+            raise ParseError("JSON nested too deeply", line=line_no, path=path) from exc
         if not isinstance(obj, dict):
             raise ParseError("record is not a JSON object", line=line_no, path=path)
         raw.append((line_no, obj))
@@ -390,6 +404,10 @@ def load_genre_map(path: str) -> GenreMap:
         raise IoError(f"cannot open {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON ({exc.msg})", path=path) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8 ({exc.reason})", path=path) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply", path=path) from exc
     if not isinstance(obj, dict) or "targets" not in obj:
         raise ValidationError(f"{path}: genre map must be an object with a targets list")
     targets = obj["targets"]

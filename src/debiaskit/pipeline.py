@@ -13,8 +13,8 @@ Strategies: "none" (baseline), "LDA" (single-direction removal), "mLDA"
 (per-genre subspace removal), "K" (random-feature space, no removal),
 "KLDA"/"mKLDA" (removal inside the random-feature space). Scopes: "global"
 (one correction for all classes) or "classwise" (one per class, fitted on
-that class's positives). The scope is meaningless for "none"/"K" and is
-ignored with a warning.
+the balanced positives that class's classifier trains on). The scope is
+meaningless for "none"/"K" and is ignored with a warning.
 """
 
 from __future__ import annotations
@@ -291,19 +291,24 @@ def load_domains(
 
 @dataclass
 class BiasFit:
-    """What the strategy fitted: projection operators plus correlation targets.
+    """What the strategy fitted, keyed like the pools it was fitted on: by
+    class name, or by ``None`` for the one global correction.
 
-    ``global_reference`` / ``class_reference`` hold either a unit direction
-    (single-direction strategies and the diagnostic fit for "none"/"K") or an
-    orthonormal basis matrix (multi-direction strategies).
+    ``operators`` hold the projections to apply; a class without its own
+    operator uses the global one, if any. ``references`` are the correlation
+    targets: a unit direction (single-direction strategies and the diagnostic
+    fit for "none"/"K") or an orthonormal basis matrix (multi-direction
+    strategies).
     """
 
-    global_operator: DebiasOperator | None = None
-    class_operators: dict[str, DebiasOperator] = field(default_factory=dict)
-    global_reference: np.ndarray | None = None
-    class_reference: dict[str, np.ndarray] = field(default_factory=dict)
+    operators: dict[str | None, DebiasOperator] = field(default_factory=dict)
+    references: dict[str | None, np.ndarray] = field(default_factory=dict)
     skipped_pairs: list[dict] = field(default_factory=list)
     degenerate: list[dict] = field(default_factory=list)
+
+    @property
+    def global_reference(self) -> np.ndarray | None:
+        return self.references.get(None)
 
 
 def _fit_pair_directions(
@@ -348,111 +353,64 @@ def _fit_pair_directions(
     return directions
 
 
-def _subsample_positive_pools(
-    domain_a: DomainData,
-    domain_b: DomainData,
-    class_name: str,
-    sampling_seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    seed = derive_seed(sampling_seed, f"subsample:{class_name}:{POS}")
-    return balanced_subsample(domain_a.manifest, domain_b.manifest, class_name, POS, seed)
-
-
 def fit_bias(
     config: ExperimentConfig,
     domain_a: DomainData,
     domain_b: DomainData,
-    classes: tuple[str, ...],
     genre_map: GenreMap,
-    sampling_seed: int,
+    pools: dict[str | None, tuple[np.ndarray, np.ndarray]],
 ) -> BiasFit:
-    """Fit directions/subspaces per the strategy and scope; attach operators.
+    """Fit one correction per entry of ``pools``, which maps a key (a class
+    name, or ``None`` for the global fit) to both domains' training indices.
 
-    For "none" and "K" a single diagnostic global direction is fitted for
-    correlation reporting but nothing is projected. A degenerate fit (domain
-    means coincide) downgrades to no projection rather than failing the run.
+    Multi-direction strategies fit one direction per genre pair and remove
+    their span; the others fit one direction. For "none" and "K" the
+    direction is a diagnostic for correlation reporting and nothing is
+    projected. A degenerate single-direction fit (domain means coincide)
+    leaves its key without a correction rather than failing the run; a
+    multi-direction fit skips degenerate or small genre pairs and fails only
+    when none is left.
     """
-    strategy = config.strategy
     scope = config.effective_scope()
+    strategy = STRATEGIES[config.strategy]
     outcome = BiasFit()
-    multi = STRATEGIES[strategy].multi
-    applies = STRATEGIES[strategy].projecting
-
-    if scope == "global" or not applies:
-        if multi:
+    for key, (idx_a, idx_b) in pools.items():
+        if strategy.multi:
             directions = _fit_pair_directions(
                 domain_a,
                 domain_b,
-                domain_a.group_by_genre(domain_a.train_indices),
-                domain_b.group_by_genre(domain_b.train_indices),
+                domain_a.group_by_genre(idx_a),
+                domain_b.group_by_genre(idx_b),
                 genre_map.targets,
                 config,
-                scope="global",
-                class_name=None,
+                scope=scope,
+                class_name=key,
                 outcome=outcome,
             )
             if not directions:
                 raise EmptyClassError(
-                    "no genre pair had enough samples on both sides for the "
-                    "multi-direction fit"
+                    f"no genre pair had {config.min_genre_samples} training rows on "
+                    f"both sides for the multi-direction fit (class={key})"
                 )
             operator = projector_from_subspace(directions)
-            outcome.global_operator = operator
-            outcome.global_reference = operator.basis
+            outcome.references[key] = operator.basis
         else:
             try:
                 direction = fit_lda_direction(
-                    domain_a.rows(domain_a.train_indices),
-                    domain_b.rows(domain_b.train_indices),
+                    domain_a.rows(idx_a),
+                    domain_b.rows(idx_b),
                     config.shrinkage,
-                    scope="global",
+                    scope=scope,
+                    class_name=key,
                 )
             except DegenerateMeansError:
-                outcome.degenerate.append({"genre": None, "class": None})
-                return outcome
-            outcome.global_reference = direction.vector
-            if applies:
-                outcome.global_operator = projector_from_direction(direction)
-        return outcome
-
-    # Class-wise: one operator per evaluated class, fitted on that class's
-    # balanced positive pools.
-    for class_name in classes:
-        pos_a, pos_b = _subsample_positive_pools(domain_a, domain_b, class_name, sampling_seed)
-        if multi:
-            directions = _fit_pair_directions(
-                domain_a,
-                domain_b,
-                domain_a.group_by_genre(pos_a),
-                domain_b.group_by_genre(pos_b),
-                genre_map.targets,
-                config,
-                scope="classwise",
-                class_name=class_name,
-                outcome=outcome,
-            )
-            if not directions:
-                raise EmptyClassError(
-                    f"class {class_name!r}: every genre pair fell below "
-                    f"{config.min_genre_samples} positives per side"
-                )
-            operator = projector_from_subspace(directions)
-            outcome.class_operators[class_name] = operator
-            outcome.class_reference[class_name] = operator.basis
-        else:
-            try:
-                direction = fit_lda_direction(
-                    domain_a.rows(pos_a),
-                    domain_b.rows(pos_b),
-                    config.shrinkage,
-                    scope="classwise",
-                    class_name=class_name,
-                )
-            except DegenerateMeansError:
-                outcome.degenerate.append({"genre": None, "class": class_name})
+                outcome.degenerate.append({"genre": None, "class": key})
                 continue
-            outcome.class_operators[class_name] = projector_from_direction(direction)
-            outcome.class_reference[class_name] = direction.vector
+            outcome.references[key] = direction.vector
+            if not strategy.projecting:
+                continue
+            operator = projector_from_direction(direction)
+        outcome.operators[key] = operator
     return outcome
 
 
@@ -510,6 +468,24 @@ def run_strategy(
     domains = (domain_a, domain_b)
     kernelized = STRATEGIES[strategy].kernelized
 
+    # Each class's balanced positive and negative training pools, drawn once:
+    # a class-wise correction is fitted on the positives its classifier uses.
+    samples: dict[str, tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
+    for class_name in classes:
+        try:
+            samples[class_name] = tuple(
+                balanced_subsample(
+                    domain_a.manifest,
+                    domain_b.manifest,
+                    class_name,
+                    state,
+                    derive_seed(seeds["sampling"], f"subsample:{class_name}:{state}"),
+                )
+                for state in (POS, NEG)
+            )
+        except DebiasKitError as exc:
+            raise _wrap(exc, config, class_name=class_name) from exc
+
     # Shared feature space: standardize + random features, fitted on training
     # rows; each domain's training rows are mapped once, here.
     if kernelized:
@@ -517,32 +493,27 @@ def run_strategy(
         for d in domains:
             d.build_features(d.train_indices, featurize)
 
-    # Bias directions / subspaces, fitted on training rows.
+    # Bias directions / subspaces, fitted on training rows: all of them for
+    # the global correction, each class's positives for a class-wise one.
+    if scope == "global":
+        pools = {None: (domain_a.train_indices, domain_b.train_indices)}
+    else:
+        pools = {c: samples[c][0] for c in classes}
     guard.enter(PHASE_BIAS)
     try:
-        bias_fit = fit_bias(config, domain_a, domain_b, classes, genre_map, seeds["sampling"])
+        bias_fit = fit_bias(config, domain_a, domain_b, genre_map, pools)
     except DebiasKitError as exc:
         raise _wrap(exc, config) from exc
 
     def debiased(class_name: str, x: np.ndarray) -> np.ndarray:
-        op = bias_fit.class_operators.get(class_name, bias_fit.global_operator)
+        op = bias_fit.operators.get(class_name, bias_fit.operators.get(None))
         return x if op is None else op.apply(x)
 
     # Per-class training sets and models per training domain.
     guard.enter(PHASE_TRAIN)
     models: dict[str, dict[str, object]] = {c: {} for c in classes}
     for class_name in classes:
-        try:
-            pos_seed = derive_seed(seeds["sampling"], f"subsample:{class_name}:{POS}")
-            neg_seed = derive_seed(seeds["sampling"], f"subsample:{class_name}:{NEG}")
-            pos_a, pos_b = balanced_subsample(
-                domain_a.manifest, domain_b.manifest, class_name, POS, pos_seed
-            )
-            neg_a, neg_b = balanced_subsample(
-                domain_a.manifest, domain_b.manifest, class_name, NEG, neg_seed
-            )
-        except DebiasKitError as exc:
-            raise _wrap(exc, config, class_name=class_name) from exc
+        (pos_a, pos_b), (neg_a, neg_b) = samples[class_name]
         for domain, pos_idx, neg_idx in ((domain_a, pos_a, neg_a), (domain_b, pos_b, neg_b)):
             try:
                 x = debiased(class_name, domain.rows(np.concatenate([pos_idx, neg_idx])))
@@ -646,7 +617,7 @@ def _correlations(
     for domain in domains:
         class_corr: dict[str, float] = {}
         for class_name in classes:
-            reference = bias_fit.class_reference.get(class_name, bias_fit.global_reference)
+            reference = bias_fit.references.get(class_name, bias_fit.references.get(None))
             if reference is None:
                 continue
             model = models[class_name].get(domain.name)

@@ -67,22 +67,6 @@ class DebiasOperator:
         out = rows - (rows @ self.basis) @ self.basis.T
         return out[0] if single else out
 
-    def to_dict(self) -> dict:
-        return {
-            "basis": [[float(v) for v in col] for col in self.basis.T],
-            "singular_values": [float(s) for s in self.singular_values],
-            "provenance": list(self.provenance),
-        }
-
-    @staticmethod
-    def from_dict(obj: dict) -> "DebiasOperator":
-        basis = np.asarray(obj["basis"], dtype=np.float64).T
-        return DebiasOperator(
-            basis,
-            np.asarray(obj["singular_values"], dtype=np.float64),
-            tuple(obj.get("provenance", ())),
-        )
-
 
 def _provenance(direction: BiasDirection) -> dict:
     return {

@@ -14,9 +14,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .config import SCOPES, STRATEGIES, effective_scope
+from .config import SCOPES, STRATEGIES, effective_scope, read_json
 from .errors import IncompleteMatrixError, LayoutError, ValidationError
 
 BASELINE = "none"
@@ -72,68 +72,18 @@ class ExperimentReport:
         return tuple(seen)
 
     def to_dict(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "datasets": list(self.datasets),
-            "classes": list(self.classes),
-            "cells": [
-                {
-                    "train": c.train,
-                    "test": c.test,
-                    "strategy": c.strategy,
-                    "scope": c.scope,
-                    "class_auc": c.class_auc,
-                    "mean_auc": c.mean_auc,
-                }
-                for c in self.cells
-            ],
-            "correlations": [
-                {
-                    "domain": e.domain,
-                    "strategy": e.strategy,
-                    "scope": e.scope,
-                    "space": e.space,
-                    "class_corr": e.class_corr,
-                    "mean_abs_corr": e.mean_abs_corr,
-                }
-                for e in self.correlations
-            ],
-            "genre_histogram": self.genre_histogram,
-            "seeds": self.seeds,
-            "config": self.config,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(obj: dict) -> "ExperimentReport":
         return ExperimentReport(
-            datasets=tuple(obj["datasets"]),
-            classes=tuple(obj["classes"]),
-            cells=tuple(
-                Cell(
-                    c["train"],
-                    c["test"],
-                    c["strategy"],
-                    c["scope"],
-                    dict(c["class_auc"]),
-                    float(c["mean_auc"]),
-                )
-                for c in obj["cells"]
-            ),
-            correlations=tuple(
-                CorrelationEntry(
-                    e["domain"],
-                    e["strategy"],
-                    e["scope"],
-                    e["space"],
-                    dict(e["class_corr"]),
-                    float(e["mean_abs_corr"]),
-                )
-                for e in obj["correlations"]
-            ),
-            genre_histogram=obj["genre_histogram"],
-            seeds=dict(obj["seeds"]),
-            config=obj["config"],
-            fingerprint=obj.get("fingerprint", ""),
+            **{
+                **obj,
+                "datasets": tuple(obj["datasets"]),
+                "classes": tuple(obj["classes"]),
+                "cells": tuple(Cell(**c) for c in obj["cells"]),
+                "correlations": tuple(CorrelationEntry(**e) for e in obj["correlations"]),
+            }
         )
 
 
@@ -223,8 +173,11 @@ def save_report(report: ExperimentReport, path: str) -> None:
 
 
 def load_report(path: str) -> ExperimentReport:
-    with open(path, "r", encoding="utf-8") as handle:
-        return ExperimentReport.from_dict(json.load(handle))
+    obj = read_json(path, "report")
+    try:
+        return ExperimentReport.from_dict(obj)
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed report: {exc!r}", path=path) from exc
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,12 @@ collections.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .config import _number, _typed
 from .data import (
     NEG,
     POS,
@@ -135,8 +137,10 @@ def _normalize_mix(
     mix = tuple(tuple(float(w) for w in row) for row in raw)
     if len(mix) != spec.n_classes or any(len(row) != spec.n_genres for row in mix):
         raise ValidationError(f"{name} must be n_classes rows of n_genres weights")
-    if any(w < 0 for row in mix for w in row) or any(sum(row) <= 0 for row in mix):
-        raise ValidationError(f"{name} rows need non-negative weights, positive sum")
+    if any(not 0 <= w < math.inf for row in mix for w in row) or any(
+        not 0 < sum(row) < math.inf for row in mix
+    ):
+        raise ValidationError(f"{name} rows need finite non-negative weights, positive sum")
     return mix
 
 
@@ -149,14 +153,16 @@ def _validate(
         raise ValidationError("samples_per_cell must be >= 1")
     if not (0.0 <= spec.test_fraction < 1.0):
         raise ValidationError("test_fraction must lie in [0, 1)")
-    if spec.noise_sigma < 0 or spec.class_signal_strength < 0:
-        raise ValidationError("noise_sigma and class_signal_strength must be >= 0")
+    if not (0 <= spec.noise_sigma < math.inf and 0 <= spec.class_signal_strength < math.inf):
+        raise ValidationError("noise_sigma and class_signal_strength must be finite and >= 0")
+    if spec.seed < 0:
+        raise ValidationError("seed must be >= 0")
     if len(spec.domain_names) != 2 or spec.domain_names[0] == spec.domain_names[1]:
         raise ValidationError("exactly two distinct domain names are required")
     genre_names = spec.genre_names()
     for entry in spec.bias:
-        if entry.magnitude < 0:
-            raise ValidationError(f"bias magnitude must be >= 0, got {entry.magnitude}")
+        if not 0 <= entry.magnitude < math.inf:
+            raise ValidationError(f"bias magnitude must be finite and >= 0, got {entry.magnitude}")
         if entry.scope != GLOBAL_SCOPE and entry.scope not in genre_names:
             raise ValidationError(f"bias scope {entry.scope!r} is not global or a genre")
         if entry.direction_index < 0:
@@ -287,48 +293,58 @@ def save_ground_truth(truth: GroundTruth, path: str) -> None:
         handle.write("\n")
 
 
+_SPEC_NUMBERS = {
+    "dim": int,
+    "n_classes": int,
+    "n_genres": int,
+    "samples_per_cell": int,
+    "test_fraction": float,
+    "class_signal_strength": float,
+    "noise_sigma": float,
+    "seed": int,
+}
+_SPEC_FIELDS = {f.name for f in fields(SynthSpec)}
+
+
 def spec_from_dict(obj: dict) -> SynthSpec:
-    """Build a SynthSpec from a JSON object (the CLI's --spec file)."""
-    known = {
-        "dim",
-        "n_classes",
-        "n_genres",
-        "samples_per_cell",
-        "test_fraction",
-        "class_signal_strength",
-        "noise_sigma",
-        "seed",
-        "domain_names",
-        "bias",
-        "genre_mix",
-        "genre_mix_b",
-        "predominant_only_classes",
-    }
-    unknown = set(obj) - known
+    """Build a valid SynthSpec from a JSON object (the CLI's --spec file); a
+    field of the wrong type or out of range is a ValidationError."""
+    _typed(obj, dict, "synth spec", "a JSON object")
+    unknown = set(obj) - _SPEC_FIELDS
     if unknown:
         raise ValidationError(f"unknown synth spec fields: {sorted(unknown)}")
-    structured = {"bias", "domain_names", "genre_mix", "genre_mix_b",
-                  "predominant_only_classes"}
-    kwargs: dict = {}
-    for key in known - structured:
-        if key in obj:
-            kwargs[key] = obj[key]
+    kwargs: dict = {
+        key: _number(kind, obj[key], key) for key, kind in _SPEC_NUMBERS.items() if key in obj
+    }
     if "domain_names" in obj:
-        kwargs["domain_names"] = tuple(obj["domain_names"])
+        kwargs["domain_names"] = tuple(
+            _typed(name, str, "a domain name", "a string")
+            for name in _typed(obj["domain_names"], list, "domain_names", "a list")
+        )
     if "bias" in obj:
         entries = []
-        for raw in obj["bias"]:
+        for raw in _typed(obj["bias"], list, "bias", "a list"):
+            _typed(raw, dict, "a bias entry", "an object")
             entries.append(
                 BiasSpec(
-                    raw.get("scope", GLOBAL_SCOPE),
-                    float(raw["magnitude"]),
-                    int(raw.get("direction_index", 0)),
+                    _typed(raw.get("scope", GLOBAL_SCOPE), str, "bias scope", "a string"),
+                    _number(float, raw.get("magnitude"), "bias magnitude"),
+                    _number(int, raw.get("direction_index", 0), "direction_index"),
                 )
             )
         kwargs["bias"] = tuple(entries)
+    rows = "a list of weight lists"
     for key in ("genre_mix", "genre_mix_b"):
         if obj.get(key) is not None:
-            kwargs[key] = tuple(tuple(row) for row in obj[key])
+            kwargs[key] = tuple(
+                tuple(_number(float, w, f"{key} weight") for w in _typed(row, list, key, rows))
+                for row in _typed(obj[key], list, key, rows)
+            )
     if "predominant_only_classes" in obj:
-        kwargs["predominant_only_classes"] = tuple(obj["predominant_only_classes"])
-    return SynthSpec(**kwargs)
+        kwargs["predominant_only_classes"] = tuple(
+            _number(int, k, "predominant-only class")
+            for k in _typed(obj["predominant_only_classes"], list, "predominant_only_classes", "a list")
+        )
+    spec = SynthSpec(**kwargs)
+    _validate(spec)
+    return spec

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from debiaskit.bias import (
-    BiasDirection,
     bias_correlation,
     domain_probe_accuracy,
     fit_lda_direction,
@@ -129,20 +128,6 @@ def test_metadata_recorded():
     assert fitted.scope == "classwise"
     assert fitted.class_name == "guitar"
     assert fitted.genre == "jazz"
-
-
-def test_direction_serialization_round_trip():
-    x_a = np.random.default_rng(8).standard_normal((15, 4)) + 0.5
-    x_b = np.random.default_rng(9).standard_normal((15, 4))
-    fitted = fit_lda_direction(x_a, x_b, class_name="piano")
-    restored = BiasDirection.from_dict(fitted.to_dict())
-    np.testing.assert_array_equal(restored.vector, fitted.vector)
-    assert restored.scope == fitted.scope
-    assert restored.class_name == fitted.class_name
-    assert restored.genre == fitted.genre
-    assert restored.n_a == fitted.n_a
-    assert restored.n_b == fitted.n_b
-    assert restored.shrinkage == fitted.shrinkage
 
 
 # --- cosine diagnostics ---------------------------------------------------

@@ -132,6 +132,26 @@ def test_run_prints_table_and_writes_outputs(cli_corpus, capsys):
     assert audit["clean"] is True
 
 
+# A report whose one cell has no "train" field.
+REPORT_WITHOUT_TRAIN = {
+    "datasets": ["synthA", "synthB"],
+    "classes": ["class0"],
+    "cells": [
+        {
+            "test": "synthA",
+            "strategy": "none",
+            "scope": "global",
+            "class_auc": {"class0": 0.5},
+            "mean_auc": 0.5,
+        }
+    ],
+    "correlations": [],
+    "genre_histogram": {},
+    "seeds": {},
+    "config": {},
+}
+
+
 @pytest.mark.parametrize(
     "command, extras",
     [
@@ -143,12 +163,29 @@ def test_run_prints_table_and_writes_outputs(cli_corpus, capsys):
         ("run", {"classes": 3}),
         ("run", {"datasets": [1, 2]}),
         ("synth", None),
+        ("synth", {"bias": 5}),
+        ("synth", {"dim": "x"}),
+        ("synth", {"bias": [{"magnitude": "abc"}]}),
+        ("synth", {"domain_names": 7}),
+        ("synth", {"genre_mix": [[1, "a"]]}),
+        ("report", "{not json"),
+        ("report", {}),
+        ("report", REPORT_WITHOUT_TRAIN),
     ],
 )
 def test_malformed_input_ends_in_one_line_json_error(cli_corpus, capsys, command, extras):
     corpus_dir, entries = cli_corpus
     if command == "synth":
-        argv = ["synth", "--spec", str(corpus_dir / "nonexistent.json"), "--out", str(corpus_dir / "x")]
+        spec_path = corpus_dir / "spec.json"
+        if extras is not None:
+            spec_path.write_text(json.dumps(extras))
+        argv = ["synth", "--spec", str(spec_path), "--out", str(corpus_dir / "x")]
+    elif command == "report":
+        report_dir = corpus_dir / "written"
+        report_dir.mkdir()
+        text = extras if isinstance(extras, str) else json.dumps(extras)
+        (report_dir / "report.json").write_text(text)
+        argv = ["report", "--in", str(report_dir)]
     else:
         argv = ["run", "--config", write_config(corpus_dir, entries, **extras)]
     assert main(argv) == 1

@@ -1,5 +1,8 @@
-"""Config parsing over arbitrary JSON: a config or a package error, nothing else."""
+"""Config and synth-spec parsing over arbitrary JSON: a parsed value or a
+package error, nothing else."""
 
+import math
+import string
 import warnings
 
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from debiaskit.config import ExperimentConfig, config_from_dict
 from debiaskit.errors import DebiasKitError
+from debiaskit.synth import SynthSpec, spec_from_dict
 
 FIELDS = [
     "datasets",
@@ -71,3 +75,74 @@ def test_any_json_object_parses_or_raises_a_package_error(small_corpus, data):
         except DebiasKitError:
             return
     assert isinstance(config, ExperimentConfig)
+
+
+SPEC_FIELDS = [
+    "dim",
+    "n_classes",
+    "n_genres",
+    "samples_per_cell",
+    "test_fraction",
+    "class_signal_strength",
+    "noise_sigma",
+    "seed",
+    "domain_names",
+    "bias",
+    "genre_mix",
+    "genre_mix_b",
+    "predominant_only_classes",
+    "not_a_field",
+]
+VALID_SPEC = {
+    "dim": 16,
+    "n_classes": 3,
+    "n_genres": 2,
+    "samples_per_cell": 10,
+    "test_fraction": 0.25,
+    "seed": 3,
+    "domain_names": ["left", "right"],
+    "bias": [{"scope": "genre1", "magnitude": 2.0, "direction_index": 1}],
+    "genre_mix": [[1, 0], [0.5, 0.5], [0, 1]],
+    "predominant_only_classes": [2],
+}
+
+# Numbers stay small: any count is legal in a spec, and validating one builds
+# the uniform genre mix, a weight per class and genre, so a huge count would
+# measure memory, not parsing. Digit-free text keeps int("999999") out too.
+spec_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-1000, 1000)
+    | st.floats(-1e3, 1e3)
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.text(string.ascii_letters, max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def spec_objects(draw):
+    """A valid spec with some fields, or a bias entry's fields, dropped or
+    replaced by arbitrary JSON; or an arbitrary JSON object."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.dictionaries(st.text(max_size=6), spec_values, max_size=4))
+    obj = dict(VALID_SPEC)
+    entry = dict(obj["bias"][0])
+    for key in draw(st.sets(st.sampled_from(list(entry)), max_size=1)):
+        entry[key] = draw(spec_values)
+    obj["bias"] = [entry]
+    for key in draw(st.sets(st.sampled_from(SPEC_FIELDS), max_size=2)):
+        obj.pop(key, None)
+    obj.update(draw(st.dictionaries(st.sampled_from(SPEC_FIELDS), spec_values, max_size=3)))
+    return obj
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=spec_objects())
+def test_any_json_object_gives_a_synth_spec_or_a_package_error(obj):
+    try:
+        spec = spec_from_dict(obj)
+    except DebiasKitError:
+        return
+    assert isinstance(spec, SynthSpec)

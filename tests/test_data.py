@@ -1,6 +1,7 @@
 """Embedding/manifest IO, genre reduction, pooling, and balanced sampling."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -301,6 +302,34 @@ def test_genre_map_duplicate_rule_keys_rejected(tmp_path):
     with pytest.raises(ValidationError, match="duplicate"):
         load_genre_map(str(path))
 
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "name, content, fmt, error",
+    [
+        ("m.jsonl", b'{"clip_id": "\xff"}\n', "manifest", ParseError),
+        ("e.csv", b"clip_id,frame,e0\n\xff,0,1.0\n", "csv", FormatError),
+        ("g.json", b'{"targets": ["\xff"]}', "genre_map", ParseError),
+        ("deep.json", ('{"targets": ' + DEEP + "}").encode(), "genre_map", ParseError),
+        ("deep.jsonl", ('{"clip_id": ' + DEEP + "}\n").encode(), "manifest", ParseError),
+        # 2^32 - 1 rows of dimension 2^32 - 1 would take 8 TiB as float64.
+        ("huge.emb", struct.pack("<4sIII", b"EMB1", 1, 2**32 - 1, 2**32 - 1), "binary", FormatError),
+    ],
+    ids=["manifest-utf8", "csv-utf8", "genre-map-utf8", "genre-map-deep", "manifest-deep", "binary-header"],
+)
+def test_unreadable_file_ends_in_a_package_error(tmp_path, name, content, fmt, error):
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(error):
+        if fmt == "manifest":
+            load_manifest(str(path))
+        elif fmt == "genre_map":
+            load_genre_map(str(path))
+        else:
+            load_embeddings(str(path), fmt)
 
 # --- frame pooling --------------------------------------------------------
 

@@ -236,8 +236,8 @@ def test_baseline_run_produces_full_matrix_cell_block(small_corpus):
     within = [c.mean_auc for c in report.cells if c.train == c.test]
     assert min(within) > 0.9
     # Diagnostic direction exists even though nothing was projected out.
-    assert result.bias_fit.global_operator is None
-    assert result.bias_fit.global_reference is not None
+    assert result.bias_fit.operators == {}
+    assert set(result.bias_fit.references) == {None}
     assert len(report.correlations) == 2
     for entry in report.correlations:
         assert entry.space == "original"
@@ -341,38 +341,40 @@ ONE_CLASS_SPEC = SynthSpec(
 )
 
 
-def _enter_bias_phase(config):
-    domain_a, domain_b, classes, genre_map, guard = load_domains(config)
-    guard.enter(PHASE_BIAS)
-    return domain_a, domain_b, classes, genre_map
+def _fit_both_scopes(tmp_path, strategy):
+    """The bias fit at global scope, over every training row, and at
+    class-wise scope, over the class's balanced positives."""
+    entries, _, gm_path = write_corpus(tmp_path, ONE_CLASS_SPEC)
+    fits = []
+    for scope in ("global", "classwise"):
+        config = corpus_config(entries, gm_path, strategy, scope=scope)
+        domain_a, domain_b, _, genre_map, guard = load_domains(config)
+        guard.enter(PHASE_BIAS)
+        if scope == "global":
+            pools = {None: (domain_a.train_indices, domain_b.train_indices)}
+        else:
+            seed = derive_seed(config.run_seeds()["sampling"], f"subsample:class0:{POS}")
+            pools = {
+                "class0": balanced_subsample(domain_a.manifest, domain_b.manifest, "class0", POS, seed)
+            }
+        fits.append(fit_bias(config, domain_a, domain_b, genre_map, pools))
+    return fits
 
 
 def test_single_class_balanced_corpus_scopes_agree_for_single_direction(tmp_path):
     """With one all-positive class and equal counts everywhere, the classwise
     positive pools are exactly the full training sets, so the per-class fit
     must reproduce the global fit bit for bit."""
-    entries, _, gm_path = write_corpus(tmp_path, ONE_CLASS_SPEC)
-    config_g = corpus_config(entries, gm_path, "LDA", scope="global")
-    config_c = corpus_config(entries, gm_path, "LDA", scope="classwise")
-    domain_a, domain_b, classes, genre_map = _enter_bias_phase(config_g)
-    fit_g = fit_bias(config_g, domain_a, domain_b, classes, genre_map, config_g.run_seeds()["sampling"])
-    domain_a, domain_b, classes, genre_map = _enter_bias_phase(config_c)
-    fit_c = fit_bias(config_c, domain_a, domain_b, classes, genre_map, config_c.run_seeds()["sampling"])
-    assert fit_g.global_reference is not None
-    assert set(fit_c.class_reference) == {"class0"}
-    assert_array_equal(fit_g.global_reference, fit_c.class_reference["class0"])
+    fit_g, fit_c = _fit_both_scopes(tmp_path, "LDA")
+    assert set(fit_g.references) == {None}
+    assert set(fit_c.references) == {"class0"}
+    assert_array_equal(fit_g.references[None], fit_c.references["class0"])
 
 
 def test_single_class_balanced_corpus_scopes_agree_for_subspaces(tmp_path):
-    entries, _, gm_path = write_corpus(tmp_path, ONE_CLASS_SPEC)
-    config_g = corpus_config(entries, gm_path, "mLDA", scope="global")
-    config_c = corpus_config(entries, gm_path, "mLDA", scope="classwise")
-    domain_a, domain_b, classes, genre_map = _enter_bias_phase(config_g)
-    fit_g = fit_bias(config_g, domain_a, domain_b, classes, genre_map, config_g.run_seeds()["sampling"])
-    domain_a, domain_b, classes, genre_map = _enter_bias_phase(config_c)
-    fit_c = fit_bias(config_c, domain_a, domain_b, classes, genre_map, config_c.run_seeds()["sampling"])
-    assert fit_g.global_reference.ndim == 2
-    assert_array_equal(fit_g.global_reference, fit_c.class_reference["class0"])
+    fit_g, fit_c = _fit_both_scopes(tmp_path, "mLDA")
+    assert fit_g.references[None].ndim == 2
+    assert_array_equal(fit_g.references[None], fit_c.references["class0"])
 
 
 # --- strategies beyond the baseline ----------------------------------------
@@ -382,10 +384,9 @@ def test_classwise_run_fits_an_operator_per_class(small_corpus):
     entries, _, gm_path = small_corpus
     config = corpus_config(entries, gm_path, "LDA", scope="classwise", **FAST)
     result = run_strategy(config)
-    assert result.bias_fit.global_operator is None
-    assert set(result.bias_fit.class_operators) == {"class0", "class1", "class2"}
-    assert set(result.bias_fit.class_reference) == {"class0", "class1", "class2"}
-    for reference in result.bias_fit.class_reference.values():
+    assert set(result.bias_fit.operators) == {"class0", "class1", "class2"}
+    assert set(result.bias_fit.references) == {"class0", "class1", "class2"}
+    for reference in result.bias_fit.references.values():
         assert reference.shape == (SMALL_SPEC.dim,)
         assert np.isclose(np.linalg.norm(reference), 1.0)
     assert len(result.report.cells) == 4
@@ -397,7 +398,7 @@ def test_multi_direction_global_run_uses_a_genre_subspace(small_corpus):
     entries, _, gm_path = small_corpus
     config = corpus_config(entries, gm_path, "mLDA", scope="global", **FAST)
     result = run_strategy(config)
-    basis = result.bias_fit.global_reference
+    basis = result.bias_fit.references[None]
     assert basis.ndim == 2
     assert basis.shape[0] == SMALL_SPEC.dim
     assert 1 <= basis.shape[1] <= SMALL_SPEC.n_genres
@@ -412,9 +413,9 @@ def test_kernel_strategy_reports_kernelized_space(small_corpus):
     entries, _, gm_path = small_corpus
     config = corpus_config(entries, gm_path, "K", dprime_factor=2, **FAST)
     result = run_strategy(config)
-    assert result.bias_fit.global_operator is None
+    assert result.bias_fit.operators == {}
     # Diagnostic direction lives in the expanded feature space.
-    assert result.bias_fit.global_reference.shape == (2 * SMALL_SPEC.dim,)
+    assert result.bias_fit.references[None].shape == (2 * SMALL_SPEC.dim,)
     for entry in result.report.correlations:
         assert entry.space == "kernelized"
     assert result.audit["clean"] is True
@@ -441,28 +442,67 @@ def test_kernel_debias_changes_little_without_planted_bias(tmp_path):
         assert abs(auc_k - by_pair_klda[pair]) <= 0.05, pair
 
 
-def test_pipeline_errors_carry_run_context(tmp_path):
-    # Every class predominant-only means no negative examples exist anywhere.
-    spec = SynthSpec(
-        dim=8,
-        n_classes=2,
-        n_genres=1,
-        samples_per_cell=20,
-        seed=7,
-        bias=(),
-        genre_mix=((1.0,), (1.0,)),
-        predominant_only_classes=(0, 1),
-    )
+@pytest.mark.parametrize(
+    "spec, strategy, scope",
+    [
+        # Every class predominant-only means no negative examples exist anywhere.
+        (
+            SynthSpec(
+                dim=8,
+                n_classes=2,
+                n_genres=1,
+                samples_per_cell=20,
+                seed=7,
+                bias=(),
+                genre_mix=((1.0,), (1.0,)),
+                predominant_only_classes=(0, 1),
+            ),
+            "none",
+            "global",
+        ),
+        # Every clip held out: the first class's positive draw finds no
+        # training record, before any bias fit.
+        (
+            SynthSpec(
+                dim=8, n_classes=2, n_genres=1, samples_per_cell=1, test_fraction=0.9, seed=7, bias=()
+            ),
+            "LDA",
+            "classwise",
+        ),
+    ],
+    ids=["no-negatives", "no-training-clips"],
+)
+def test_pipeline_errors_carry_run_context(tmp_path, spec, strategy, scope):
     entries, _, gm_path = write_corpus(tmp_path, spec)
-    config = corpus_config(entries, gm_path, "none", **FAST)
+    config = corpus_config(entries, gm_path, strategy, scope=scope, **FAST)
     with pytest.raises(PipelineError) as excinfo:
         run_strategy(config)
     err = excinfo.value
-    assert err.strategy == "none"
-    assert err.scope == "global"
+    assert err.strategy == strategy
+    assert err.scope == scope
     assert err.class_name == "class0"
-    assert "[strategy=none" in str(err)
+    assert f"[strategy={strategy}" in str(err)
     assert "class=class0" in str(err)
+
+
+def test_classwise_fit_uses_the_draws_its_classifiers_train_on(small_corpus, monkeypatch):
+    entries, _, gm_path = small_corpus
+    original = pipeline.balanced_subsample
+    drawn = []
+
+    def recording(manifest_a, manifest_b, class_name, state, seed):
+        pools = original(manifest_a, manifest_b, class_name, state, seed)
+        drawn.append((class_name, state, pools))
+        return pools
+
+    monkeypatch.setattr(pipeline, "balanced_subsample", recording)
+    result = run_strategy(corpus_config(entries, gm_path, "LDA", scope="classwise", **FAST))
+    # One positive and one negative draw per class.
+    assert len(drawn) == 6
+    for class_name, state, (pos_a, pos_b) in drawn:
+        if state == POS:
+            (provenance,) = result.bias_fit.operators[class_name].provenance
+            assert (provenance["n_a"], provenance["n_b"]) == (len(pos_a), len(pos_b))
 
 
 @pytest.mark.parametrize("strategy", ["LDA", "KLDA"])

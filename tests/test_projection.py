@@ -192,16 +192,6 @@ def test_operator_requires_orthonormal_basis():
         )
 
 
-def test_operator_serialization_round_trip():
-    rng = np.random.default_rng(6)
-    op = projector_from_subspace(
-        [direction(rng.standard_normal(6)) for _ in range(2)]
-    )
-    restored = DebiasOperator.from_dict(op.to_dict())
-    np.testing.assert_array_equal(restored.basis, op.basis)
-    np.testing.assert_array_equal(restored.singular_values, op.singular_values)
-
-
 # --- projecting out a planted direction kills refits ----------------------
 
 
