@@ -12,9 +12,9 @@ float64 in memory; save/load round-trips the file byte-exactly.
 
 Manifest: JSON Lines. Each record carries ``clip_id``, ``dataset``,
 ``split`` ("train" | "test"), ``genres`` (list of strings) and ``labels``
-(object mapping class name to "pos" | "neg" | "unk"). After loading, every
-class name seen anywhere in the file is present on every record, filled
-with "unk" where the source omitted it.
+(object mapping class name to "pos" | "neg" | "unk"). The manifest's classes
+are every class name seen anywhere in the file; a class that a record omits
+reads as "unk".
 
 Genre map: JSON object ``{"targets": [...], "rules": {"source": "target"}}``.
 A genre equal to a canonical target maps to itself; rules cover renames.
@@ -27,6 +27,7 @@ import io
 import json
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -262,7 +263,8 @@ class ManifestRecord:
 
 @dataclass(frozen=True)
 class Manifest:
-    """Per-clip metadata; label keys are uniform across records after load."""
+    """Per-clip metadata. A class that a record omits reads as "unk". Split
+    and label queries read two arrays derived once per instance."""
 
     records: tuple[ManifestRecord, ...]
     classes: tuple[str, ...]
@@ -271,12 +273,33 @@ class Manifest:
         subset = tuple(r for r in self.records if r.dataset == dataset)
         return Manifest(subset, self.classes)
 
-    @property
-    def datasets(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for record in self.records:
-            seen.setdefault(record.dataset, None)
-        return tuple(seen)
+    @cached_property
+    def _splits(self) -> np.ndarray:
+        return _freeze(np.array([r.split for r in self.records], dtype=str))
+
+    @cached_property
+    def _label_states(self) -> np.ndarray:
+        """Records x classes label states."""
+        states = [[r.labels.get(c, UNK) for c in self.classes] for r in self.records]
+        return _freeze(np.array(states, dtype=str).reshape(len(self.records), len(self.classes)))
+
+    def label_states(self, class_name: str) -> np.ndarray:
+        """Each record's label state for ``class_name``."""
+        if class_name not in self.classes:
+            raise EmptyClassError(f"class {class_name!r} absent from manifest")
+        return self._label_states[:, self.classes.index(class_name)]
+
+    def indices(
+        self, split: str, class_name: str | None = None, state: str | None = None
+    ) -> np.ndarray:
+        """Ascending indices of the ``split`` records; given a class, only those
+        whose label for it is ``state``, or known ("pos" or "neg") when
+        ``state`` is None."""
+        mask = self._splits == split
+        if class_name is not None:
+            states = self.label_states(class_name)
+            mask &= states == state if state is not None else states != UNK
+        return np.flatnonzero(mask)
 
 
 def load_manifest(path: str) -> Manifest:
@@ -297,6 +320,8 @@ def load_manifest(path: str) -> Manifest:
             raise ParseError(f"malformed JSON ({exc.msg})", line=line_no, path=path) from exc
         except RecursionError as exc:
             raise ParseError("JSON nested too deeply", line=line_no, path=path) from exc
+        except ValueError as exc:  # an integer too long to convert
+            raise ParseError(str(exc), line=line_no, path=path) from exc
         if not isinstance(obj, dict):
             raise ParseError("record is not a JSON object", line=line_no, path=path)
         raw.append((line_no, obj))
@@ -339,18 +364,7 @@ def load_manifest(path: str) -> Manifest:
             )
         seen_ids.add(key)
         records.append(ManifestRecord(clip_id, dataset, split, tuple(genres), dict(labels)))
-    universe = tuple(classes)
-    filled = tuple(
-        ManifestRecord(
-            r.clip_id,
-            r.dataset,
-            r.split,
-            r.genres,
-            {cls: r.labels.get(cls, UNK) for cls in universe},
-        )
-        for r in records
-    )
-    return Manifest(filled, universe)
+    return Manifest(tuple(records), tuple(classes))
 
 
 def save_manifest(manifest: Manifest, path: str) -> None:
@@ -363,7 +377,7 @@ def save_manifest(manifest: Manifest, path: str) -> None:
                         "dataset": record.dataset,
                         "split": record.split,
                         "genres": list(record.genres),
-                        "labels": {c: record.labels[c] for c in manifest.classes},
+                        "labels": {c: record.labels.get(c, UNK) for c in manifest.classes},
                     },
                     sort_keys=False,
                 )
@@ -408,6 +422,8 @@ def load_genre_map(path: str) -> GenreMap:
         raise ParseError(f"not valid UTF-8 ({exc.reason})", path=path) from exc
     except RecursionError as exc:
         raise ParseError("JSON nested too deeply", path=path) from exc
+    except ValueError as exc:  # an integer too long to convert
+        raise ParseError(str(exc), path=path) from exc
     if not isinstance(obj, dict) or "targets" not in obj:
         raise ValidationError(f"{path}: genre map must be an object with a targets list")
     targets = obj["targets"]
@@ -468,18 +484,6 @@ def pool_frames(table: EmbeddingTable) -> EmbeddingTable:
 # --- balanced subsampling -------------------------------------------------
 
 
-def eligible_indices(manifest: Manifest, class_name: str, state: str) -> np.ndarray:
-    """Indices of train-split records whose label for ``class_name`` equals ``state``."""
-    if class_name not in manifest.classes:
-        raise EmptyClassError(f"class {class_name!r} absent from manifest")
-    hits = [
-        i
-        for i, r in enumerate(manifest.records)
-        if r.split == TRAIN and r.labels.get(class_name, UNK) == state
-    ]
-    return np.asarray(hits, dtype=np.int64)
-
-
 def balanced_subsample(
     manifest_a: Manifest,
     manifest_b: Manifest,
@@ -492,8 +496,8 @@ def balanced_subsample(
     Returns sorted record-index arrays into each manifest, both of size
     min(count_a, count_b). Deterministic for a given seed.
     """
-    pool_a = eligible_indices(manifest_a, class_name, state)
-    pool_b = eligible_indices(manifest_b, class_name, state)
+    pool_a = manifest_a.indices(TRAIN, class_name, state)
+    pool_b = manifest_b.indices(TRAIN, class_name, state)
     if len(pool_a) == 0 or len(pool_b) == 0:
         raise EmptyClassError(
             f"no train records with label {state!r} for class {class_name!r} "

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,12 +49,10 @@ from .data import (
     POS,
     TEST,
     TRAIN,
-    UNK,
     UNKNOWN_GENRE,
     EmbeddingTable,
     GenreMap,
     Manifest,
-    ManifestRecord,
     balanced_subsample,
     load_embeddings,
     load_genre_map,
@@ -125,13 +124,8 @@ class DomainData:
         self.genres = genres
         self.guard = guard
         self._features: np.ndarray | None = None
-        splits = [r.split for r in manifest.records]
-        self.train_indices = np.asarray(
-            [i for i, s in enumerate(splits) if s == TRAIN], dtype=np.intp
-        )
-        self.test_indices = np.asarray(
-            [i for i, s in enumerate(splits) if s == TEST], dtype=np.intp
-        )
+        self.train_indices = manifest.indices(TRAIN)
+        self.test_indices = manifest.indices(TEST)
 
     def build_features(self, indices: np.ndarray, featurize) -> None:
         """Map the rows at ``indices`` through ``featurize`` once; from now on
@@ -176,7 +170,7 @@ class DomainData:
 def _harmonize_classes(
     manifests: list[Manifest], requested: tuple[str, ...] | None
 ) -> tuple[list[Manifest], tuple[str, ...]]:
-    """Give every record the union label universe (absent labels become unknown)."""
+    """Give every manifest the union label universe."""
     universe: dict[str, None] = {}
     for manifest in manifests:
         for cls in manifest.classes:
@@ -186,19 +180,7 @@ def _harmonize_classes(
         missing = [c for c in requested if c not in classes]
         if missing:
             raise ValidationError(f"requested classes not present in any manifest: {missing}")
-    rebuilt = []
-    for manifest in manifests:
-        records = tuple(
-            ManifestRecord(
-                r.clip_id,
-                r.dataset,
-                r.split,
-                r.genres,
-                {c: r.labels.get(c, UNK) for c in classes},
-            )
-            for r in manifest.records
-        )
-        rebuilt.append(Manifest(records, classes))
+    rebuilt = [Manifest(m.records, classes) for m in manifests]
     return rebuilt, (requested if requested is not None else classes)
 
 
@@ -270,12 +252,7 @@ def load_domains(
     if corpus is None:
         corpus = load_corpus(config)
     guard = SplitGuard(
-        {
-            entry.name: np.asarray(
-                [i for i, r in enumerate(man.records) if r.split == TEST], dtype=np.intp
-            )
-            for entry, man in zip(config.datasets, corpus.manifests)
-        }
+        {entry.name: man.indices(TEST) for entry, man in zip(config.datasets, corpus.manifests)}
     )
     domains = [
         DomainData(entry.name, table, manifest, genres, guard)
@@ -526,33 +503,35 @@ def run_strategy(
             except DebiasKitError as exc:
                 raise _wrap(exc, config, class_name=class_name, cell=f"train:{domain.name}") from exc
 
-    # Held-out scoring: all four (train -> test) cells.
+    # Held-out scoring: each labelled held-out set is gathered and projected
+    # once, then scored by both training domains' models. The cells keep the
+    # (train, test) order.
     cells: list[Cell] = []
     if evaluate_cells:
         guard.enter(PHASE_EVALUATE)
         if kernelized:
             for d in domains:
                 d.build_features(d.test_indices, featurize)
-        for train_domain in domains:
-            for eval_domain in domains:
-                class_auc: dict[str, float] = {}
-                for class_name in classes:
-                    try:
-                        idx, y = _labeled_test_rows(eval_domain, class_name)
-                        x = debiased(class_name, eval_domain.rows(idx))
+        class_auc: dict[tuple[str, str], dict[str, float]] = {
+            (t.name, e.name): {} for t in domains for e in domains
+        }
+        for eval_domain in domains:
+            for class_name in classes:
+                cell = f"test:{eval_domain.name}"
+                try:
+                    idx, y = _labeled_test_rows(eval_domain, class_name)
+                    x = debiased(class_name, eval_domain.rows(idx))
+                    for train_domain in domains:
+                        cell = f"{train_domain.name}->{eval_domain.name}"
                         model = models[class_name][train_domain.name]
-                        class_auc[class_name] = roc_auc(predict_scores(model, x), y)
-                    except DebiasKitError as exc:
-                        raise _wrap(
-                            exc,
-                            config,
-                            class_name=class_name,
-                            cell=f"{train_domain.name}->{eval_domain.name}",
-                        ) from exc
-                mean = sum(class_auc.values()) / len(class_auc)
-                cells.append(
-                    Cell(train_domain.name, eval_domain.name, strategy, scope, class_auc, mean)
-                )
+                        class_auc[(train_domain.name, eval_domain.name)][class_name] = roc_auc(
+                            predict_scores(model, x), y
+                        )
+                except DebiasKitError as exc:
+                    raise _wrap(exc, config, class_name=class_name, cell=cell) from exc
+        for (train_name, eval_name), aucs in class_auc.items():
+            mean = sum(aucs.values()) / len(aucs)
+            cells.append(Cell(train_name, eval_name, strategy, scope, aucs, mean))
 
     space = "kernelized" if kernelized else "original"
     correlations = _correlations(strategy, scope, space, domains, classes, models, bias_fit)
@@ -581,22 +560,14 @@ def run_strategy(
 
 
 def _labeled_test_rows(domain: DomainData, class_name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Held-out rows with a definite label for the class; unknowns excluded."""
-    idx = []
-    y = []
-    for i in domain.test_indices.tolist():
-        state = domain.manifest.records[i].labels.get(class_name, UNK)
-        if state == POS:
-            idx.append(i)
-            y.append(True)
-        elif state == NEG:
-            idx.append(i)
-            y.append(False)
-    if not idx:
+    """Held-out rows with a definite label for the class, ascending, and
+    whether each is positive; unknowns excluded."""
+    idx = domain.manifest.indices(TEST, class_name)
+    if not idx.size:
         raise EmptyClassError(
             f"dataset {domain.name!r} has no labeled held-out rows for class {class_name!r}"
         )
-    return np.asarray(idx, dtype=np.intp), np.asarray(y, dtype=bool)
+    return idx, domain.manifest.label_states(class_name)[idx] == POS
 
 
 def _correlations(
@@ -620,10 +591,7 @@ def _correlations(
             reference = bias_fit.references.get(class_name, bias_fit.references.get(None))
             if reference is None:
                 continue
-            model = models[class_name].get(domain.name)
-            if model is None:
-                continue
-            weights = model.weights
+            weights = models[class_name][domain.name].weights
             try:
                 if reference.ndim == 2:
                     value = subspace_correlation(reference, weights)
@@ -644,18 +612,15 @@ def _correlations(
 def _genre_histogram(
     domains: tuple[DomainData, DomainData], classes: tuple[str, ...]
 ) -> dict[str, dict[str, dict[str, int]]]:
-    """Reduced-genre counts over each dataset's positive records, per class."""
+    """Reduced-genre counts over each dataset's positive records, per class,
+    genres in first-appearance order."""
     histogram: dict[str, dict[str, dict[str, int]]] = {}
     for domain in domains:
-        per_class: dict[str, dict[str, int]] = {}
+        histogram[domain.name] = {}
         for class_name in classes:
-            counts: dict[str, int] = {}
-            for i, record in enumerate(domain.manifest.records):
-                if record.labels.get(class_name, UNK) == POS:
-                    genre = domain.genres[i]
-                    counts[genre] = counts.get(genre, 0) + 1
-            per_class[class_name] = counts
-        histogram[domain.name] = per_class
+            positives = np.flatnonzero(domain.manifest.label_states(class_name) == POS)
+            counts = Counter(domain.genres[i] for i in positives.tolist())
+            histogram[domain.name][class_name] = dict(counts)
     return histogram
 
 

@@ -16,7 +16,7 @@ import io
 import json
 from dataclasses import asdict, dataclass, field
 
-from .config import SCOPES, STRATEGIES, effective_scope, read_json
+from .config import SCOPES, STRATEGIES, _number, _typed, effective_scope, read_json
 from .errors import IncompleteMatrixError, LayoutError, ValidationError
 
 BASELINE = "none"
@@ -76,15 +76,56 @@ class ExperimentReport:
 
     @staticmethod
     def from_dict(obj: dict) -> "ExperimentReport":
+        """Rebuild a report from :meth:`to_dict` output, checking each field's
+        type; every cell must give an AUC for every class."""
+        datasets = _strings(obj["datasets"], "datasets")
+        if len(datasets) != 2:
+            raise ValidationError(f"datasets must name two datasets, got {list(datasets)}")
+        classes = _strings(obj["classes"], "classes")
+        cells = []
+        for c in _typed(obj["cells"], list, "cells", "a list"):
+            _strings([c["train"], c["test"], c["strategy"], c["scope"]], "cell keys")
+            class_auc = _numbers(c["class_auc"], "class_auc")
+            missing = [name for name in classes if name not in class_auc]
+            if missing:
+                raise ValidationError(f"a cell's class_auc is missing classes {missing}")
+            mean = _number(float, c["mean_auc"], "mean_auc")
+            cells.append(Cell(**{**c, "class_auc": class_auc, "mean_auc": mean}))
+        correlations = []
+        for e in _typed(obj["correlations"], list, "correlations", "a list"):
+            _strings([e["domain"], e["strategy"], e["scope"], e["space"]], "correlation keys")
+            class_corr = _numbers(e["class_corr"], "class_corr")
+            mean = _number(float, e["mean_abs_corr"], "mean_abs_corr")
+            correlations.append(
+                CorrelationEntry(**{**e, "class_corr": class_corr, "mean_abs_corr": mean})
+            )
+        histogram = _typed(obj["genre_histogram"], dict, "genre_histogram", "an object")
+        for per_class in histogram.values():
+            for counts in _typed(per_class, dict, "genre_histogram", "nested objects").values():
+                _numbers(counts, "genre counts")
+        _typed(obj["seeds"], dict, "seeds", "an object")
+        _typed(obj["config"], dict, "config", "an object")
         return ExperimentReport(
             **{
                 **obj,
-                "datasets": tuple(obj["datasets"]),
-                "classes": tuple(obj["classes"]),
-                "cells": tuple(Cell(**c) for c in obj["cells"]),
-                "correlations": tuple(CorrelationEntry(**e) for e in obj["correlations"]),
+                "datasets": datasets,
+                "classes": classes,
+                "cells": tuple(cells),
+                "correlations": tuple(correlations),
             }
         )
+
+
+def _strings(value, name: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValidationError(f"{name} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _numbers(value, name: str) -> dict[str, float]:
+    """A JSON object of numbers, each read as a float."""
+    _typed(value, dict, name, "an object of numbers")
+    return {k: _number(float, v, f"{name} entry {k!r}") for k, v in value.items()}
 
 
 def config_fingerprint(config: dict, seeds: dict) -> str:

@@ -152,6 +152,22 @@ REPORT_WITHOUT_TRAIN = {
 }
 
 
+# A well-formed report with the four baseline cells, and edits to it that keep
+# every field name but break a field's shape.
+REPORT = {
+    **REPORT_WITHOUT_TRAIN,
+    "cells": [
+        {**REPORT_WITHOUT_TRAIN["cells"][0], "train": train, "test": test}
+        for train in ("synthA", "synthB")
+        for test in ("synthA", "synthB")
+    ],
+}
+
+
+def edit_first_cell(**fields):
+    return {**REPORT, "cells": [{**REPORT["cells"][0], **fields}] + REPORT["cells"][1:]}
+
+
 @pytest.mark.parametrize(
     "command, extras",
     [
@@ -171,6 +187,11 @@ REPORT_WITHOUT_TRAIN = {
         ("report", "{not json"),
         ("report", {}),
         ("report", REPORT_WITHOUT_TRAIN),
+        ("report", {**REPORT, "datasets": ["synthA"]}),
+        ("report", edit_first_cell(class_auc=[1, 2])),
+        ("report", {**REPORT, "classes": "class0"}),
+        ("report", edit_first_cell(class_auc={})),
+        ("report", edit_first_cell(mean_auc="x")),
     ],
 )
 def test_malformed_input_ends_in_one_line_json_error(cli_corpus, capsys, command, extras):

@@ -5,17 +5,23 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from debiaskit.data import (
+    BINARY_VERSION,
+    LABEL_STATES,
     NEG,
     POS,
+    SPLITS,
+    TEST,
+    TRAIN,
     UNK,
     EmbeddingTable,
     GenreMap,
     Manifest,
     ManifestRecord,
     balanced_subsample,
-    eligible_indices,
     load_embeddings,
     load_genre_map,
     load_manifest,
@@ -26,6 +32,7 @@ from debiaskit.data import (
     save_manifest,
 )
 from debiaskit.errors import (
+    DebiasKitError,
     EmptyClassError,
     FormatError,
     NonFiniteError,
@@ -201,9 +208,10 @@ def test_manifest_single_record_fills_unknowns(tmp_path):
     path.write_text("".join(json.dumps(o) + "\n" for o in lines))
     manifest = load_manifest(str(path))
     assert set(manifest.classes) == {"organ", "guitar"}
-    rec_a, rec_b = manifest.records
-    assert rec_a.labels == {"organ": POS, "guitar": UNK}
-    assert rec_b.labels == {"organ": UNK, "guitar": NEG}
+    assert manifest.label_states("organ").tolist() == [POS, UNK]
+    assert manifest.label_states("guitar").tolist() == [UNK, NEG]
+    assert manifest.indices(TRAIN, "guitar", UNK).tolist() == [0]
+    assert manifest.indices(TEST, "organ", UNK).tolist() == [1]
 
 
 def test_manifest_duplicate_id_same_dataset_rejected(tmp_path):
@@ -317,8 +325,20 @@ DEEP = "[" * 100_000 + "]" * 100_000
         ("deep.jsonl", ('{"clip_id": ' + DEEP + "}\n").encode(), "manifest", ParseError),
         # 2^32 - 1 rows of dimension 2^32 - 1 would take 8 TiB as float64.
         ("huge.emb", struct.pack("<4sIII", b"EMB1", 1, 2**32 - 1, 2**32 - 1), "binary", FormatError),
+        # Python refuses to convert an integer of more than 4300 digits.
+        ("long.jsonl", ('{"clip_id": ' + "1" * 5000 + "}\n").encode(), "manifest", ParseError),
+        ("long.json", ('{"targets": ' + "1" * 5000 + "}").encode(), "genre_map", ParseError),
     ],
-    ids=["manifest-utf8", "csv-utf8", "genre-map-utf8", "genre-map-deep", "manifest-deep", "binary-header"],
+    ids=[
+        "manifest-utf8",
+        "csv-utf8",
+        "genre-map-utf8",
+        "genre-map-deep",
+        "manifest-deep",
+        "binary-header",
+        "manifest-long-int",
+        "genre-map-long-int",
+    ],
 )
 def test_unreadable_file_ends_in_a_package_error(tmp_path, name, content, fmt, error):
     path = tmp_path / name
@@ -434,4 +454,170 @@ def test_subsample_never_exceeds_eligible_counts():
 def test_eligible_indices_unknown_class():
     man = label_manifest("A", 2, 2)
     with pytest.raises(EmptyClassError):
-        eligible_indices(man, "missing", POS)
+        man.indices(TRAIN, "missing", POS)
+    with pytest.raises(EmptyClassError):
+        man.label_states("missing")
+
+
+# --- split and label queries ----------------------------------------------
+
+CLASS_NAMES = ("k0", "k1", "k2")
+
+
+@st.composite
+def manifests(draw):
+    """Records that may omit any label, over classes that no record may name."""
+    classes = tuple(draw(st.lists(st.sampled_from(CLASS_NAMES), unique=True)))
+    records = draw(
+        st.lists(
+            st.builds(
+                lambda i, split, labels: ManifestRecord(f"c{i}", "A", split, (), labels),
+                st.integers(),
+                st.sampled_from(SPLITS),
+                st.dictionaries(st.sampled_from(classes), st.sampled_from(LABEL_STATES))
+                if classes
+                else st.just({}),
+            ),
+            max_size=12,
+        )
+    )
+    return Manifest(tuple(records), classes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(man=manifests())
+def test_indices_and_label_states_match_a_per_record_scan(man):
+    records = man.records
+    for split in SPLITS:
+        expected = [i for i, r in enumerate(records) if r.split == split]
+        assert man.indices(split).tolist() == expected
+    for cls in man.classes:
+        states = [r.labels.get(cls, UNK) for r in records]
+        assert man.label_states(cls).tolist() == states
+        for split in SPLITS:
+            for state in LABEL_STATES:
+                pool = man.indices(split, cls, state)
+                assert pool.dtype == np.int64
+                assert pool.tolist() == [
+                    i for i, r in enumerate(records) if r.split == split and states[i] == state
+                ]
+            labelled = [i for i, r in enumerate(records) if r.split == split and states[i] in (POS, NEG)]
+            assert man.indices(split, cls).tolist() == labelled
+
+
+# --- any input file parses or raises a package error ------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+MANIFEST_FIELDS = {
+    "clip_id": st.text(max_size=6),
+    "dataset": st.sampled_from(["A", "B"]),
+    "split": st.sampled_from(SPLITS),
+    "genres": st.lists(st.text(max_size=3), max_size=2),
+    "labels": st.dictionaries(st.sampled_from(CLASS_NAMES), st.sampled_from(LABEL_STATES)),
+}
+
+
+@st.composite
+def manifest_lines(draw):
+    """Mostly records whose fields are each valid, of another JSON type or
+    missing; otherwise any JSON value or any text."""
+    kind = draw(st.sampled_from(["record", "record", "json", "text"]))
+    if kind == "json":
+        return json.dumps(draw(json_values))
+    if kind == "text":
+        return draw(st.text(max_size=12))
+    record = {}
+    for key, valid in MANIFEST_FIELDS.items():
+        choice = draw(st.sampled_from(["valid"] * 5 + ["other", "missing"]))
+        if choice != "missing":
+            record[key] = draw(valid if choice == "valid" else json_values)
+    return json.dumps(record)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def parses_or_raises_a_package_error(load, path, content):
+    path.write_bytes(content)
+    try:
+        return load(str(path))
+    except DebiasKitError:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    content=st.lists(manifest_lines(), max_size=4).map(lambda lines: "\n".join(lines).encode())
+    | st.binary(max_size=40)
+)
+def test_any_manifest_file_parses_or_raises_a_package_error(fuzz_dir, content):
+    manifest = parses_or_raises_a_package_error(load_manifest, fuzz_dir / "m.jsonl", content)
+    if manifest is not None:
+        for split in SPLITS:
+            manifest.indices(split)
+        for cls in manifest.classes:
+            manifest.label_states(cls)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    content=(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "targets": st.lists(st.sampled_from(["a", "b", "c"]), max_size=3) | json_values,
+                "rules": st.dictionaries(st.text(max_size=2), st.sampled_from(["a", "b", "x"]), max_size=2)
+                | json_values,
+            },
+        )
+        | json_values
+    ).map(lambda obj: json.dumps(obj).encode())
+    | st.binary(max_size=40)
+)
+def test_any_genre_map_file_parses_or_raises_a_package_error(fuzz_dir, content):
+    parses_or_raises_a_package_error(load_genre_map, fuzz_dir / "g.json", content)
+
+
+@st.composite
+def emb1_files(draw):
+    """Well-formed EMB1 rows under a header with at most one field replaced
+    by any u32; the body kept, cut short and extended, or replaced by any bytes."""
+    dim = draw(st.integers(1, 3))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.text(max_size=3).map(str.encode) | st.binary(max_size=3),
+                st.integers(0, 2),
+                st.lists(st.floats(width=32), min_size=dim, max_size=dim),
+            ),
+            max_size=3,
+        )
+    )
+    header = [BINARY_VERSION, len(rows), dim]
+    replaced = draw(st.sampled_from([None, None, 0, 1, 2]))
+    if replaced is not None:
+        header[replaced] = draw(st.integers(0, 2**32 - 1))
+    body = b"".join(
+        struct.pack("<I", len(clip)) + clip + struct.pack(f"<I{dim}f", frame, *values)
+        for clip, frame, values in rows
+    )
+    edit = draw(st.sampled_from(["keep", "keep", "cut", "replace"]))
+    if edit == "cut":
+        body = body[: draw(st.integers(0, len(body)))] + draw(st.binary(max_size=4))
+    elif edit == "replace":
+        body = draw(st.binary(max_size=48))
+    return struct.pack("<4sIII", b"EMB1", *header) + body
+
+
+@settings(max_examples=400, deadline=None)
+@given(content=emb1_files())
+def test_any_emb1_file_parses_or_raises_a_package_error(fuzz_dir, content):
+    parses_or_raises_a_package_error(
+        lambda path: load_embeddings(path, "binary"), fuzz_dir / "e.emb", content
+    )

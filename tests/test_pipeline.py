@@ -443,7 +443,7 @@ def test_kernel_debias_changes_little_without_planted_bias(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "spec, strategy, scope",
+    "spec, strategy, scope, cell",
     [
         # Every class predominant-only means no negative examples exist anywhere.
         (
@@ -459,6 +459,7 @@ def test_kernel_debias_changes_little_without_planted_bias(tmp_path):
             ),
             "none",
             "global",
+            None,
         ),
         # Every clip held out: the first class's positive draw finds no
         # training record, before any bias fit.
@@ -468,11 +469,22 @@ def test_kernel_debias_changes_little_without_planted_bias(tmp_path):
             ),
             "LDA",
             "classwise",
+            None,
+        ),
+        # No clip held out: the first held-out set gathered, synthA's for the
+        # first class, is empty; the error names that set, not a training set.
+        (
+            SynthSpec(
+                dim=8, n_classes=2, n_genres=1, samples_per_cell=20, test_fraction=0.0, seed=7, bias=()
+            ),
+            "none",
+            "global",
+            "test:synthA",
         ),
     ],
-    ids=["no-negatives", "no-training-clips"],
+    ids=["no-negatives", "no-training-clips", "no-held-out-clips"],
 )
-def test_pipeline_errors_carry_run_context(tmp_path, spec, strategy, scope):
+def test_pipeline_errors_carry_run_context(tmp_path, spec, strategy, scope, cell):
     entries, _, gm_path = write_corpus(tmp_path, spec)
     config = corpus_config(entries, gm_path, strategy, scope=scope, **FAST)
     with pytest.raises(PipelineError) as excinfo:
@@ -481,6 +493,7 @@ def test_pipeline_errors_carry_run_context(tmp_path, spec, strategy, scope):
     assert err.strategy == strategy
     assert err.scope == scope
     assert err.class_name == "class0"
+    assert err.cell == cell
     assert f"[strategy={strategy}" in str(err)
     assert "class=class0" in str(err)
 
