@@ -1,7 +1,7 @@
 """Fitting dataset-identity directions and measuring alignment with them.
 
 The direction between two sample groups is the regularised two-class linear
-discriminant: solve (S_w + lambda I) w = mu_a - mu_b with S_w the unweighted
+discriminant: LU-solve (S_w + lambda I) w = mu_a - mu_b with S_w the unweighted
 average of the two per-group covariance matrices (1/N normalisation) and
 lambda = shrinkage * trace(S_w) / D, then normalise to unit length with the
 first nonzero component positive.
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateMeansError,
@@ -103,9 +102,7 @@ def fit_lda_direction(
         vector = delta / norm_delta
     else:
         lam = shrinkage * trace / dim
-        raw = scipy.linalg.solve(
-            scatter + lam * np.eye(dim), delta, assume_a="pos"
-        )
+        raw = np.linalg.solve(scatter + lam * np.eye(dim), delta)
         norm = float(np.linalg.norm(raw))
         if norm == 0.0:
             raise DegenerateMeansError("discriminant solve returned the zero vector")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import (
     DimensionMismatchError,
@@ -98,7 +97,9 @@ class KernelMap:
 
 
 def median_heuristic_gamma(x_sample: np.ndarray, seed: int) -> float:
-    """gamma = 1 / (2 m^2) with m the median pairwise distance of <= 1000 rows."""
+    """gamma = 1 / (2 m^2) with m the median pairwise distance of <= 1000 rows,
+    from the Gram expansion of the centred rows. Pairs where it cancels (<= 1e-4
+    of the squared norms) are recomputed from their difference, so duplicates are 0."""
     x_sample = np.asarray(x_sample, dtype=np.float64)
     if x_sample.ndim != 2 or x_sample.shape[0] < 2:
         raise InsufficientSampleError("median heuristic needs at least 2 rows")
@@ -106,7 +107,16 @@ def median_heuristic_gamma(x_sample: np.ndarray, seed: int) -> float:
         rng = np.random.default_rng(derive_seed(seed, "median-subsample"))
         take = np.sort(rng.choice(x_sample.shape[0], size=MEDIAN_SAMPLE_CAP, replace=False))
         x_sample = x_sample[take]
-    median = float(np.median(pdist(x_sample)))
+    x_sample = x_sample - x_sample.mean(axis=0)
+    sq_norms = np.einsum("ij,ij->i", x_sample, x_sample)
+    rows, cols = np.triu_indices(x_sample.shape[0], k=1)
+    norm_sums = sq_norms[rows] + sq_norms[cols]
+    sq_dists = norm_sums - 2.0 * (x_sample @ x_sample.T)[rows, cols]
+    # 64 blocks bound the memory of the differences when most pairs are near.
+    for block in np.array_split(np.flatnonzero(sq_dists <= 1e-4 * norm_sums), 64):
+        diff = x_sample[rows[block]] - x_sample[cols[block]]
+        sq_dists[block] = np.einsum("ij,ij->i", diff, diff)
+    median = float(np.median(np.sqrt(sq_dists)))
     if not (median > 0.0 and np.isfinite(median)):
         raise InvalidGammaError(
             f"median pairwise distance {median} admits no positive kernel width"

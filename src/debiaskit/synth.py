@@ -49,6 +49,8 @@ from .data import (
 from .errors import InfeasibleSpecError, ValidationError
 
 GLOBAL_SCOPE = "global"
+MAX_CELLS = 1024  # cap on n_classes * n_genres, checked before any per-cell work
+MAX_VALUES = 2**24  # cap on the float64 values drawn: dim * (clips + frame directions)
 
 
 @dataclass(frozen=True)
@@ -146,11 +148,17 @@ def _normalize_mix(
 
 def _validate(
     spec: SynthSpec,
-) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...]]:
+) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...], int]:
     if spec.dim < 1 or spec.n_classes < 1 or spec.n_genres < 1:
         raise ValidationError("dim, n_classes and n_genres must be >= 1")
     if spec.samples_per_cell < 1:
         raise ValidationError("samples_per_cell must be >= 1")
+    if spec.n_classes * spec.n_genres > MAX_CELLS:
+        raise ValidationError(f"n_classes * n_genres must be <= {MAX_CELLS}")
+    n_directions = max((e.direction_index for e in spec.bias), default=-1) + 1
+    n_clips = 2 * spec.n_classes * spec.n_genres * spec.samples_per_cell
+    if spec.dim * (n_clips + n_directions + spec.n_classes) > MAX_VALUES:
+        raise ValidationError(f"the corpus would exceed {MAX_VALUES} values")
     if not (0.0 <= spec.test_fraction < 1.0):
         raise ValidationError("test_fraction must lie in [0, 1)")
     if not (0 <= spec.noise_sigma < math.inf and 0 <= spec.class_signal_strength < math.inf):
@@ -176,13 +184,12 @@ def _validate(
         if spec.genre_mix_b is None
         else _normalize_mix(spec.genre_mix_b, spec, "genre_mix_b")
     )
-    n_directions = max((e.direction_index for e in spec.bias), default=-1) + 1
     if spec.dim <= n_directions + spec.n_classes:
         raise InfeasibleSpecError(
             f"dim {spec.dim} too small for {n_directions} bias + "
             f"{spec.n_classes} class directions with room to spare"
         )
-    return mix_a, mix_b
+    return mix_a, mix_b, n_directions
 
 
 def _allocate(total: int, weights: tuple[float, ...]) -> list[int]:
@@ -203,9 +210,8 @@ def generate_biased_corpus(
     spec: SynthSpec,
 ) -> tuple[dict[str, EmbeddingTable], dict[str, Manifest], GroundTruth]:
     """Build both domains' embeddings and manifests plus the planted truth."""
-    mixes = _validate(spec)
+    mix_a, mix_b, n_directions = _validate(spec)
     rng = np.random.default_rng(spec.seed)
-    n_directions = max((e.direction_index for e in spec.bias), default=-1) + 1
     n_frame = n_directions + spec.n_classes
     frame, _ = np.linalg.qr(rng.standard_normal((spec.dim, max(n_frame, 1))))
     bias_dirs = frame[:, :n_directions].T.copy() if n_directions else np.zeros((0, spec.dim))
@@ -226,7 +232,7 @@ def generate_biased_corpus(
     tables: dict[str, EmbeddingTable] = {}
     manifests: dict[str, Manifest] = {}
     assignments: dict[str, tuple[dict, ...]] = {}
-    for domain, sign, mix in zip(spec.domain_names, (1.0, -1.0), mixes):
+    for domain, sign, mix in zip(spec.domain_names, (1.0, -1.0), (mix_a, mix_b)):
         ids: list[str] = []
         vectors: list[np.ndarray] = []
         records: list[ManifestRecord] = []

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,6 +56,25 @@ def test_anisotropic_gaussian_matches_whitened_oracle():
     # Population solution: cov^{-1} (mu_a - mu_b) = (0.5, 1.0).
     oracle = unit([0.5, 1.0])
     assert abs(float(fitted.vector @ oracle)) >= 0.99
+
+
+@pytest.mark.parametrize("dim", [2, 16, 257, 512])
+def test_matches_the_cholesky_solve(dim):
+    """numpy's LU solve agrees with the Cholesky solve (scipy, assume_a="pos")
+    that this module used before."""
+    rng = np.random.default_rng(dim)
+    mixing = rng.standard_normal((dim, dim)) / np.sqrt(dim)
+    x_a = rng.standard_normal((600, dim)) @ mixing + 0.3
+    x_b = rng.standard_normal((500, dim)) @ mixing
+    fitted = fit_lda_direction(x_a, x_b, shrinkage=0.01)
+    scatter = 0.5 * (np.cov(x_a, rowvar=False, bias=True) + np.cov(x_b, rowvar=False, bias=True))
+    lam = 0.01 * np.trace(scatter) / dim
+    raw = scipy.linalg.solve(
+        scatter + lam * np.eye(dim), x_a.mean(axis=0) - x_b.mean(axis=0), assume_a="pos"
+    )
+    expected = raw / np.linalg.norm(raw)
+    expected *= np.sign(expected[np.flatnonzero(np.abs(expected) > 1e-14)[0]])
+    np.testing.assert_allclose(fitted.vector, expected, rtol=0, atol=1e-12)
 
 
 def test_isotropic_scatter_gives_mean_difference():

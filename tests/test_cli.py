@@ -328,3 +328,34 @@ def test_console_script_shows_usage():
     assert result.returncode == 0
     for command in ("synth", "run", "matrix", "report", "probe"):
         assert command in result.stdout
+
+
+# The preamble maps "scipy" to None, so any scipy import in this interpreter
+# raises ImportError; the installed packages are left as they are.
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from debiaskit.cli import main
+loaded = [name for name, module in sys.modules.items() if name.startswith("scipy") and module]
+assert not loaded, loaded
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    def run(*argv):
+        result = subprocess.run(
+            [sys.executable, "-c", WITHOUT_SCIPY, *argv], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(CLI_SPEC_JSON))
+    run("synth", "--spec", str(spec_path), "--out", str(tmp_path / "corpus"))
+    config_path = tmp_path / "corpus" / "config.json"
+    config = json.loads(config_path.read_text())
+    config.update(c_grid=[0.1, 10.0], cv_folds=2)
+    config_path.write_text(json.dumps(config))
+    # LDA solves the discriminant system, KLDA takes the median distance, and
+    # every cell ranks scores for its AUC.
+    run("matrix", "--config", str(config_path), "--strategies", "LDA,KLDA", "--scopes", "global")

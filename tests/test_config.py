@@ -106,16 +106,15 @@ VALID_SPEC = {
     "predominant_only_classes": [2],
 }
 
-# Numbers stay small: any count is legal in a spec, and validating one builds
-# the uniform genre mix, a weight per class and genre, so a huge count would
-# measure memory, not parsing. Digit-free text keeps int("999999") out too.
+# Numbers of any size: validation checks the corpus size before it builds
+# anything per class or genre, so a huge count costs no memory.
 spec_values = st.recursive(
     st.none()
     | st.booleans()
-    | st.integers(-1000, 1000)
-    | st.floats(-1e3, 1e3)
+    | st.integers()
+    | st.floats()
     | st.sampled_from([math.nan, math.inf, -math.inf])
-    | st.text(string.ascii_letters, max_size=6),
+    | st.text(string.ascii_letters + string.digits, max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=8,
 )

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from debiaskit.errors import (
     DimensionMismatchError,
@@ -10,6 +11,7 @@ from debiaskit.errors import (
     NonFiniteError,
 )
 from debiaskit.kernel import (
+    MEDIAN_SAMPLE_CAP,
     KernelMap,
     Standardizer,
     fit_rff,
@@ -17,6 +19,7 @@ from debiaskit.kernel import (
     median_heuristic_gamma,
     transform_rff,
 )
+from debiaskit.seeding import derive_seed
 
 
 def rbf(x, y, gamma):
@@ -97,6 +100,60 @@ def test_median_heuristic_needs_two_rows():
 def test_median_heuristic_identical_points_rejected():
     with pytest.raises(InvalidGammaError):
         median_heuristic_gamma(np.ones((4, 2)), seed=0)
+
+
+def pdist_median(x, seed):
+    """The median this module used to take with scipy's pdist, kept as the
+    reference, over the same subsample of at most MEDIAN_SAMPLE_CAP rows."""
+    if x.shape[0] > MEDIAN_SAMPLE_CAP:
+        rng = np.random.default_rng(derive_seed(seed, "median-subsample"))
+        x = x[np.sort(rng.choice(x.shape[0], size=MEDIAN_SAMPLE_CAP, replace=False))]
+    return float(np.median(pdist(x)))
+
+
+def median_sample(name):
+    """Inputs where a Gram expansion could lose digits, and one subsampled input."""
+    rng = np.random.default_rng(11)
+    if name == "above the cap":
+        return rng.standard_normal((MEDIAN_SAMPLE_CAP + 500, 128))
+    normal = rng.standard_normal((1000, 512))
+    return {
+        "standard normal": normal,
+        "offset 1e4": normal + 1e4,
+        "1e-6-wide cluster": rng.standard_normal(512) + 1e-6 * normal,
+        "duplicated rows": np.repeat(normal[:400, :64], [1, 2, 3, 4] * 100, axis=0),
+        # Most pairs, the median among them, lie inside the cluster, where the
+        # expansion cancels and only the recomputed differences are exact.
+        "cluster beside outliers": np.vstack([5.0 + 1e-6 * normal[:800, :64], normal[800:, :64]]),
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "standard normal",
+        "offset 1e4",
+        "1e-6-wide cluster",
+        "duplicated rows",
+        "cluster beside outliers",
+        "above the cap",
+    ],
+)
+def test_median_heuristic_matches_scipy_pdist(name):
+    x = median_sample(name)
+    expected = pdist_median(x, seed=3)
+    median = np.sqrt(0.5 / median_heuristic_gamma(x, seed=3))
+    assert abs(median - expected) <= 1e-12 * expected
+
+
+def test_median_heuristic_mostly_duplicate_pairs_rejected():
+    # 800 copies of one row make 64% of the pairs duplicates, so the median
+    # distance is exactly 0, for scipy's pdist and for the Gram expansion.
+    rng = np.random.default_rng(12)
+    x = np.vstack([np.tile(5.0 + rng.standard_normal(64), (800, 1)), rng.standard_normal((200, 64))])
+    assert pdist_median(x, seed=0) == 0.0
+    with pytest.raises(InvalidGammaError):
+        median_heuristic_gamma(x, seed=0)
 
 
 def test_invalid_gamma_values():

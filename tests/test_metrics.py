@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from debiaskit.errors import DimensionMismatchError, NonFiniteError, SingleClassError
 from debiaskit.metrics import roc_auc
@@ -23,6 +24,16 @@ def pairwise_auc(scores, labels):
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def rankdata_auc(scores, labels):
+    """The implementation this module replaced, kept as the reference: the
+    Mann-Whitney U statistic from scipy's average ranks."""
+    labels = np.asarray(labels, dtype=bool)
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    ranks = rankdata(scores, method="average")
+    return (float(ranks[labels].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def test_perfect_ranking_is_one():
@@ -83,6 +94,26 @@ def test_invariant_under_strictly_monotone_transforms(data):
     base = roc_auc(scores, labels)
     assert roc_auc(3.0 * scores + 2.0, labels) == pytest.approx(base, abs=1e-12)
     assert roc_auc(np.exp(scores / 25.0), labels) == pytest.approx(base, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            # A small pool makes ties common; -0.0 and 0.0 must tie as well.
+            st.sampled_from([-1e300, -2.5, -0.0, 0.0, 5e-324, 0.125, 3.0, 1e300])
+            | st.floats(-1e6, 1e6),
+            st.booleans(),
+        ),
+        min_size=2,
+        max_size=300,
+    )
+)
+def test_matches_scipy_rankdata_bit_for_bit(rows):
+    scores = np.array([s for s, _ in rows])
+    labels = np.array([lab for _, lab in rows])
+    assume(labels.any() and not labels.all())
+    assert roc_auc(scores, labels) == rankdata_auc(scores, labels)
 
 
 def test_single_class_rejected():

@@ -1,6 +1,7 @@
 """Synthetic two-domain corpora: planted geometry, determinism, designed failure modes."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from debiaskit.data import (
 from debiaskit.errors import InfeasibleSpecError, ValidationError
 from debiaskit.pipeline import run_strategy
 from debiaskit.synth import (
+    MAX_VALUES,
     BiasSpec,
     SynthSpec,
     default_spec,
@@ -384,6 +386,36 @@ def test_invalid_specs_rejected(kwargs):
     base.update(kwargs)
     with pytest.raises(ValidationError):
         generate_biased_corpus(SynthSpec(**base))
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n_genres": 300_000},
+        {"dim": 10**9},
+        # Few clips, but a planted direction index that needs a dim x 10^6 frame.
+        {"dim": 10**6, "samples_per_cell": 1, "bias": [{"magnitude": 1.0, "direction_index": 10**6 - 10}]},
+    ],
+)
+def test_oversized_spec_rejected_before_allocating(obj):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError):
+            spec_from_dict(obj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_size_caps_admit_the_benchmark_corpora_and_hold_at_the_bound():
+    # The largest stock-based corpora the benchmark generates.
+    spec_from_dict({"dim": 256, "samples_per_cell": 500})
+    spec_from_dict({"dim": 512, "samples_per_cell": 250})
+    # dim * (clips + 2 frame directions) is exactly MAX_VALUES, then just above it.
+    spec_from_dict({"dim": 2**10, "n_classes": 1, "n_genres": 1, "samples_per_cell": MAX_VALUES // 2**11 - 1})
+    with pytest.raises(ValidationError):
+        spec_from_dict({"dim": 2**10, "n_classes": 1, "n_genres": 1, "samples_per_cell": MAX_VALUES // 2**11})
 
 
 # --- spec parsing ---------------------------------------------------------
