@@ -19,7 +19,6 @@ from .data import (
     EmbeddingTable,
     GenreMap,
     Manifest,
-    ManifestRecord,
     balanced_subsample,
     load_embeddings,
     load_genre_map,
@@ -68,7 +67,6 @@ __all__ = [
     "GenreMap",
     "KernelMap",
     "Manifest",
-    "ManifestRecord",
     "Standardizer",
     "SynthSpec",
     "balanced_subsample",

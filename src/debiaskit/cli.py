@@ -8,7 +8,8 @@ Subcommands:
   probe   fit bias directions and report model/bias correlations only
 
 Every failure raised by the package exits nonzero with a one-line JSON
-object on stderr carrying the error type and message.
+object on stderr carrying the error type and message; an output that cannot
+be created or written is an IoError.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 
 from .config import load_config, read_json
 from .data import save_embeddings, save_genre_map, save_manifest
-from .errors import DebiasKitError, ValidationError
+from .errors import DebiasKitError, IoError, ValidationError
 from .pipeline import run_matrix, run_strategy
 from .report import load_report, render_table, save_report
 from .synth import (
@@ -78,8 +79,8 @@ def _cmd_synth(args) -> int:
         spec = spec_from_dict(read_json(args.spec, "synth spec"))
     else:
         spec = default_spec()
-    tables, manifests, truth = generate_biased_corpus(spec)
     os.makedirs(args.out, exist_ok=True)
+    tables, manifests, truth = generate_biased_corpus(spec)
     suffix = "csv" if args.format == "csv" else "emb"
     dataset_entries = []
     for domain in spec.domain_names:
@@ -113,23 +114,26 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _write_run_outputs(result, out_dir: str | None) -> None:
-    if out_dir is None:
-        return
-    os.makedirs(out_dir, exist_ok=True)
-    save_report(result.report, os.path.join(out_dir, "report.json"))
-    with open(os.path.join(out_dir, "audit.json"), "w", encoding="utf-8") as handle:
-        json.dump(result.audit, handle, sort_keys=True)
-        handle.write("\n")
+def _run_one(args, *, evaluate_cells: bool):
+    """Run the config's strategy; its output directory is made before any work."""
+    config = load_config(args.config)
+    out_dir = config.output_dir
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+    result = run_strategy(config, evaluate_cells=evaluate_cells)
+    if out_dir is not None:
+        save_report(result.report, os.path.join(out_dir, "report.json"))
+        with open(os.path.join(out_dir, "audit.json"), "w", encoding="utf-8") as handle:
+            json.dump(result.audit, handle, sort_keys=True)
+            handle.write("\n")
+    return out_dir, result
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    result = run_strategy(config)
-    _write_run_outputs(result, config.output_dir)
+    out_dir, result = _run_one(args, evaluate_cells=True)
     print(render_table(result.report, "table1").text, end="")
-    if config.output_dir is not None:
-        print(f"report written to {config.output_dir}")
+    if out_dir is not None:
+        print(f"report written to {out_dir}")
     return 0
 
 
@@ -159,9 +163,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    config = load_config(args.config)
-    result = run_strategy(config, evaluate_cells=False)
-    _write_run_outputs(result, config.output_dir)
+    _, result = _run_one(args, evaluate_cells=False)
     print(render_table(result.report, "fig3").text, end="")
     return 0
 
@@ -180,8 +182,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except DebiasKitError as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
+    except (DebiasKitError, OSError) as exc:
+        # An output that cannot be created or written is an IoError too.
+        error = exc if isinstance(exc, DebiasKitError) else IoError(str(exc))
+        payload = {"error": type(error).__name__, "message": str(error)}
         print(json.dumps(payload), file=sys.stderr)
         return 1
 

@@ -14,7 +14,8 @@ Manifest: JSON Lines. Each record carries ``clip_id``, ``dataset``,
 ``split`` ("train" | "test"), ``genres`` (list of strings) and ``labels``
 (object mapping class name to "pos" | "neg" | "unk"). The manifest's classes
 are every class name seen anywhere in the file; a class that a record omits
-reads as "unk".
+reads as "unk". In memory a manifest is its columns: one read-only array per
+field with an entry per clip, and one array of label states per class.
 
 Genre map: JSON object ``{"targets": [...], "rules": {"source": "target"}}``.
 A genre equal to a canonical target maps to itself; rules cover renames.
@@ -27,7 +28,6 @@ import io
 import json
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -163,7 +163,6 @@ def _load_csv(path: str) -> EmbeddingTable:
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
     vectors = np.asarray(rows, dtype=np.float64).reshape(len(ids), dim)
-    _check_finite(vectors)
     return EmbeddingTable(tuple(ids), np.asarray(frames), vectors)
 
 
@@ -225,7 +224,6 @@ def _load_binary(path: str) -> EmbeddingTable:
         offset += vec_bytes
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
-    _check_finite(vectors)
     return EmbeddingTable(tuple(ids), np.asarray(frames), vectors)
 
 
@@ -243,51 +241,60 @@ def _save_binary(table: EmbeddingTable, path: str) -> None:
         handle.write(out.getvalue())
 
 
-def _check_finite(vectors: np.ndarray) -> None:
-    finite = np.isfinite(vectors).all(axis=1)
-    if not finite.all():
-        raise NonFiniteError("non-finite embedding value", row=int(np.where(~finite)[0][0]))
-
-
 # --- manifests ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ManifestRecord:
-    clip_id: str
-    dataset: str
-    split: str
-    genres: tuple[str, ...]
-    labels: dict[str, str]
+def _column(values, dtype) -> np.ndarray:
+    """``values`` as a read-only 1-d array; an object column keeps each value,
+    a tuple too, as one element."""
+    if dtype is object and not isinstance(values, np.ndarray):
+        values = np.fromiter(values, dtype=object, count=len(values))
+    return _freeze(np.asarray(values, dtype=dtype))
 
 
 @dataclass(frozen=True)
 class Manifest:
-    """Per-clip metadata. A class that a record omits reads as "unk". Split
-    and label queries read two arrays derived once per instance."""
+    """Per-clip metadata as read-only columns, one entry per clip:
+    ``clip_ids``, ``datasets``, ``splits`` and ``genres`` (a tuple of names
+    per clip). ``labels`` maps each class to every clip's state for it."""
 
-    records: tuple[ManifestRecord, ...]
-    classes: tuple[str, ...]
+    clip_ids: np.ndarray
+    datasets: np.ndarray
+    splits: np.ndarray
+    genres: np.ndarray
+    labels: dict[str, np.ndarray]
 
-    def for_dataset(self, dataset: str) -> "Manifest":
-        subset = tuple(r for r in self.records if r.dataset == dataset)
-        return Manifest(subset, self.classes)
+    def __post_init__(self):
+        kinds = {"clip_ids": object, "datasets": object, "splits": str, "genres": object}
+        for name, dtype in kinds.items():
+            object.__setattr__(self, name, _column(getattr(self, name), dtype))
+        object.__setattr__(self, "labels", {c: _column(s, str) for c, s in self.labels.items()})
+        columns = (self.datasets, self.splits, self.genres, *self.labels.values())
+        if any(len(column) != len(self.clip_ids) for column in columns):
+            raise ValidationError("manifest columns disagree on clip count")
 
-    @cached_property
-    def _splits(self) -> np.ndarray:
-        return _freeze(np.array([r.split for r in self.records], dtype=str))
+    @property
+    def classes(self) -> tuple[str, ...]:
+        return tuple(self.labels)
 
-    @cached_property
-    def _label_states(self) -> np.ndarray:
-        """Records x classes label states."""
-        states = [[r.labels.get(c, UNK) for c in self.classes] for r in self.records]
-        return _freeze(np.array(states, dtype=str).reshape(len(self.records), len(self.classes)))
+    def take(self, rows: np.ndarray, classes: tuple[str, ...]) -> "Manifest":
+        """The records at ``rows``, in that order, over the label universe
+        ``classes``; a class this manifest does not have reads "unk"."""
+        rows = np.asarray(rows, dtype=np.intp)
+        unknown = np.full(rows.size, UNK)
+        return Manifest(
+            self.clip_ids[rows],
+            self.datasets[rows],
+            self.splits[rows],
+            self.genres[rows],
+            {c: self.labels[c][rows] if c in self.labels else unknown for c in classes},
+        )
 
     def label_states(self, class_name: str) -> np.ndarray:
         """Each record's label state for ``class_name``."""
-        if class_name not in self.classes:
+        if class_name not in self.labels:
             raise EmptyClassError(f"class {class_name!r} absent from manifest")
-        return self._label_states[:, self.classes.index(class_name)]
+        return self.labels[class_name]
 
     def indices(
         self, split: str, class_name: str | None = None, state: str | None = None
@@ -295,7 +302,7 @@ class Manifest:
         """Ascending indices of the ``split`` records; given a class, only those
         whose label for it is ``state``, or known ("pos" or "neg") when
         ``state`` is None."""
-        mask = self._splits == split
+        mask = self.splits == split
         if class_name is not None:
             states = self.label_states(class_name)
             mask &= states == state if state is not None else states != UNK
@@ -325,7 +332,7 @@ def load_manifest(path: str) -> Manifest:
         if not isinstance(obj, dict):
             raise ParseError("record is not a JSON object", line=line_no, path=path)
         raw.append((line_no, obj))
-    records: list[ManifestRecord] = []
+    records: list[tuple] = []
     classes: dict[str, None] = {}
     seen_ids: set[tuple[str, str]] = set()
     for line_no, obj in raw:
@@ -363,26 +370,25 @@ def load_manifest(path: str) -> Manifest:
                 path=path,
             )
         seen_ids.add(key)
-        records.append(ManifestRecord(clip_id, dataset, split, tuple(genres), dict(labels)))
-    return Manifest(tuple(records), tuple(classes))
+        records.append((clip_id, dataset, split, tuple(genres), labels))
+    clip_ids, datasets, splits, genre_lists, label_objects = zip(*records) if records else ((),) * 5
+    states = {c: [obj.get(c, UNK) for obj in label_objects] for c in classes}
+    return Manifest(clip_ids, datasets, splits, genre_lists, states)
 
 
 def save_manifest(manifest: Manifest, path: str) -> None:
+    states = {c: column.tolist() for c, column in manifest.labels.items()}
+    columns = (manifest.clip_ids, manifest.datasets, manifest.splits, manifest.genres)
     with open(path, "w", encoding="utf-8") as handle:
-        for record in manifest.records:
-            handle.write(
-                json.dumps(
-                    {
-                        "clip_id": record.clip_id,
-                        "dataset": record.dataset,
-                        "split": record.split,
-                        "genres": list(record.genres),
-                        "labels": {c: record.labels.get(c, UNK) for c in manifest.classes},
-                    },
-                    sort_keys=False,
-                )
-                + "\n"
-            )
+        for i, (clip_id, dataset, split, genres) in enumerate(zip(*(c.tolist() for c in columns))):
+            record = {
+                "clip_id": clip_id,
+                "dataset": dataset,
+                "split": split,
+                "genres": list(genres),
+                "labels": {c: column[i] for c, column in states.items()},
+            }
+            handle.write(json.dumps(record) + "\n")
 
 
 # --- genre maps -----------------------------------------------------------

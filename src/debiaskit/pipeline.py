@@ -113,10 +113,10 @@ class DomainData:
         genres: tuple[str, ...],
         guard: SplitGuard,
     ):
-        if len(manifest.records) != table.n_rows:
+        if len(manifest.clip_ids) != table.n_rows:
             raise ValidationError(
                 f"dataset {name!r}: {table.n_rows} embedding rows but "
-                f"{len(manifest.records)} manifest records"
+                f"{len(manifest.clip_ids)} manifest records"
             )
         self.name = name
         self.table = table
@@ -167,53 +167,35 @@ class DomainData:
         return {g: np.asarray(ix, dtype=np.intp) for g, ix in buckets.items()}
 
 
-def _harmonize_classes(
-    manifests: list[Manifest], requested: tuple[str, ...] | None
-) -> tuple[list[Manifest], tuple[str, ...]]:
-    """Give every manifest the union label universe."""
-    universe: dict[str, None] = {}
-    for manifest in manifests:
-        for cls in manifest.classes:
-            universe.setdefault(cls, None)
-    classes = tuple(universe)
-    if requested is not None:
-        missing = [c for c in requested if c not in classes]
-        if missing:
-            raise ValidationError(f"requested classes not present in any manifest: {missing}")
-    rebuilt = [Manifest(m.records, classes) for m in manifests]
-    return rebuilt, (requested if requested is not None else classes)
-
-
-def _align(name: str, table: EmbeddingTable, manifest: Manifest) -> tuple[EmbeddingTable, Manifest]:
-    """Order manifest records to match pooled embedding rows, 1:1 by clip id."""
-    by_id = {r.clip_id: r for r in manifest.records}
+def _align(
+    name: str, table: EmbeddingTable, manifest: Manifest, universe: tuple[str, ...]
+) -> Manifest:
+    """The manifest records of dataset ``name`` in pooled-row order, 1:1 by
+    clip id, over the label universe ``universe``."""
+    rows = np.flatnonzero(manifest.datasets == name)
+    row_of = dict(zip(manifest.clip_ids[rows].tolist(), rows.tolist()))
     embedded = set(table.clip_ids)
-    missing = [c for c in table.clip_ids if c not in by_id]
-    extra = [r.clip_id for r in manifest.records if r.clip_id not in embedded]
+    missing = [c for c in table.clip_ids if c not in row_of]
+    extra = [c for c in row_of if c not in embedded]
     if missing or extra:
         raise ValidationError(
             f"dataset {name!r}: embeddings and manifest disagree on clips "
             f"(first missing from manifest: {missing[:3]}, "
             f"first without embeddings: {extra[:3]})"
         )
-    ordered = tuple(by_id[c] for c in table.clip_ids)
-    return table, Manifest(ordered, manifest.classes)
+    return manifest.take([row_of[c] for c in table.clip_ids], universe)
 
 
 def _identity_genre_map(manifests: list[Manifest]) -> GenreMap:
-    observed: dict[str, None] = {}
-    for manifest in manifests:
-        for record in manifest.records:
-            for genre in record.genres:
-                observed.setdefault(genre, None)
+    observed = {genre for manifest in manifests for genres in manifest.genres for genre in genres}
     return GenreMap(tuple(sorted(observed)) or (UNKNOWN_GENRE,), {})
 
 
 @dataclass(frozen=True)
 class Corpus:
-    """Both datasets' file contents: pooled rows aligned 1:1 with harmonised
-    manifest records, the genre map and each row's reduced genre. Immutable,
-    so one load serves every job of a matrix."""
+    """Both datasets' file contents: pooled rows aligned 1:1 with manifest
+    records over one label universe, the genre map and each row's reduced
+    genre. Immutable, so one load serves every job of a matrix."""
 
     tables: tuple[EmbeddingTable, EmbeddingTable]
     manifests: tuple[Manifest, Manifest]
@@ -223,25 +205,29 @@ class Corpus:
 
 
 def load_corpus(config: ExperimentConfig) -> Corpus:
+    loaded = [
+        (entry, pool_frames(load_embeddings(entry.embeddings, entry.fmt)), load_manifest(entry.manifest))
+        for entry in config.datasets
+    ]
+    universe = tuple(dict.fromkeys(c for _, _, manifest in loaded for c in manifest.classes))
     manifests = []
-    tables = []
-    for entry in config.datasets:
-        table = pool_frames(load_embeddings(entry.embeddings, entry.fmt))
-        manifest = load_manifest(entry.manifest).for_dataset(entry.name)
-        if not manifest.records:
+    for entry, table, manifest in loaded:
+        if entry.name not in manifest.datasets:
             raise ValidationError(f"manifest {entry.manifest} holds no records for dataset {entry.name!r}")
-        table, manifest = _align(entry.name, table, manifest)
-        tables.append(table)
-        manifests.append(manifest)
-    manifests, classes = _harmonize_classes(manifests, config.classes)
+        manifests.append(_align(entry.name, table, manifest, universe))
+    classes = config.classes if config.classes is not None else universe
+    missing = [c for c in classes if c not in universe]
+    if missing:
+        raise ValidationError(f"requested classes not present in any manifest: {missing}")
     if config.genre_map is not None:
         genre_map = load_genre_map(config.genre_map)
     else:
         genre_map = _identity_genre_map(manifests)
     genres = tuple(
-        tuple(reduce_genres(r.genres, genre_map) for r in manifest.records) for manifest in manifests
+        tuple(reduce_genres(g, genre_map) for g in manifest.genres) for manifest in manifests
     )
-    return Corpus(tuple(tables), tuple(manifests), genres, classes, genre_map)
+    tables = tuple(table for _, table, _ in loaded)
+    return Corpus(tables, tuple(manifests), genres, classes, genre_map)
 
 
 def load_domains(

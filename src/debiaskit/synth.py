@@ -44,13 +44,13 @@ from .data import (
     EmbeddingTable,
     GenreMap,
     Manifest,
-    ManifestRecord,
 )
 from .errors import InfeasibleSpecError, ValidationError
 
 GLOBAL_SCOPE = "global"
 MAX_CELLS = 1024  # cap on n_classes * n_genres, checked before any per-cell work
 MAX_VALUES = 2**24  # cap on the float64 values drawn: dim * (clips + frame directions)
+MAX_CLIPS = 2**20  # cap on both domains' clips: ids and manifest columns keep ~180 B a clip
 
 
 @dataclass(frozen=True)
@@ -105,12 +105,12 @@ def default_spec(seed: int = 20240901) -> SynthSpec:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Planted geometry and per-record assignments, for oracle checks."""
+    """Planted geometry, for oracle checks. Each clip's class, genre and split
+    are in its domain's manifest: the class is its one "pos" label."""
 
     bias_directions: np.ndarray  # n_directions x D unit rows
     bias_entries: tuple[dict, ...]  # scope / magnitude / direction_index
     class_directions: np.ndarray  # K x D unit rows
-    assignments: dict[str, tuple[dict, ...]]  # domain -> per-record metadata
     spec: SynthSpec = field(repr=False)
 
     def bias_span(self) -> np.ndarray:
@@ -125,7 +125,6 @@ class GroundTruth:
             "bias_directions": self.bias_directions.tolist(),
             "bias_entries": list(self.bias_entries),
             "class_directions": self.class_directions.tolist(),
-            "assignments": {d: list(a) for d, a in self.assignments.items()},
         }
 
 
@@ -159,6 +158,8 @@ def _validate(
     n_clips = 2 * spec.n_classes * spec.n_genres * spec.samples_per_cell
     if spec.dim * (n_clips + n_directions + spec.n_classes) > MAX_VALUES:
         raise ValidationError(f"the corpus would exceed {MAX_VALUES} values")
+    if n_clips > MAX_CLIPS:
+        raise ValidationError(f"the corpus would exceed {MAX_CLIPS} clips")
     if not (0.0 <= spec.test_fraction < 1.0):
         raise ValidationError("test_fraction must lie in [0, 1)")
     if not (0 <= spec.noise_sigma < math.inf and 0 <= spec.class_signal_strength < math.inf):
@@ -231,12 +232,15 @@ def generate_biased_corpus(
 
     tables: dict[str, EmbeddingTable] = {}
     manifests: dict[str, Manifest] = {}
-    assignments: dict[str, tuple[dict, ...]] = {}
+    genre_tuples = np.fromiter(((name,) for name in genre_names), dtype=object, count=spec.n_genres)
+    hidden = np.isin(np.arange(spec.n_classes), spec.predominant_only_classes)
     for domain, sign, mix in zip(spec.domain_names, (1.0, -1.0), (mix_a, mix_b)):
+        # Built cell by cell: the clip ids, rows and held-out flags, and each
+        # cell's (class, genre, clip count).
         ids: list[str] = []
-        vectors: list[np.ndarray] = []
-        records: list[ManifestRecord] = []
-        meta: list[dict] = []
+        cells: list[np.ndarray] = []
+        held_out: list[np.ndarray] = []
+        cell_keys: list[tuple[int, int, int]] = []
         for k in range(spec.n_classes):
             counts = _allocate(spec.samples_per_cell * spec.n_genres, mix[k])
             for g, count in enumerate(counts):
@@ -244,32 +248,27 @@ def generate_biased_corpus(
                     continue
                 mean = spec.class_signal_strength * class_dirs[k] + offsets[(sign, g)]
                 noise = rng.standard_normal((count, spec.dim)) * spec.noise_sigma
-                cell = mean + noise
+                cells.append(mean + noise)
                 n_test = int(round(spec.test_fraction * count))
                 is_test = np.zeros(count, dtype=bool)
                 if n_test:
                     is_test[rng.choice(count, size=n_test, replace=False)] = True
-                for i in range(count):
-                    clip_id = f"{domain}-k{k}-g{g}-{i:05d}"
-                    ids.append(clip_id)
-                    vectors.append(cell[i])
-                    hide_others = k in spec.predominant_only_classes
-                    labels = {
-                        name: POS if j == k else (UNK if hide_others else NEG)
-                        for j, name in enumerate(class_names)
-                    }
-                    split = TEST if is_test[i] else TRAIN
-                    records.append(
-                        ManifestRecord(clip_id, domain, split, (genre_names[g],), labels)
-                    )
-                    meta.append(
-                        {"clip_id": clip_id, "class": k, "genre": g, "split": split}
-                    )
+                held_out.append(is_test)
+                ids.extend(f"{domain}-k{k}-g{g}-{i:05d}" for i in range(count))
+                cell_keys.append((k, g, count))
+        keys = np.array(cell_keys)
+        klass, genre = np.repeat(keys[:, :2], keys[:, 2], axis=0).T
+        others = np.where(hidden[klass], UNK, NEG)
         tables[domain] = EmbeddingTable(
-            tuple(ids), np.zeros(len(ids), dtype=np.int64), np.asarray(vectors)
+            tuple(ids), np.zeros(len(ids), dtype=np.int64), np.concatenate(cells)
         )
-        manifests[domain] = Manifest(tuple(records), class_names)
-        assignments[domain] = tuple(meta)
+        manifests[domain] = Manifest(
+            ids,
+            [domain] * len(ids),
+            np.where(np.concatenate(held_out), TEST, TRAIN),
+            genre_tuples[genre],
+            {name: np.where(klass == k, POS, others) for k, name in enumerate(class_names)},
+        )
 
     truth = GroundTruth(
         bias_directions=bias_dirs,
@@ -282,7 +281,6 @@ def generate_biased_corpus(
             for e in spec.bias
         ),
         class_directions=class_dirs,
-        assignments=assignments,
         spec=spec,
     )
     return tables, manifests, truth

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SMALL_SPEC, write_corpus
+from debiaskit import cli
 from debiaskit.cli import main
 from debiaskit.pipeline import load_config
 from debiaskit.report import load_report
@@ -214,6 +215,30 @@ def test_malformed_input_ends_in_one_line_json_error(cli_corpus, capsys, command
     assert payload["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("command", ["synth", "run", "probe", "matrix", "report"])
+def test_unwritable_output_ends_in_one_line_json_error(cli_corpus, capsys, monkeypatch, command):
+    corpus_dir, entries = cli_corpus
+    blocker = corpus_dir / "taken"
+    blocker.write_text("a regular file where an output directory should go\n")
+    if command == "synth":
+        argv = ["synth", "--out", str(blocker)]
+    elif command == "report":
+        (corpus_dir / "written").mkdir()
+        (corpus_dir / "written" / "report.json").write_text(json.dumps(REPORT))
+        (corpus_dir / "written" / "table1.txt").mkdir()
+        argv = ["report", "--in", str(corpus_dir / "written")]
+    else:
+        argv = [command, "--config", write_config(corpus_dir, entries, output_dir="taken")]
+
+    def never_called(*args, **kwargs):
+        raise AssertionError("run_strategy called before the output directory was made")
+
+    monkeypatch.setattr(cli, "run_strategy", never_called)
+    assert main(argv) == 1
+    payload, _ = read_stderr_error(capsys)
+    assert payload["error"] == "IoError"
+
+
 def test_run_without_output_dir_only_prints(cli_corpus, capsys):
     corpus_dir, entries = cli_corpus
     config_path = write_config(corpus_dir, entries, strategy="none")
@@ -335,6 +360,7 @@ def test_console_script_shows_usage():
 WITHOUT_SCIPY = """
 import sys
 sys.modules["scipy"] = None
+from debiaskit import cli
 from debiaskit.cli import main
 loaded = [name for name, module in sys.modules.items() if name.startswith("scipy") and module]
 assert not loaded, loaded

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from debiaskit.data import (
     EmbeddingTable,
     GenreMap,
     Manifest,
-    ManifestRecord,
     balanced_subsample,
     load_embeddings,
     load_genre_map,
@@ -106,11 +106,20 @@ def test_csv_rejects_bad_header(tmp_path):
         load_embeddings(str(path), "csv")
 
 
-def test_csv_rejects_nan(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("clip_id,frame,e0\nc0,0,nan\n")
-    with pytest.raises(NonFiniteError):
-        load_embeddings(str(path), "csv")
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+def test_loader_rejects_nan(tmp_path, fmt):
+    path = tmp_path / "bad"
+    if fmt == "csv":
+        path.write_text("clip_id,frame,e0\nc0,0,1.0\nc1,0,nan\n")
+    else:
+        rows = [(b"c0", 1.0), (b"c1", float("nan"))]
+        path.write_bytes(
+            struct.pack("<4sIII", b"EMB1", BINARY_VERSION, len(rows), 1)
+            + b"".join(struct.pack("<I", len(c)) + c + struct.pack("<If", 0, v) for c, v in rows)
+        )
+    with pytest.raises(NonFiniteError) as excinfo:
+        load_embeddings(str(path), fmt)
+    assert excinfo.value.row == 1
 
 
 def test_csv_rejects_unparsable_float(tmp_path):
@@ -229,7 +238,9 @@ def test_manifest_same_id_different_datasets_allowed(tmp_path):
         {"clip_id": "a", "dataset": "B", "split": "train", "genres": [], "labels": {"k": "pos"}},
     ]
     path.write_text("".join(json.dumps(o) + "\n" for o in lines))
-    assert len(load_manifest(str(path)).records) == 2
+    manifest = load_manifest(str(path))
+    assert manifest.clip_ids.tolist() == ["a", "a"]
+    assert manifest.datasets.tolist() == ["A", "B"]
 
 
 def test_manifest_bad_split_names_line(tmp_path):
@@ -256,17 +267,73 @@ def test_manifest_bad_label_state_rejected(tmp_path):
         load_manifest(str(path))
 
 
-def test_manifest_save_load_round_trip(tmp_path):
-    records = (
-        ManifestRecord("a", "A", "train", ("rock",), {"k0": POS, "k1": UNK}),
-        ManifestRecord("b", "A", "test", (), {"k0": NEG, "k1": POS}),
+def manifest_of(records, classes):
+    """Columns built from (clip_id, dataset, split, genres, labels) records,
+    one by one; a class that a record's labels omit reads "unk"."""
+    return Manifest(
+        [r[0] for r in records],
+        [r[1] for r in records],
+        [r[2] for r in records],
+        [tuple(r[3]) for r in records],
+        {c: [r[4].get(c, UNK) for r in records] for c in classes},
     )
-    manifest = Manifest(records, ("k0", "k1"))
+
+
+def assert_same_columns(left, right):
+    assert left.classes == right.classes
+    for name in ("clip_ids", "datasets", "splits", "genres"):
+        assert getattr(left, name).tolist() == getattr(right, name).tolist(), name
+    for cls in left.classes:
+        assert left.labels[cls].tolist() == right.labels[cls].tolist(), cls
+
+
+def test_manifest_save_load_round_trip(tmp_path):
+    # One record omits a class and has no genres; one has two genres.
+    records = [
+        ("a", "A", TRAIN, ("rock",), {"k0": POS, "k1": UNK}),
+        ("b", "A", TEST, (), {"k0": NEG}),
+        ("c", "B", TRAIN, ("jazz", "rock"), {"k1": POS}),
+    ]
+    manifest = manifest_of(records, ("k0", "k1"))
+    assert manifest.labels["k1"].tolist() == [UNK, UNK, POS]
     path = str(tmp_path / "m.jsonl")
     save_manifest(manifest, path)
     loaded = load_manifest(path)
-    assert loaded.records == records
-    assert set(loaded.classes) == {"k0", "k1"}
+    assert_same_columns(loaded, manifest)
+    assert loaded.genres.tolist() == [("rock",), (), ("jazz", "rock")]
+    save_manifest(loaded, str(tmp_path / "again.jsonl"))
+    assert (tmp_path / "again.jsonl").read_bytes() == Path(path).read_bytes()
+
+
+def test_take_reorders_and_widens_the_label_universe():
+    manifest = manifest_of(
+        [
+            ("a", "A", TRAIN, ("rock",), {"k0": POS}),
+            ("b", "A", TEST, (), {"k0": NEG}),
+            ("c", "B", TRAIN, ("jazz",), {"k0": UNK}),
+        ],
+        ("k0",),
+    )
+    taken = manifest.take(np.array([2, 0]), ("new", "k0"))
+    assert taken.clip_ids.tolist() == ["c", "a"]
+    assert taken.datasets.tolist() == ["B", "A"]
+    assert taken.splits.tolist() == [TRAIN, TRAIN]
+    assert taken.genres.tolist() == [("jazz",), ("rock",)]
+    assert taken.classes == ("new", "k0")
+    assert taken.labels["new"].tolist() == [UNK, UNK]
+    assert taken.labels["k0"].tolist() == [UNK, POS]
+    empty = manifest.take(np.array([], dtype=np.intp), ("k0",))
+    assert empty.clip_ids.size == 0 and empty.labels["k0"].size == 0
+    assert empty.indices(TRAIN, "k0").size == 0
+    for column in (taken.clip_ids, taken.datasets, taken.splits, taken.genres, *taken.labels.values()):
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = column[1]
+
+
+def test_manifest_columns_must_agree_on_clip_count():
+    with pytest.raises(ValidationError, match="clip count"):
+        Manifest(["a", "b"], ["A", "A"], [TRAIN], [(), ()], {})
 
 
 # --- genre maps and reduction ---------------------------------------------
@@ -400,13 +467,12 @@ def test_pool_keeps_first_appearance_order():
 
 
 def label_manifest(dataset, n_pos, n_neg, n_test_pos=0):
-    records = []
-    for i in range(n_pos):
-        split = "test" if i < n_test_pos else "train"
-        records.append(ManifestRecord(f"{dataset}p{i}", dataset, split, (), {"k": POS}))
-    for i in range(n_neg):
-        records.append(ManifestRecord(f"{dataset}n{i}", dataset, "train", (), {"k": NEG}))
-    return Manifest(tuple(records), ("k",))
+    records = [
+        (f"{dataset}p{i}", dataset, TEST if i < n_test_pos else TRAIN, (), {"k": POS})
+        for i in range(n_pos)
+    ]
+    records += [(f"{dataset}n{i}", dataset, TRAIN, (), {"k": NEG}) for i in range(n_neg)]
+    return manifest_of(records, ("k",))
 
 
 def test_subsample_takes_min_count():
@@ -440,7 +506,8 @@ def test_subsample_ignores_test_split():
     man_b = label_manifest("B", 10, 0)
     idx_a, _ = balanced_subsample(man_a, man_b, "k", POS, seed=1)
     assert len(idx_a) == 6
-    test_rows = {i for i, r in enumerate(man_a.records) if r.split == "test"}
+    test_rows = set(np.flatnonzero(man_a.splits == TEST).tolist())
+    assert len(test_rows) == 4
     assert not test_rows.intersection(idx_a.tolist())
 
 
@@ -465,15 +532,16 @@ CLASS_NAMES = ("k0", "k1", "k2")
 
 
 @st.composite
-def manifests(draw):
+def drawn_records(draw):
     """Records that may omit any label, over classes that no record may name."""
     classes = tuple(draw(st.lists(st.sampled_from(CLASS_NAMES), unique=True)))
     records = draw(
         st.lists(
-            st.builds(
-                lambda i, split, labels: ManifestRecord(f"c{i}", "A", split, (), labels),
-                st.integers(),
+            st.tuples(
+                st.integers().map(lambda i: f"c{i}"),
+                st.just("A"),
                 st.sampled_from(SPLITS),
+                st.just(()),
                 st.dictionaries(st.sampled_from(classes), st.sampled_from(LABEL_STATES))
                 if classes
                 else st.just({}),
@@ -481,27 +549,28 @@ def manifests(draw):
             max_size=12,
         )
     )
-    return Manifest(tuple(records), classes)
+    return records, classes
 
 
 @settings(max_examples=300, deadline=None)
-@given(man=manifests())
-def test_indices_and_label_states_match_a_per_record_scan(man):
-    records = man.records
+@given(drawn=drawn_records())
+def test_indices_and_label_states_match_a_per_record_scan(drawn):
+    records, classes = drawn
+    man = manifest_of(records, classes)
     for split in SPLITS:
-        expected = [i for i, r in enumerate(records) if r.split == split]
+        expected = [i for i, r in enumerate(records) if r[2] == split]
         assert man.indices(split).tolist() == expected
-    for cls in man.classes:
-        states = [r.labels.get(cls, UNK) for r in records]
+    for cls in classes:
+        states = [r[4].get(cls, UNK) for r in records]
         assert man.label_states(cls).tolist() == states
         for split in SPLITS:
             for state in LABEL_STATES:
                 pool = man.indices(split, cls, state)
                 assert pool.dtype == np.int64
                 assert pool.tolist() == [
-                    i for i, r in enumerate(records) if r.split == split and states[i] == state
+                    i for i, r in enumerate(records) if r[2] == split and states[i] == state
                 ]
-            labelled = [i for i, r in enumerate(records) if r.split == split and states[i] in (POS, NEG)]
+            labelled = [i for i, r in enumerate(records) if r[2] == split and states[i] in (POS, NEG)]
             assert man.indices(split, cls).tolist() == labelled
 
 

@@ -47,8 +47,9 @@ def stock_problem():
     """The first 900 labelled clips of one class in the stock corpus: 900 x 64."""
     tables, manifests, _ = generate_biased_corpus(default_spec())
     table = pool_frames(tables["synthA"])
-    by_id = {r.clip_id: r for r in manifests["synthA"].records}
-    labels = [by_id[c].labels.get("class0") for c in table.clip_ids]
+    manifest = manifests["synthA"]
+    state_of = dict(zip(manifest.clip_ids, manifest.labels["class0"]))
+    labels = [state_of[c] for c in table.clip_ids]
     rows = [i for i, label in enumerate(labels) if label in (POS, NEG)][:900]
     return table.vectors[rows], np.asarray([labels[i] == POS for i in rows])
 

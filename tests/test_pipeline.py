@@ -20,7 +20,6 @@ from debiaskit.data import (
     TRAIN,
     EmbeddingTable,
     Manifest,
-    ManifestRecord,
     balanced_subsample,
     load_embeddings,
     load_manifest,
@@ -288,11 +287,14 @@ def test_independent_reimplementation_matches_pipeline_cell(small_corpus):
     manifests = {}
     for entry in entries:
         table = pool_frames(load_embeddings(entry.embeddings, entry.fmt))
-        manifest = load_manifest(entry.manifest).for_dataset(entry.name)
-        by_id = {r.clip_id: r for r in manifest.records}
-        ordered = tuple(by_id[c] for c in table.clip_ids)
+        manifest = load_manifest(entry.manifest)
+        row_of = {
+            c: i
+            for i, (c, d) in enumerate(zip(manifest.clip_ids, manifest.datasets))
+            if d == entry.name
+        }
         tables[entry.name] = table
-        manifests[entry.name] = replace(manifest, records=ordered)
+        manifests[entry.name] = manifest.take([row_of[c] for c in table.clip_ids], manifest.classes)
 
     seeds = derive_run_seeds(config.seed)
     class_name = "class1"
@@ -312,10 +314,9 @@ def test_independent_reimplementation_matches_pipeline_cell(small_corpus):
 
     test_idx = []
     test_y = []
-    for i, record in enumerate(man_b.records):
-        if record.split != "test":
+    for i, (split, state) in enumerate(zip(man_b.splits, man_b.labels[class_name])):
+        if split != TEST:
             continue
-        state = record.labels[class_name]
         if state in (POS, NEG):
             test_idx.append(i)
             test_y.append(state == POS)
@@ -525,7 +526,7 @@ def test_held_out_index_in_a_training_pool_is_refused(small_corpus, monkeypatch,
 
     def leaky(manifest_a, manifest_b, class_name, state, seed):
         idx_a, idx_b = original(manifest_a, manifest_b, class_name, state, seed)
-        held_out = next(i for i, r in enumerate(manifest_a.records) if r.split == TEST)
+        held_out = next(i for i, split in enumerate(manifest_a.splits) if split == TEST)
         return np.append(idx_a, held_out), idx_b
 
     monkeypatch.setattr(pipeline, "balanced_subsample", leaky)
@@ -675,14 +676,14 @@ def test_matrix_loads_the_corpus_once_and_guards_each_run_afresh(
 def _align_seconds(n_clips):
     ids = [f"clip{i:06d}" for i in range(n_clips)]
     table = EmbeddingTable(ids, np.zeros(n_clips), np.zeros((n_clips, 1)))
-    records = tuple(ManifestRecord(c, "d", TRAIN, (), {}) for c in reversed(ids))
-    manifest = Manifest(records, ())
+    n = len(ids)
+    manifest = Manifest(ids[::-1], ["d"] * n, [TRAIN] * n, [()] * n, {})
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        _, aligned = _align("d", table, manifest)
+        aligned = _align("d", table, manifest, ())
         best = min(best, time.perf_counter() - start)
-    assert [r.clip_id for r in aligned.records] == ids
+    assert aligned.clip_ids.tolist() == ids
     return best
 
 

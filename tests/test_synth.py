@@ -21,6 +21,7 @@ from debiaskit.data import (
 from debiaskit.errors import InfeasibleSpecError, ValidationError
 from debiaskit.pipeline import run_strategy
 from debiaskit.synth import (
+    MAX_CLIPS,
     MAX_VALUES,
     BiasSpec,
     SynthSpec,
@@ -33,12 +34,14 @@ from debiaskit.synth import (
 from conftest import corpus_config, write_corpus
 
 
-def genre_split_counts(truth, domain, klass):
+def genre_split_counts(manifest, klass):
+    """Clips per (genre index, split) among those whose one "pos" label is
+    class ``klass``."""
     counts = {}
-    for meta in truth.assignments[domain]:
-        if meta["class"] == klass:
-            key = (meta["genre"], meta["split"])
-            counts[key] = counts.get(key, 0) + 1
+    positive = manifest.labels[f"class{klass}"] == POS
+    for (genre,), split in zip(manifest.genres[positive], manifest.splits[positive]):
+        key = (int(genre.removeprefix("genre")), str(split))
+        counts[key] = counts.get(key, 0) + 1
     return counts
 
 
@@ -47,10 +50,10 @@ def genre_split_counts(truth, domain, klass):
 
 def test_uniform_mix_fills_every_cell():
     spec = SynthSpec(dim=12, n_classes=2, n_genres=3, samples_per_cell=10, seed=1)
-    _, _, truth = generate_biased_corpus(spec)
+    _, manifests, _ = generate_biased_corpus(spec)
     for domain in spec.domain_names:
         for k in range(2):
-            counts = genre_split_counts(truth, domain, k)
+            counts = genre_split_counts(manifests[domain], k)
             for g in range(3):
                 total = counts.get((g, TRAIN), 0) + counts.get((g, TEST), 0)
                 assert total == 10
@@ -65,8 +68,8 @@ def test_weighted_mix_redistributes_class_total():
         seed=2,
         genre_mix=((1.0, 1.0, 2.0),),
     )
-    _, _, truth = generate_biased_corpus(spec)
-    counts = genre_split_counts(truth, spec.domain_names[0], 0)
+    _, manifests, _ = generate_biased_corpus(spec)
+    counts = genre_split_counts(manifests[spec.domain_names[0]], 0)
     totals = [
         counts.get((g, TRAIN), 0) + counts.get((g, TEST), 0) for g in range(3)
     ]
@@ -79,10 +82,10 @@ def test_test_fraction_rounding_per_cell():
     spec = SynthSpec(
         dim=12, n_classes=2, n_genres=2, samples_per_cell=40, test_fraction=0.25, seed=3
     )
-    _, _, truth = generate_biased_corpus(spec)
+    _, manifests, _ = generate_biased_corpus(spec)
     for domain in spec.domain_names:
         for k in range(2):
-            counts = genre_split_counts(truth, domain, k)
+            counts = genre_split_counts(manifests[domain], k)
             for g in range(2):
                 assert counts.get((g, TEST), 0) == 10
                 assert counts.get((g, TRAIN), 0) == 30
@@ -94,7 +97,7 @@ def test_zero_test_fraction_gives_no_held_out_rows():
     )
     _, manifests, _ = generate_biased_corpus(spec)
     for manifest in manifests.values():
-        assert all(r.split == TRAIN for r in manifest.records)
+        assert manifest.splits.tolist() == [TRAIN] * 20
 
 
 def test_distinct_genre_mix_per_domain():
@@ -107,10 +110,10 @@ def test_distinct_genre_mix_per_domain():
         genre_mix=((1.0, 0.0), (0.5, 0.5)),
         genre_mix_b=((0.0, 1.0), (0.5, 0.5)),
     )
-    _, _, truth = generate_biased_corpus(spec)
+    _, manifests, _ = generate_biased_corpus(spec)
     first, second = spec.domain_names
-    counts_a = genre_split_counts(truth, first, 0)
-    counts_b = genre_split_counts(truth, second, 0)
+    counts_a = genre_split_counts(manifests[first], 0)
+    counts_b = genre_split_counts(manifests[second], 0)
     assert sum(n for (g, _), n in counts_a.items() if g == 0) == 20
     assert sum(n for (g, _), n in counts_a.items() if g == 1) == 0
     assert sum(n for (g, _), n in counts_b.items() if g == 0) == 0
@@ -180,18 +183,18 @@ def test_cell_means_match_planted_construction():
         noise_sigma=1e-3,
         bias=(BiasSpec("global", 3.0, 0), BiasSpec("genre1", 2.0, 1)),
     )
-    tables, _, truth = generate_biased_corpus(spec)
+    tables, manifests, truth = generate_biased_corpus(spec)
     b0, b1 = truth.bias_directions
     for domain, sign in zip(spec.domain_names, (1.0, -1.0)):
-        table = tables[domain]
-        row_of = {cid: j for j, cid in enumerate(table.clip_ids)}
+        table, manifest = tables[domain], manifests[domain]
+        assert table.clip_ids == tuple(manifest.clip_ids)
         for k in range(2):
             for g in range(2):
-                members = [
-                    row_of[m["clip_id"]]
-                    for m in truth.assignments[domain]
-                    if m["class"] == k and m["genre"] == g
-                ]
+                members = np.flatnonzero(
+                    (manifest.labels[f"class{k}"] == POS)
+                    & np.array([genres == (f"genre{g}",) for genres in manifest.genres])
+                )
+                assert members.size == 50
                 expected = 2.0 * truth.class_directions[k] + sign * 1.5 * b0
                 if g == 1:
                     expected = expected + sign * 1.0 * b1
@@ -210,12 +213,31 @@ def test_predominant_only_class_hides_other_labels():
     )
     _, manifests, _ = generate_biased_corpus(spec)
     for manifest in manifests.values():
-        for record in manifest.records:
-            if record.labels["class1"] == POS:
-                assert record.labels["class0"] == UNK
+        for class0, class1 in zip(manifest.labels["class0"], manifest.labels["class1"]):
+            if class1 == POS:
+                assert class0 == UNK
             else:
-                assert record.labels["class0"] == POS
-                assert record.labels["class1"] == NEG
+                assert class0 == POS
+                assert class1 == NEG
+
+
+def test_each_clip_has_one_pos_label_the_class_in_its_id():
+    spec = SynthSpec(
+        dim=12,
+        n_classes=3,
+        n_genres=2,
+        samples_per_cell=5,
+        seed=10,
+        genre_mix=((1.0, 0.0), (0.5, 0.5), (0.0, 1.0)),
+        predominant_only_classes=(2,),
+    )
+    _, manifests, _ = generate_biased_corpus(spec)
+    for manifest in manifests.values():
+        states = np.column_stack([manifest.labels[name] for name in spec.class_names()])
+        assert ((states == POS).sum(axis=1) == 1).all()
+        for clip_id, row in zip(manifest.clip_ids, states):
+            k = int(clip_id.split("-")[1].removeprefix("k"))
+            assert row[k] == POS
 
 
 def test_identity_genre_map():
@@ -406,6 +428,23 @@ def test_oversized_spec_rejected_before_allocating(obj):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_clip_cap_rejects_a_spec_within_the_value_cap():
+    # 4.19M clips at dim 2: under MAX_VALUES, over MAX_CLIPS.
+    obj = {"dim": 2, "n_classes": 1, "n_genres": 1, "samples_per_cell": 2097152, "bias": []}
+    assert 2 * (2 * obj["samples_per_cell"] + 1) <= MAX_VALUES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="clips"):
+            spec_from_dict(obj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    spec_from_dict({**obj, "samples_per_cell": MAX_CLIPS // 2})
+    with pytest.raises(ValidationError, match="clips"):
+        spec_from_dict({**obj, "samples_per_cell": MAX_CLIPS // 2 + 1})
 
 
 def test_size_caps_admit_the_benchmark_corpora_and_hold_at_the_bound():
