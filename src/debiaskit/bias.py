@@ -92,9 +92,11 @@ def fit_lda_direction(
     if norm_delta < 1e-12 * (np.linalg.norm(mu_a) + np.linalg.norm(mu_b) + 1.0):
         raise DegenerateMeansError("group means coincide; no direction to fit")
     dim = x_a.shape[1]
-    cov_a = np.cov(x_a, rowvar=False, bias=True).reshape(dim, dim)
-    cov_b = np.cov(x_b, rowvar=False, bias=True).reshape(dim, dim)
-    scatter = 0.5 * (cov_a + cov_b)
+    # Built in place and shifted on its diagonal, the scatter is the only
+    # D x D array the fit keeps; each covariance is freed once it is added.
+    scatter = np.cov(x_a, rowvar=False, bias=True).reshape(dim, dim)
+    scatter += np.cov(x_b, rowvar=False, bias=True).reshape(dim, dim)
+    scatter *= 0.5
     trace = float(np.trace(scatter))
     if trace <= 0.0:
         # All points identical within each group: the shrinkage-dominated
@@ -102,7 +104,8 @@ def fit_lda_direction(
         vector = delta / norm_delta
     else:
         lam = shrinkage * trace / dim
-        raw = np.linalg.solve(scatter + lam * np.eye(dim), delta)
+        scatter[np.diag_indices(dim)] += lam
+        raw = np.linalg.solve(scatter, delta)
         norm = float(np.linalg.norm(raw))
         if norm == 0.0:
             raise DegenerateMeansError("discriminant solve returned the zero vector")

@@ -14,8 +14,12 @@ Hessian's diagonal and stopped once the residual falls below a forcing
 fraction of the gradient that shrinks as the fit converges, then backtracks
 along the step until the Armijo condition holds. Hessian work is two
 products with the design per CG step, so the cost per iteration grows as
-n * d, never d^2. Cross-validation warm-starts each fit from the previous
-grid value's solution.
+n * d, never d^2.
+
+A training set is validated, augmented, centred and squared once
+(``_prepare``), into a read-only design that no fit copies or writes.
+Cross-validation prepares each fold once; every C on the fold's path reuses
+that design and warm-starts from the previous grid value's solution.
 
 A fit stops when the gradient test passes: the gradient infinity-norm is at
 most 1e-6 times max(1, ||w||_inf / C). At the optimum the data gradient
@@ -73,11 +77,9 @@ class ClassifierModel:
         object.__setattr__(self, "weights", weights)
 
 
-def _prepare(
-    x: np.ndarray, y: np.ndarray, c_value: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Augmented design [x, 1], labels as +-1 and the per-parameter
-    regularisation weights (1 / C, and 0 for the intercept)."""
+def _augmented(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The design [x, 1] (the intercept is its last parameter) and the
+    labels as +-1, after the input checks."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y).ravel()
     if x.ndim != 2:
@@ -94,9 +96,43 @@ def _prepare(
     xa = np.empty((x.shape[0], x.shape[1] + 1))
     xa[:, :-1] = x
     xa[:, -1] = 1.0
-    reg = np.full(x.shape[1] + 1, 1.0 / c_value)
+    return xa, signs
+
+
+def _regulariser(n_params: int, c_value: float) -> np.ndarray:
+    """Per-parameter regularisation weights: 1 / C, and 0 for the intercept."""
+    reg = np.full(n_params, 1.0 / c_value)
     reg[-1] = 0.0
-    return xa, signs, reg
+    return reg
+
+
+@dataclass(frozen=True)
+class _Design:
+    """A training set made ready for Newton fits at any C, all read-only.
+
+    ``xa`` is the augmented design with its feature columns centred by
+    ``mean``: with b' = b + w . mean the intercept column no longer couples
+    to the feature means, which conditions the Newton system, and the
+    objective is the same. ``xa_sq`` is its elementwise square and
+    ``signs`` the labels as +-1.
+    """
+
+    xa: np.ndarray
+    xa_sq: np.ndarray
+    mean: np.ndarray
+    signs: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.xa, self.xa_sq, self.mean, self.signs):
+            array.setflags(write=False)
+
+
+def _prepare(x: np.ndarray, y: np.ndarray) -> _Design:
+    """Check, augment, centre and square a training set, once per set."""
+    xa, signs = _augmented(x, y)
+    mean = xa[:, :-1].mean(axis=0)
+    xa[:, :-1] -= mean
+    return _Design(xa, xa * xa, mean, signs)
 
 
 def _loss(margins: np.ndarray, theta: np.ndarray, reg: np.ndarray) -> float:
@@ -112,19 +148,18 @@ def _gradient(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    expz = np.exp(z[~pos])
-    out[~pos] = expz / (1.0 + expz)
-    return out
+    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so exp
+    # never overflows; both branches share e = exp(-|z|).
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def logreg_objective(
     weights: np.ndarray, intercept: float, x: np.ndarray, y: np.ndarray, c_value: float
 ) -> tuple[float, np.ndarray, float]:
     """Loss, weight gradient and intercept gradient at the given point."""
-    xa, signs, reg = _prepare(x, y, c_value)
+    xa, signs = _augmented(x, y)
+    reg = _regulariser(xa.shape[1], c_value)
     theta = np.append(np.asarray(weights, dtype=np.float64), float(intercept))
     margins = signs * (xa @ theta)
     grad = _gradient(xa, signs, _sigmoid(-margins), theta, reg)
@@ -137,16 +172,13 @@ def _converged(grad: np.ndarray, theta: np.ndarray, reg: np.ndarray) -> bool:
 
 
 def _newton(
-    xa: np.ndarray, signs: np.ndarray, reg: np.ndarray, theta: np.ndarray
+    design: _Design, reg: np.ndarray, theta: np.ndarray
 ) -> tuple[np.ndarray, float, float, np.ndarray, int]:
-    """Truncated Newton from ``theta`` on the design ``xa``; both are private
-    copies, and ``xa`` is centred in place. Returns (theta, initial loss,
-    loss, gradient, iterations) in uncentred coordinates; the stopping rule
-    is the module docstring's."""
-    # With b' = b + w . mean the intercept column no longer couples to the
-    # feature means, which conditions the Newton system; the objective is the same.
-    mean = xa[:, :-1].mean(axis=0)
-    xa[:, :-1] -= mean
+    """Truncated Newton from ``theta``, a private copy, on the prepared
+    ``design``, which it only reads. Returns (theta, initial loss, loss,
+    gradient, iterations) in uncentred coordinates; the stopping rule is the
+    module docstring's."""
+    xa, xa_sq, mean, signs = design.xa, design.xa_sq, design.mean, design.signs
     theta[-1] += theta[:-1] @ mean
 
     def uncentred(grad: np.ndarray) -> np.ndarray:
@@ -159,7 +191,6 @@ def _newton(
     p = _sigmoid(-margins)
     grad = _gradient(xa, signs, p, theta, reg)
     start_norm = float(np.sqrt(grad @ grad))
-    xa_sq = xa * xa
     n_iter = 0
     while n_iter < MAX_ITER and not _converged(uncentred(grad), theta, reg):
         # Preconditioned CG on H step = -grad, H = xa' diag(curv) xa + diag(reg).
@@ -222,18 +253,25 @@ def train_logreg(
     c_value: float,
     *,
     warm_start: np.ndarray | None = None,
+    _design: _Design | None = None,
 ) -> ClassifierModel:
     """Fit the regularised model from zero, or from ``warm_start`` (the
-    weights followed by the intercept). Deterministic."""
+    weights followed by the intercept). Deterministic.
+
+    ``_design`` is ``_prepare(x, y)`` when the caller already holds it, as
+    cross-validation does for each fold along the C grid.
+    """
     if not (c_value > 0 and np.isfinite(c_value)):
         raise ValueError(f"C must be positive and finite, got {c_value}")
-    xa, signs, reg = _prepare(x, y, c_value)
-    start = np.zeros(xa.shape[1])
+    design = _prepare(x, y) if _design is None else _design
+    n_params = design.xa.shape[1]
+    start = np.zeros(n_params)
     if warm_start is not None:
         start = np.asarray(warm_start, dtype=np.float64).copy()
-        if start.shape != (xa.shape[1],):
+        if start.shape != (n_params,):
             raise DimensionMismatchError("warm start has wrong shape")
-    theta, initial_loss, final_loss, grad, n_iter = _newton(xa, signs, reg, start)
+    reg = _regulariser(n_params, c_value)
+    theta, initial_loss, final_loss, grad, n_iter = _newton(design, reg, start)
     return ClassifierModel(
         weights=theta[:-1],
         intercept=float(theta[-1]),
@@ -289,6 +327,27 @@ def stratified_folds(
     return folds
 
 
+def _fold_path(
+    x: np.ndarray, y: np.ndarray, train_idx: np.ndarray, val_idx: np.ndarray, grid: list[float]
+) -> list[float]:
+    """Validation ROC-AUC at each C of the ascending ``grid`` on one fold.
+
+    The training rows are prepared once, and each fit warm-starts from the
+    previous C's solution on that design. The design lives only as long as
+    the fold, so no two folds' designs are held at once.
+    """
+    x_train, y_train = x[train_idx], y[train_idx]
+    x_val, y_val = x[val_idx], y[val_idx]
+    design = _prepare(x_train, y_train)
+    warm = None
+    scores = []
+    for c_value in grid:
+        model = train_logreg(x_train, y_train, c_value, warm_start=warm, _design=design)
+        warm = np.concatenate([model.weights, [model.intercept]])
+        scores.append(roc_auc(predict_scores(model, x_val), y_val))
+    return scores
+
+
 def cv_select_c(
     x: np.ndarray,
     y: np.ndarray,
@@ -299,22 +358,18 @@ def cv_select_c(
     """Pick C maximising mean validation ROC-AUC over stratified folds.
 
     Ties go to the smaller C. Returns (selected C, mean AUC per grid value).
-    Fold fits warm-start along the ascending grid; the caller retrains the
-    final model from scratch at the selected C.
+    Each fold is prepared once and its fits warm-start along the ascending
+    grid; the caller retrains the final model from scratch at the selected C.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(y).astype(bool).ravel()
-    folds = stratified_folds(y, n_folds, seed)
     ordered = sorted(grid)
-    fold_scores = np.zeros((len(folds), len(ordered)))
-    for f, (train_idx, val_idx) in enumerate(folds):
-        x_train, y_train = x[train_idx], y[train_idx]
-        x_val, y_val = x[val_idx], y[val_idx]
-        warm = None
-        for j, c_value in enumerate(ordered):
-            model = train_logreg(x_train, y_train, c_value, warm_start=warm)
-            warm = np.concatenate([model.weights, [model.intercept]])
-            fold_scores[f, j] = roc_auc(predict_scores(model, x_val), y_val)
+    fold_scores = np.array(
+        [
+            _fold_path(x, y, train_idx, val_idx, ordered)
+            for train_idx, val_idx in stratified_folds(y, n_folds, seed)
+        ]
+    )
     means = fold_scores.mean(axis=0)
     best = 0
     for j in range(1, len(ordered)):

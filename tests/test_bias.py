@@ -1,5 +1,7 @@
 """Discriminant-direction fitting, cosine diagnostics, and the domain probe."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -75,6 +77,47 @@ def test_matches_the_cholesky_solve(dim):
     expected = raw / np.linalg.norm(raw)
     expected *= np.sign(expected[np.flatnonzero(np.abs(expected) > 1e-14)[0]])
     np.testing.assert_allclose(fitted.vector, expected, rtol=0, atol=1e-12)
+
+
+def out_of_place_direction(x_a, x_b, shrinkage):
+    """The discriminant as this module computed it before building the
+    scatter in place: every step a new D x D matrix."""
+    dim = x_a.shape[1]
+    cov_a = np.cov(x_a, rowvar=False, bias=True).reshape(dim, dim)
+    cov_b = np.cov(x_b, rowvar=False, bias=True).reshape(dim, dim)
+    scatter = 0.5 * (cov_a + cov_b)
+    lam = shrinkage * float(np.trace(scatter)) / dim
+    raw = np.linalg.solve(scatter + lam * np.eye(dim), x_a.mean(axis=0) - x_b.mean(axis=0))
+    vector = raw / float(np.linalg.norm(raw))
+    return -vector if vector[np.flatnonzero(np.abs(vector) > 1e-14)[0]] < 0 else vector
+
+
+@pytest.mark.parametrize(
+    "n_a, n_b, dim, shrinkage",
+    [(40, 30, 1, 0.01), (50, 70, 7, 0.0), (300, 200, 64, 0.01), (30, 45, 200, 0.5), (12, 9, 513, 0.01)],
+)
+def test_in_place_scatter_is_bit_identical(n_a, n_b, dim, shrinkage):
+    rng = np.random.default_rng(dim)
+    x_a = rng.standard_normal((n_a, dim)) * rng.uniform(0.1, 3.0, dim) + 0.2
+    x_b = rng.standard_normal((n_b, dim)) @ (rng.standard_normal((dim, dim)) / np.sqrt(dim))
+    fitted = fit_lda_direction(x_a, x_b, shrinkage=shrinkage)
+    assert fitted.vector.tobytes() == out_of_place_direction(x_a, x_b, shrinkage).tobytes()
+
+
+def test_fit_holds_at_most_three_dense_matrices():
+    # At D = 1024 each D x D matrix is 8 MiB. Summing the covariances out of
+    # place and shifting by lam * eye peaked at four of them (32 MiB).
+    dim = 1024
+    rng = np.random.default_rng(5)
+    x_a = rng.standard_normal((600, dim)) + 0.1
+    x_b = rng.standard_normal((600, dim))
+    tracemalloc.start()
+    try:
+        fit_lda_direction(x_a, x_b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * dim * dim * 8
 
 
 def test_isotropic_scatter_gives_mean_difference():

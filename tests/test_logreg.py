@@ -6,7 +6,7 @@ import scipy.optimize
 
 from debiaskit import logreg
 from debiaskit.data import NEG, POS, pool_frames
-from debiaskit.errors import FoldDegenerateError, SingleClassError
+from debiaskit.errors import FoldDegenerateError, NonFiniteError, SingleClassError
 from debiaskit.logreg import (
     DEFAULT_C_GRID,
     GRAD_TOL,
@@ -232,11 +232,87 @@ def test_newton_matches_lbfgs_reference(n, dim, c_value):
 def test_cv_selects_the_reference_c_on_a_stock_problem(monkeypatch):
     x, y = stock_problem()
     selected, scores = cv_select_c(x, y, seed=3)
-    monkeypatch.setattr(logreg, "train_logreg", reference_fit)
+
+    def reference_cv_fit(x, y, c_value, *, warm_start=None, _design=None):
+        # The prepared fold is the Newton solver's; the reference refits the rows.
+        return reference_fit(x, y, c_value, warm_start=warm_start)
+
+    monkeypatch.setattr(logreg, "train_logreg", reference_cv_fit)
     ref_selected, ref_scores = cv_select_c(x, y, seed=3)
     assert selected == ref_selected
     for c_value, score in scores.items():
         assert score == pytest.approx(ref_scores[c_value], abs=1e-6)
+
+
+def test_cv_fits_equal_a_chain_of_standalone_fits(monkeypatch):
+    # Each fold is prepared once and shared along the C grid; every fit must
+    # be the one a standalone, warm-started train_logreg on the fold gives.
+    x, y = make_shifted(240, 12, seed=21)
+    grid, n_folds = (1e-4, 1e-2, 1.0, 1e2), 4
+    fits = []
+
+    def recording(x, y, c_value, **kwargs):
+        model = train_logreg(x, y, c_value, **kwargs)
+        fits.append(model)
+        return model
+
+    monkeypatch.setattr(logreg, "train_logreg", recording)
+    cv_select_c(x, y, seed=9, grid=grid, n_folds=n_folds)
+    monkeypatch.undo()
+    assert len(fits) == n_folds * len(grid)
+    fits = iter(fits)
+    for train_idx, _ in stratified_folds(y, n_folds, seed=9):
+        warm = None
+        for c_value in grid:
+            alone = train_logreg(x[train_idx], y[train_idx], c_value, warm_start=warm)
+            shared = next(fits)
+            assert shared.c_value == c_value
+            assert shared.weights.tobytes() == alone.weights.tobytes()
+            assert np.float64(shared.intercept).tobytes() == np.float64(alone.intercept).tobytes()
+            assert (shared.n_iter, shared.converged) == (alone.n_iter, alone.converged)
+            warm = np.append(alone.weights, alone.intercept)
+
+
+def test_prepared_design_is_read_only(monkeypatch):
+    x, y = make_shifted(60, 5, seed=22)
+    designs = []
+
+    def recording(x, y, c_value, **kwargs):
+        designs.append(kwargs["_design"])
+        return train_logreg(x, y, c_value, **kwargs)
+
+    monkeypatch.setattr(logreg, "train_logreg", recording)
+    cv_select_c(x, y, seed=0, grid=(0.1, 1.0), n_folds=3)
+    assert len(designs) == 6 and len({id(d) for d in designs}) == 3
+    for array in (designs[0].xa, designs[0].xa_sq, designs[0].mean, designs[0].signs):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+        with pytest.raises(ValueError):
+            array += 1.0
+
+
+def test_cv_rejects_a_non_finite_feature():
+    x, y = make_shifted(60, 5, seed=23)
+    x[17, 3] = np.nan
+    with pytest.raises(NonFiniteError):
+        cv_select_c(x, y, seed=0, grid=(0.1, 1.0), n_folds=3)
+
+
+def test_sigmoid_matches_the_two_branch_formula_bit_for_bit():
+    def two_branch(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        expz = np.exp(z[~pos])
+        out[~pos] = expz / (1.0 + expz)
+        return out
+
+    edges = np.array([0.0, 1e-300, 36.0, 745.0, 1e308, np.inf])
+    rng = np.random.default_rng(24)
+    spread = rng.standard_normal(100_000) * 10.0 ** rng.uniform(-3, 3, 100_000)
+    z = np.concatenate([edges, -edges, spread])
+    assert logreg._sigmoid(z).tobytes() == two_branch(z).tobytes()
 
 
 def test_fit_at_the_float64_floor_counts_as_converged():
