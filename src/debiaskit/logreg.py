@@ -16,7 +16,18 @@ along the step until the Armijo condition holds. Hessian work is two
 products with the design per CG step, so the cost per iteration grows as
 n * d, never d^2.
 
-A training set is validated, augmented, centred and squared once
+The inner solve is inexact by design (inexact Newton: Dembo, Eisenstat and
+Steihaug 1982), so its two products per CG step and the Jacobi diagonal
+are taken in float32, which halves the bytes each pass reads. The float32
+design is the centred design scaled by a power of two to at most 1 in
+magnitude, and each CG direction is scaled the same way before its cast,
+so no float32 value can overflow and both scalings are exact. The CG
+residual, direction and step, the margins (one float64 product with the
+step per iteration), the gradient, the loss, the line search and the
+gradient test all stay float64, so float32 rounding can slow a fit's CG
+but cannot change what counts as converged.
+
+A training set is validated, augmented, centred, scaled and squared once
 (``_prepare``), into a read-only design that no fit copies or writes.
 Cross-validation prepares each fold once; every C on the fold's path reuses
 that design and warm-starts from the previous grid value's solution.
@@ -25,17 +36,21 @@ A fit stops when the gradient test passes: the gradient infinity-norm is at
 most 1e-6 times max(1, ||w||_inf / C). At the optimum the data gradient
 cancels the regularisation gradient w / C, so float64 can resolve the
 gradient only relative to that size; for weak regularisation the test is the
-absolute 1e-6. A fit also stops, early, when the loss can no longer show a
-decrease in float64: the predicted decrease of the full Newton step, or the
-Armijo decrease of every backtracked step, is below the spacing of float64
-numbers at the loss. ``converged`` is True exactly when the gradient test
-holds at the returned point; a fit that stalls without meeting it, or that
-runs MAX_ITER iterations, is flagged (not failed) with ``converged=False``.
-Identical inputs give bit-identical weights on one platform.
+absolute 1e-6. When the full Newton step's predicted decrease is below the
+spacing of float64 numbers at the loss, the loss cannot judge the step, and
+the fit takes it only if it lowers the gradient infinity-norm. A fit stops
+early when that fails, or when the Armijo decrease of every backtracked
+step is below the spacing at the loss. ``converged`` is True exactly when
+the gradient test holds at the returned point; a fit that stalls without
+meeting it, or that runs MAX_ITER iterations, is flagged (not failed) with
+``converged=False``.
+Identical inputs give bit-identical weights on one platform and BLAS build,
+so reruns write the same bytes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,26 +128,32 @@ class _Design:
     ``xa`` is the augmented design with its feature columns centred by
     ``mean``: with b' = b + w . mean the intercept column no longer couples
     to the feature means, which conditions the Newton system, and the
-    objective is the same. ``xa_sq`` is its elementwise square and
-    ``signs`` the labels as +-1.
+    objective is the same. ``xa32`` is ``xa`` times 2**-``exponent`` in
+    float32, so its largest magnitude is at most 1 and the scaling is exact;
+    ``xa32_sq`` is its elementwise square. ``signs`` are the labels as +-1.
     """
 
     xa: np.ndarray
-    xa_sq: np.ndarray
+    xa32: np.ndarray
+    xa32_sq: np.ndarray
+    exponent: int
     mean: np.ndarray
     signs: np.ndarray
 
     def __post_init__(self):
-        for array in (self.xa, self.xa_sq, self.mean, self.signs):
+        for array in (self.xa, self.xa32, self.xa32_sq, self.mean, self.signs):
             array.setflags(write=False)
 
 
 def _prepare(x: np.ndarray, y: np.ndarray) -> _Design:
-    """Check, augment, centre and square a training set, once per set."""
+    """Check, augment, centre, scale and square a training set, once per set."""
     xa, signs = _augmented(x, y)
     mean = xa[:, :-1].mean(axis=0)
     xa[:, :-1] -= mean
-    return _Design(xa, xa * xa, mean, signs)
+    exponent = math.frexp(max(xa.max(), -xa.min()))[1]
+    xa32 = np.empty(xa.shape, dtype=np.float32)
+    np.multiply(xa, math.ldexp(1.0, -exponent), out=xa32, casting="same_kind")
+    return _Design(xa, xa32, np.square(xa32), exponent, mean, signs)
 
 
 def _loss(margins: np.ndarray, theta: np.ndarray, reg: np.ndarray) -> float:
@@ -171,6 +192,21 @@ def _converged(grad: np.ndarray, theta: np.ndarray, reg: np.ndarray) -> bool:
     return bool(np.abs(grad).max() <= GRAD_TOL * max(1.0, float(np.abs(reg * theta).max())))
 
 
+def _data_hessian_product(
+    design: _Design, curv32: np.ndarray, direction: np.ndarray
+) -> np.ndarray:
+    """xa' diag(curv) xa @ direction in float64, from two float32 products.
+
+    The direction is cast after scaling by a power of two to at most 1 in
+    magnitude, so with |xa32| <= 1 and curv <= 1/4 no float32 value in the
+    products can overflow; both scalings are undone exactly in float64.
+    """
+    dir_exp = math.frexp(np.abs(direction).max())[1]
+    dir32 = (direction * math.ldexp(1.0, -dir_exp)).astype(np.float32)
+    h32 = (curv32 * (design.xa32 @ dir32)) @ design.xa32
+    return np.ldexp(h32, 2 * design.exponent + dir_exp, dtype=np.float64)
+
+
 def _newton(
     design: _Design, reg: np.ndarray, theta: np.ndarray
 ) -> tuple[np.ndarray, float, float, np.ndarray, int]:
@@ -178,7 +214,7 @@ def _newton(
     ``design``, which it only reads. Returns (theta, initial loss, loss,
     gradient, iterations) in uncentred coordinates; the stopping rule is the
     module docstring's."""
-    xa, xa_sq, mean, signs = design.xa, design.xa_sq, design.mean, design.signs
+    xa, mean, signs = design.xa, design.mean, design.signs
     theta[-1] += theta[:-1] @ mean
 
     def uncentred(grad: np.ndarray) -> np.ndarray:
@@ -194,27 +230,24 @@ def _newton(
     n_iter = 0
     while n_iter < MAX_ITER and not _converged(uncentred(grad), theta, reg):
         # Preconditioned CG on H step = -grad, H = xa' diag(curv) xa + diag(reg).
-        # x_step = xa @ step is accumulated so the line search needs no product with xa.
-        curv = p * (1.0 - p)
-        diag = curv @ xa_sq + reg
+        # The products with the design run in float32; the CG recurrences in float64.
+        curv32 = (p * (1.0 - p)).astype(np.float32)
+        diag = np.ldexp(curv32 @ design.xa32_sq, 2 * design.exponent, dtype=np.float64) + reg
         diag[diag <= 0.0] = 1.0
         grad_norm = float(np.sqrt(grad @ grad))
         resid_tol_sq = (min(FORCING_MAX, np.sqrt(grad_norm / start_norm)) * grad_norm) ** 2
         step = np.zeros_like(theta)
-        x_step = np.zeros_like(margins)
         resid = -grad
         z = resid / diag
         direction = z
         rz = float(resid @ z)
         for _ in range(theta.size):
-            x_dir = xa @ direction
-            h_dir = (curv * x_dir) @ xa + reg * direction
+            h_dir = _data_hessian_product(design, curv32, direction) + reg * direction
             curvature = float(direction @ h_dir)
             if curvature <= 0.0:
                 break
             alpha = rz / curvature
             step += alpha * direction
-            x_step += alpha * x_dir
             resid -= alpha * h_dir
             if resid @ resid <= resid_tol_sq:
                 break
@@ -223,15 +256,16 @@ def _newton(
             direction = z + (rz / rz_old) * direction
 
         slope = float(grad @ step)
-        if not loss + 0.5 * slope < loss:
-            break  # the step's predicted decrease is below float64 resolution at the loss
+        margin_step = signs * (xa @ step)
+        # Below float64 resolution at the loss, the predicted decrease cannot
+        # judge the step; the full step is then judged by the gradient.
+        judged = loss + 0.5 * slope < loss
         alpha = 1.0
-        margin_step = signs * x_step
         while True:
             cand = theta + alpha * step
             cand_margins = margins + alpha * margin_step
             cand_loss = _loss(cand_margins, cand, reg)
-            if cand_loss <= loss + ARMIJO * alpha * slope:
+            if not judged or cand_loss <= loss + ARMIJO * alpha * slope:
                 break
             alpha *= 0.5
             if not loss + ARMIJO * alpha * slope < loss:
@@ -239,9 +273,13 @@ def _newton(
                 break
         if cand is None:
             break
-        theta, margins, loss = cand, cand_margins, cand_loss
-        p = _sigmoid(-margins)
-        grad = _gradient(xa, signs, p, theta, reg)
+        cand_p = _sigmoid(-cand_margins)
+        cand_grad = _gradient(xa, signs, cand_p, cand, reg)
+        if not judged and not (
+            np.abs(uncentred(cand_grad)).max() < np.abs(uncentred(grad)).max()
+        ):
+            break
+        theta, margins, loss, p, grad = cand, cand_margins, cand_loss, cand_p, cand_grad
         n_iter += 1
     theta[-1] -= theta[:-1] @ mean
     return theta, initial_loss, loss, uncentred(grad), n_iter

@@ -1,5 +1,8 @@
 """Regularised binary classifier: objective, optimiser, fold logic, C selection."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -284,12 +287,64 @@ def test_prepared_design_is_read_only(monkeypatch):
     monkeypatch.setattr(logreg, "train_logreg", recording)
     cv_select_c(x, y, seed=0, grid=(0.1, 1.0), n_folds=3)
     assert len(designs) == 6 and len({id(d) for d in designs}) == 3
-    for array in (designs[0].xa, designs[0].xa_sq, designs[0].mean, designs[0].signs):
+    arrays = [getattr(designs[0], f.name) for f in dataclasses.fields(designs[0])]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert len(arrays) == 5
+    for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 1.0
         with pytest.raises(ValueError):
             array += 1.0
+
+
+def test_prepared_design_holds_16_bytes_per_entry():
+    # The float64 design and its float32 scaled copy and square: 8 + 4 + 4
+    # bytes per entry, plus the per-row labels and per-column means, and no
+    # more than that while preparing (numpy's casting buffer aside).
+    n, dim = 1000, 255
+    x, y = make_shifted(n, dim, seed=25)
+    tracemalloc.start()
+    try:
+        design = logreg._prepare(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = [getattr(design, f.name) for f in dataclasses.fields(design)]
+    held = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    bound = 16 * n * (dim + 1) + 8 * (n + dim)
+    assert held <= bound
+    assert peak <= bound + 2**18
+
+
+def test_float32_copy_is_an_exact_power_of_two_scaling():
+    x, y = make_shifted(80, 6, seed=26)
+    for scale in (1e-30, 1.0, 3.0, 1e30):
+        design = logreg._prepare(x * scale, y)
+        assert design.xa32.dtype == design.xa32_sq.dtype == np.float32
+        assert np.abs(design.xa32).max() <= 1.0
+        rebuilt = np.ldexp(design.xa32.astype(np.float64), design.exponent)
+        np.testing.assert_array_equal(rebuilt, design.xa.astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("size", [1e-300, 1.0, 1e300])
+def test_float32_hessian_product_matches_float64_at_any_direction_size(size):
+    # Rounding bound of the two float32 products and the three casts, fixed
+    # from the dtype: (n + d + 8) float32 unit roundoffs of the product of
+    # absolute values. An unscaled float32 cast overflows at 1e300 and
+    # flushes to zero at 1e-300.
+    rng = np.random.default_rng(27)
+    x, y = make_shifted(80, 6, seed=27)
+    design = logreg._prepare(x * 1e3, y)
+    curv32 = rng.uniform(0.0, 0.25, 80).astype(np.float32)
+    curv = curv32.astype(np.float64)
+    direction = rng.standard_normal(7) * size
+    product = logreg._data_hessian_product(design, curv32, direction)
+    xa = design.xa
+    exact = xa.T @ (curv * (xa @ direction))
+    scale = np.abs(xa).T @ (curv * (np.abs(xa) @ np.abs(direction)))
+    assert (np.abs(product - exact) <= (80 + 7 + 8) * 2.0**-24 * scale).all()
 
 
 def test_cv_rejects_a_non_finite_feature():
@@ -325,6 +380,35 @@ def test_fit_at_the_float64_floor_counts_as_converged():
     assert model.grad_norm > GRAD_TOL
     assert model.converged
     assert model.n_iter < 10
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_full_step_at_the_float64_floor_is_taken_when_it_lowers_the_gradient(seed):
+    # At C = 1e-8 on 900 x 256 the first Newton step leaves the gradient
+    # just above its tolerance, and the next step's predicted decrease is
+    # below float64 resolution at the loss. The loss cannot judge that step;
+    # the gradient can, so the fit takes it and converges. Stopping there
+    # instead left these four fits at 1.05-1.22x their tolerance after one
+    # iteration, as it left 4 CV fits of the stock matrix.
+    x, y = make_shifted(900, 256, seed=seed)
+    model = train_logreg(x, y, 1e-8)
+    assert model.converged
+    assert model.n_iter < 10
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-30, 1e-20, 1e20, 1e30])
+def test_extreme_feature_scales_raise_no_float32_overflow(scale):
+    # The float32 design products must neither overflow nor warn. Tiny
+    # features converge; at 1e20 and beyond float64 cannot resolve the
+    # absolute gradient tolerance, and the fit is flagged, not failed.
+    x, y = make_shifted(200, 10, seed=19)
+    starts = [(c_value, None) for c_value in (1e-8, 1.0, 1e4)]
+    for c_value, warm in starts + [(1.0, np.full(11, 30.0))]:
+        model = train_logreg(x * scale, y, c_value, warm_start=warm)
+        assert model.converged == (scale < 1.0)
+        assert np.isfinite(model.weights).all() and np.isfinite(model.final_loss)
+        assert model.n_iter < logreg.MAX_ITER
 
 
 def test_far_warm_start_reaches_the_cold_start_optimum():
