@@ -22,9 +22,8 @@ from .errors import (
 
 DEFAULT_SHRINKAGE = 1e-2
 
-# Scope tags recorded on fitted directions.
+# Scope tag recorded on fitted directions.
 SCOPE_GLOBAL = "global"
-SCOPE_CLASSWISE = "classwise"
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from .config import load_config, read_json
+from .config import load_config, read_json, write_json
 from .data import save_embeddings, save_genre_map, save_manifest
 from .errors import DebiasKitError, IoError, ValidationError
 from .pipeline import run_matrix, run_strategy
@@ -107,9 +107,7 @@ def _cmd_synth(args) -> int:
         "seed": spec.seed,
         "output_dir": "results",
     }
-    with open(os.path.join(args.out, "config.json"), "w", encoding="utf-8") as handle:
-        json.dump(config, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(os.path.join(args.out, "config.json"), config, indent=2)
     print(f"wrote corpus for {spec.domain_names[0]}/{spec.domain_names[1]} to {args.out}")
     return 0
 
@@ -123,9 +121,7 @@ def _run_one(args, *, evaluate_cells: bool):
     result = run_strategy(config, evaluate_cells=evaluate_cells)
     if out_dir is not None:
         save_report(result.report, os.path.join(out_dir, "report.json"))
-        with open(os.path.join(out_dir, "audit.json"), "w", encoding="utf-8") as handle:
-            json.dump(result.audit, handle, sort_keys=True)
-            handle.write("\n")
+        write_json(os.path.join(out_dir, "audit.json"), result.audit)
     return out_dir, result
 
 

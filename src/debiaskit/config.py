@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .bias import DEFAULT_SHRINKAGE
 from .errors import ValidationError
 from .kernel import DEFAULT_DPRIME_FACTOR
 from .logreg import DEFAULT_C_GRID, DEFAULT_FOLDS
@@ -90,7 +91,7 @@ class ExperimentConfig:
     classes: tuple[str, ...] | None = None
     dprime_factor: int = DEFAULT_DPRIME_FACTOR
     gamma: float | str = "median"
-    shrinkage: float = 1e-2
+    shrinkage: float = DEFAULT_SHRINKAGE
     c_grid: tuple[float, ...] = DEFAULT_C_GRID
     cv_folds: int = DEFAULT_FOLDS
     min_genre_samples: int = DEFAULT_MIN_GENRE_SAMPLES
@@ -138,6 +139,13 @@ def read_json(path: str, what: str):
         raise ValidationError(f"cannot open {what} {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{what} is not valid JSON: {exc}", path=path) from exc
+
+
+def write_json(path: str, obj, *, indent: int | None = None) -> None:
+    """Write ``obj`` to ``path`` as JSON with sorted keys and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(obj, handle, indent=indent, sort_keys=True)
+        handle.write("\n")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -218,7 +226,7 @@ def config_from_dict(obj: dict, base_dir: str | None = None) -> ExperimentConfig
     dprime_factor = _number(int, obj.get("dprime_factor", DEFAULT_DPRIME_FACTOR), "dprime_factor")
     if dprime_factor < 1:
         raise ValidationError("dprime_factor must be >= 1")
-    shrinkage = _number(float, obj.get("shrinkage", 1e-2), "shrinkage")
+    shrinkage = _number(float, obj.get("shrinkage", DEFAULT_SHRINKAGE), "shrinkage")
     if not (shrinkage >= 0 and math.isfinite(shrinkage)):
         raise ValidationError("shrinkage must be a finite non-negative number")
     raw_grid = _typed(obj.get("c_grid", DEFAULT_C_GRID), (list, tuple), "c_grid", "a list")

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import write_json
 from .errors import (
     EmptyClassError,
     FormatError,
@@ -444,14 +445,8 @@ def load_genre_map(path: str) -> GenreMap:
 
 
 def save_genre_map(genre_map: GenreMap, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(
-            {"targets": list(genre_map.targets), "rules": dict(genre_map.rules)},
-            handle,
-            indent=2,
-            sort_keys=True,
-        )
-        handle.write("\n")
+    obj = {"targets": list(genre_map.targets), "rules": dict(genre_map.rules)}
+    write_json(path, obj, indent=2)
 
 
 def reduce_genres(genres: tuple[str, ...] | list[str], genre_map: GenreMap) -> str:

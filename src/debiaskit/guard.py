@@ -4,8 +4,9 @@ Every read of embedding rows inside the pipeline goes through a guard that
 knows which clip indices belong to the held-out split and which phase the
 pipeline is in. Touching held-out rows during any fitting phase (pooling
 statistics, bias estimation, kernel fitting, model selection, training)
-raises immediately; only the scoring phase may read them. The audit trail
-records each access so a run can prove after the fact that isolation held.
+raises immediately; only the scoring phase may read them. The guard counts
+the reads, rows and held-out rows per phase, so a run can prove after the
+fact that isolation held.
 """
 
 from __future__ import annotations
@@ -30,20 +31,12 @@ _NO_ROWS = np.empty(0, dtype=np.intp)  # held-out rows of a dataset the guard do
 
 
 @dataclass
-class AccessRecord:
-    phase: str
-    dataset: str
-    n_rows: int
-    n_test_rows: int
-
-
-@dataclass
 class SplitGuard:
-    """Tracks the active phase and audits row access per dataset."""
+    """Tracks the active phase and counts row reads per phase."""
 
     test_indices: dict[str, np.ndarray]
     phase: str = PHASE_POOL
-    records: list[AccessRecord] = field(default_factory=list)
+    counts: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.test_indices = {
@@ -56,11 +49,14 @@ class SplitGuard:
         self.phase = phase
 
     def check(self, dataset: str, indices: np.ndarray) -> None:
-        """Record an access; reject held-out rows outside the scoring phase."""
+        """Count a read; reject held-out rows outside the scoring phase."""
         indices = np.asarray(indices).ravel()
         test_mask = np.isin(indices, self.test_indices.get(dataset, _NO_ROWS))
         touched = indices[test_mask]
-        self.records.append(AccessRecord(self.phase, dataset, indices.size, touched.size))
+        bucket = self.counts.setdefault(self.phase, {"reads": 0, "rows": 0, "test_rows": 0})
+        bucket["reads"] += 1
+        bucket["rows"] += indices.size
+        bucket["test_rows"] += touched.size
         if touched.size and self.phase != PHASE_EVALUATE:
             raise LeakageError(
                 f"held-out rows of {dataset!r} read during phase {self.phase!r}: "
@@ -68,15 +64,9 @@ class SplitGuard:
             )
 
     def audit(self) -> dict:
-        """Summary suitable for writing next to run outputs."""
-        per_phase: dict[str, dict[str, int]] = {}
-        for record in self.records:
-            bucket = per_phase.setdefault(
-                record.phase, {"reads": 0, "rows": 0, "test_rows": 0}
-            )
-            bucket["reads"] += 1
-            bucket["rows"] += record.n_rows
-            bucket["test_rows"] += record.n_test_rows
+        """Summary suitable for writing next to run outputs; a copy, so the
+        guard's own counts do not change with it."""
+        per_phase = {phase: dict(bucket) for phase, bucket in self.counts.items()}
         fit_test_rows = sum(
             per_phase.get(p, {}).get("test_rows", 0) for p in FIT_PHASES
         )

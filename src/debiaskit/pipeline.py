@@ -19,19 +19,13 @@ meaningless for "none"/"K" and is ignored with a warning.
 
 from __future__ import annotations
 
-import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bias import (
-    BiasDirection,
-    bias_correlation,
-    fit_lda_direction,
-    subspace_correlation,
-)
+from .bias import bias_correlation, fit_lda_direction, subspace_correlation
 
 # Config parsing lives in .config; these names stay importable from here.
 from .config import (
@@ -43,6 +37,7 @@ from .config import (
     effective_scope,
     load_config,
     warn_if_scope_ignored,
+    write_json,
 )
 from .data import (
     NEG,
@@ -209,6 +204,12 @@ def load_corpus(config: ExperimentConfig) -> Corpus:
         (entry, pool_frames(load_embeddings(entry.embeddings, entry.fmt)), load_manifest(entry.manifest))
         for entry in config.datasets
     ]
+    (entry_a, table_a, _), (entry_b, table_b, _) = loaded
+    if table_a.dim != table_b.dim:
+        raise ValidationError(
+            f"datasets {entry_a.name!r} and {entry_b.name!r} differ in embedding width: "
+            f"{table_a.dim} against {table_b.dim}"
+        )
     universe = tuple(dict.fromkeys(c for _, _, manifest in loaded for c in manifest.classes))
     manifests = []
     for entry, table, manifest in loaded:
@@ -216,6 +217,8 @@ def load_corpus(config: ExperimentConfig) -> Corpus:
             raise ValidationError(f"manifest {entry.manifest} holds no records for dataset {entry.name!r}")
         manifests.append(_align(entry.name, table, manifest, universe))
     classes = config.classes if config.classes is not None else universe
+    if not classes:
+        raise ValidationError(f"manifests {entry_a.manifest} and {entry_b.manifest} label no class")
     missing = [c for c in classes if c not in universe]
     if missing:
         raise ValidationError(f"requested classes not present in any manifest: {missing}")
@@ -274,48 +277,6 @@ class BiasFit:
         return self.references.get(None)
 
 
-def _fit_pair_directions(
-    domain_a: DomainData,
-    domain_b: DomainData,
-    pools_a: dict[str, np.ndarray],
-    pools_b: dict[str, np.ndarray],
-    targets: tuple[str, ...],
-    config: ExperimentConfig,
-    *,
-    scope: str,
-    class_name: str | None,
-    outcome: BiasFit,
-) -> list[BiasDirection]:
-    """One discriminant per genre present on both sides with enough rows."""
-    directions = []
-    for genre in targets:
-        if genre == UNKNOWN_GENRE:
-            continue
-        idx_a = pools_a.get(genre)
-        idx_b = pools_b.get(genre)
-        n_a = 0 if idx_a is None else len(idx_a)
-        n_b = 0 if idx_b is None else len(idx_b)
-        if min(n_a, n_b) < config.min_genre_samples:
-            outcome.skipped_pairs.append(
-                {"genre": genre, "class": class_name, "n_a": n_a, "n_b": n_b}
-            )
-            continue
-        try:
-            directions.append(
-                fit_lda_direction(
-                    domain_a.rows(idx_a),
-                    domain_b.rows(idx_b),
-                    config.shrinkage,
-                    scope=scope,
-                    class_name=class_name,
-                    genre=genre,
-                )
-            )
-        except DegenerateMeansError:
-            outcome.degenerate.append({"genre": genre, "class": class_name})
-    return directions
-
-
 def fit_bias(
     config: ExperimentConfig,
     domain_a: DomainData,
@@ -326,54 +287,67 @@ def fit_bias(
     """Fit one correction per entry of ``pools``, which maps a key (a class
     name, or ``None`` for the global fit) to both domains' training indices.
 
-    Multi-direction strategies fit one direction per genre pair and remove
-    their span; the others fit one direction. For "none" and "K" the
-    direction is a diagnostic for correlation reporting and nothing is
-    projected. A degenerate single-direction fit (domain means coincide)
-    leaves its key without a correction rather than failing the run; a
-    multi-direction fit skips degenerate or small genre pairs and fails only
-    when none is left.
+    Each key's rows split into groups that get one discriminant each: all
+    rows form one group for single-direction strategies; multi-direction
+    strategies take one group per genre target with ``min_genre_samples``
+    rows on both sides and note the other targets as skipped pairs. A
+    degenerate group (domain means coincide) is noted and gives no
+    direction. A multi-direction key removes the span of its directions and
+    fails when it has none; a single-direction key without its direction is
+    left uncorrected. For "none" and "K" the direction is a diagnostic for
+    correlation reporting and nothing is projected.
     """
     scope = config.effective_scope()
     strategy = STRATEGIES[config.strategy]
     outcome = BiasFit()
     for key, (idx_a, idx_b) in pools.items():
-        if strategy.multi:
-            directions = _fit_pair_directions(
-                domain_a,
-                domain_b,
-                domain_a.group_by_genre(idx_a),
-                domain_b.group_by_genre(idx_b),
-                genre_map.targets,
-                config,
-                scope=scope,
-                class_name=key,
-                outcome=outcome,
-            )
-            if not directions:
-                raise EmptyClassError(
-                    f"no genre pair had {config.min_genre_samples} training rows on "
-                    f"both sides for the multi-direction fit (class={key})"
-                )
-            operator = projector_from_subspace(directions)
-            outcome.references[key] = operator.basis
+        groups = []
+        skipped = []
+        if not strategy.multi:
+            groups.append((None, idx_a, idx_b))
         else:
+            by_genre_a = domain_a.group_by_genre(idx_a)
+            by_genre_b = domain_b.group_by_genre(idx_b)
+            for genre in genre_map.targets:
+                if genre == UNKNOWN_GENRE:
+                    continue
+                rows_a = by_genre_a.get(genre, ())
+                rows_b = by_genre_b.get(genre, ())
+                n_a, n_b = len(rows_a), len(rows_b)
+                if min(n_a, n_b) < config.min_genre_samples:
+                    skipped.append({"genre": genre, "class": key, "n_a": n_a, "n_b": n_b})
+                else:
+                    groups.append((genre, rows_a, rows_b))
+            outcome.skipped_pairs += skipped
+        directions = []
+        for genre, rows_a, rows_b in groups:
             try:
-                direction = fit_lda_direction(
-                    domain_a.rows(idx_a),
-                    domain_b.rows(idx_b),
-                    config.shrinkage,
-                    scope=scope,
-                    class_name=key,
+                directions.append(
+                    fit_lda_direction(
+                        domain_a.rows(rows_a),
+                        domain_b.rows(rows_b),
+                        config.shrinkage,
+                        scope=scope,
+                        class_name=key,
+                        genre=genre,
+                    )
                 )
             except DegenerateMeansError:
-                outcome.degenerate.append({"genre": None, "class": key})
-                continue
+                outcome.degenerate.append({"genre": genre, "class": key})
+        if strategy.multi:
+            if not directions:
+                raise EmptyClassError(
+                    f"no genre pair gave a direction (class={key}): {len(groups)} degenerate, "
+                    f"{len(skipped)} below {config.min_genre_samples} training rows a side"
+                )
+            operator = projector_from_subspace(directions)
+            outcome.operators[key] = operator
+            outcome.references[key] = operator.basis
+        elif directions:
+            (direction,) = directions
             outcome.references[key] = direction.vector
-            if not strategy.projecting:
-                continue
-            operator = projector_from_direction(direction)
-        outcome.operators[key] = operator
+            if strategy.projecting:
+                outcome.operators[key] = projector_from_direction(direction)
     return outcome
 
 
@@ -701,10 +675,7 @@ def run_matrix(
         _write_text(os.path.join(out_dir, "table1.txt"), rendered.text)
         _write_text(os.path.join(out_dir, "table1.csv"), rendered.csv)
         audit_all = {"runs": audits, "clean": all(a["clean"] for a in audits.values())}
-        _write_text(
-            os.path.join(out_dir, "audit.json"),
-            json.dumps(audit_all, sort_keys=True) + "\n",
-        )
+        write_json(os.path.join(out_dir, "audit.json"), audit_all)
     return MatrixResult(tuple(jobs), reports, combined, rendered, audits)
 
 
@@ -725,7 +696,4 @@ def _write_partial(
         "failed": {"strategy": failed[0], "scope": failed[1], "error": str(exc)},
         "pending": [list(j) for j in jobs if j not in reports and j != failed],
     }
-    _write_text(
-        os.path.join(out_dir, "partial_results.json"),
-        json.dumps(manifest, sort_keys=True) + "\n",
-    )
+    write_json(os.path.join(out_dir, "partial_results.json"), manifest)

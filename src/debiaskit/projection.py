@@ -51,10 +51,6 @@ class DebiasOperator:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Project rows of ``x`` onto the orthogonal complement of the basis."""
         x = np.asarray(x, dtype=np.float64)

@@ -16,7 +16,7 @@ import io
 import json
 from dataclasses import asdict, dataclass, field
 
-from .config import SCOPES, STRATEGIES, _number, _typed, effective_scope, read_json
+from .config import SCOPES, STRATEGIES, _number, _typed, effective_scope, read_json, write_json
 from .errors import IncompleteMatrixError, LayoutError, ValidationError
 
 BASELINE = "none"
@@ -208,9 +208,7 @@ def merge_reports(reports: list[ExperimentReport]) -> ExperimentReport:
 
 
 def save_report(report: ExperimentReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report.to_dict(), handle, sort_keys=True)
-        handle.write("\n")
+    write_json(path, report.to_dict())
 
 
 def load_report(path: str) -> ExperimentReport:

@@ -28,13 +28,12 @@ collections.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import _number, _typed
+from .config import _number, _typed, write_json
 from .data import (
     NEG,
     POS,
@@ -111,7 +110,6 @@ class GroundTruth:
     bias_directions: np.ndarray  # n_directions x D unit rows
     bias_entries: tuple[dict, ...]  # scope / magnitude / direction_index
     class_directions: np.ndarray  # K x D unit rows
-    spec: SynthSpec = field(repr=False)
 
     def bias_span(self) -> np.ndarray:
         """D x B orthonormal basis of the directions that carry nonzero bias."""
@@ -281,7 +279,6 @@ def generate_biased_corpus(
             for e in spec.bias
         ),
         class_directions=class_dirs,
-        spec=spec,
     )
     return tables, manifests, truth
 
@@ -292,9 +289,7 @@ def synth_genre_map(spec: SynthSpec) -> GenreMap:
 
 
 def save_ground_truth(truth: GroundTruth, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(truth.to_dict(), handle, sort_keys=True)
-        handle.write("\n")
+    write_json(path, truth.to_dict())
 
 
 _SPEC_NUMBERS = {

@@ -215,6 +215,42 @@ def test_malformed_input_ends_in_one_line_json_error(cli_corpus, capsys, command
     assert payload["error"] == "ValidationError"
 
 
+def strip_labels(entries):
+    for entry in entries:
+        path = Path(entry.manifest)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        path.write_text("".join(json.dumps({**r, "labels": {}}) + "\n" for r in records))
+
+
+def drop_last_column(entry):
+    path = Path(entry.embeddings)
+    lines = path.read_text().splitlines()
+    path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+
+
+@pytest.mark.parametrize("command", ["run", "probe", "matrix"])
+def test_manifests_without_classes_end_in_one_line_json_error(cli_corpus, capsys, command):
+    corpus_dir, entries = cli_corpus
+    strip_labels(entries)
+    assert main([command, "--config", write_config(corpus_dir, entries, strategy="LDA")]) == 1
+    payload, _ = read_stderr_error(capsys)
+    assert payload["error"] == "ValidationError"
+    assert "label no class" in payload["message"]
+
+
+@pytest.mark.parametrize("strategy", ["LDA", "K"])
+def test_datasets_of_different_widths_end_in_one_line_json_error(cli_corpus, capsys, strategy):
+    corpus_dir, entries = cli_corpus
+    drop_last_column(entries[1])
+    assert main(["run", "--config", write_config(corpus_dir, entries, strategy=strategy)]) == 1
+    payload, _ = read_stderr_error(capsys)
+    assert payload["error"] == "ValidationError"
+    width = CLI_SPEC.dim
+    assert f"'synthA' and 'synthB' differ in embedding width: {width} against {width - 1}" in (
+        payload["message"]
+    )
+
+
 @pytest.mark.parametrize("command", ["synth", "run", "probe", "matrix", "report"])
 def test_unwritable_output_ends_in_one_line_json_error(cli_corpus, capsys, monkeypatch, command):
     corpus_dir, entries = cli_corpus

@@ -1,9 +1,12 @@
-"""Train/test isolation guard: phase rules, violation reporting, audit trail."""
+"""Train/test isolation guard: phase rules, violation reporting, audit counts."""
 
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from debiaskit.errors import LeakageError
 from debiaskit.guard import (
@@ -112,6 +115,76 @@ def test_scalar_and_empty_accesses():
     audit = guard.audit()
     assert audit["phases"]["pool"]["rows"] == 0
     assert audit["phases"]["evaluate"]["test_rows"] == 1
+
+
+# The guard once kept one record per read and summed the log in audit(); that
+# code stays here as the oracle for the per-phase counters that replaced it.
+
+
+@dataclass
+class AccessRecord:
+    phase: str
+    dataset: str
+    n_rows: int
+    n_test_rows: int
+
+
+def logged_audit(records):
+    per_phase = {}
+    for record in records:
+        bucket = per_phase.setdefault(record.phase, {"reads": 0, "rows": 0, "test_rows": 0})
+        bucket["reads"] += 1
+        bucket["rows"] += record.n_rows
+        bucket["test_rows"] += record.n_test_rows
+    fit_test_rows = sum(per_phase.get(p, {}).get("test_rows", 0) for p in FIT_PHASES)
+    return {
+        "phases": per_phase,
+        "test_rows_read_during_fit": fit_test_rows,
+        "clean": fit_test_rows == 0,
+    }
+
+
+guard_calls = st.lists(
+    st.one_of(
+        st.tuples(st.just("enter"), st.sampled_from(ALL_PHASES)),
+        st.tuples(
+            st.just("check"),
+            st.sampled_from(["north", "south", "elsewhere"]),
+            st.one_of(st.integers(0, 11), st.lists(st.integers(0, 11), max_size=8)),
+        ),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(calls=guard_calls)
+def test_audit_equals_the_aggregated_read_log(calls):
+    guard = make_guard()
+    held_out = {name: set(idx.tolist()) for name, idx in guard.test_indices.items()}
+    records = []
+    for call in calls:
+        if call[0] == "enter":
+            guard.enter(call[1])
+            continue
+        _, dataset, indices = call
+        flat = [indices] if isinstance(indices, int) else indices
+        n_test = sum(i in held_out.get(dataset, ()) for i in flat)
+        records.append(AccessRecord(guard.phase, dataset, len(flat), n_test))
+        leaks = n_test > 0 and guard.phase != PHASE_EVALUATE
+        try:
+            guard.check(dataset, np.array(indices, dtype=np.intp))
+        except LeakageError:
+            assert leaks
+        else:
+            assert not leaks
+        returned = guard.audit()
+        assert returned == logged_audit(records)
+        # A returned audit is the caller's: changing it leaves the next one be.
+        for bucket in returned["phases"].values():
+            bucket["reads"] += 100
+        returned["phases"]["deploy"] = {"reads": 1, "rows": 1, "test_rows": 1}
+        assert guard.audit() == logged_audit(records)
 
 
 def _check_seconds(n_indices):

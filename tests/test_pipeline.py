@@ -19,6 +19,7 @@ from debiaskit.data import (
     TEST,
     TRAIN,
     EmbeddingTable,
+    GenreMap,
     Manifest,
     balanced_subsample,
     load_embeddings,
@@ -376,6 +377,81 @@ def test_single_class_balanced_corpus_scopes_agree_for_subspaces(tmp_path):
     fit_g, fit_c = _fit_both_scopes(tmp_path, "mLDA")
     assert fit_g.references[None].ndim == 2
     assert_array_equal(fit_g.references[None], fit_c.references["class0"])
+
+
+# --- bias-fit bookkeeping ---------------------------------------------------
+
+
+def write_twin_corpus(directory):
+    """SMALL_SPEC's first dataset and an exact copy of it under the second
+    name: every pair of domain means coincides, at any scope and genre."""
+    entries, _, gm_path = write_corpus(directory, SMALL_SPEC)
+    first, second = entries
+    twin_emb = Path(directory) / "twin.csv"
+    twin_man = Path(directory) / "twin.jsonl"
+    twin_emb.write_bytes(Path(first.embeddings).read_bytes())
+    records = [json.loads(line) for line in Path(first.manifest).read_text().splitlines()]
+    twin_man.write_text(
+        "".join(json.dumps({**r, "dataset": second.name}) + "\n" for r in records)
+    )
+    return (first, replace(second, embeddings=str(twin_emb), manifest=str(twin_man))), gm_path
+
+
+@pytest.mark.parametrize("strategy", ["LDA", "KLDA"])
+@pytest.mark.parametrize("scope", ["global", "classwise"])
+def test_degenerate_single_direction_fits_are_noted_without_an_operator(
+    tmp_path, strategy, scope
+):
+    entries, gm_path = write_twin_corpus(tmp_path)
+    config = corpus_config(entries, gm_path, strategy, scope=scope, dprime_factor=2, **FAST)
+    result = run_strategy(config, evaluate_cells=False)
+    keys = [None] if scope == "global" else ["class0", "class1", "class2"]
+    expected = [{"genre": None, "class": key} for key in keys]
+    assert result.bias_fit.degenerate == expected
+    assert result.bias_fit.operators == {}
+    assert result.bias_fit.references == {}
+    assert result.bias_fit.skipped_pairs == []
+    notes = result.report.config["bias_fit_notes"]
+    assert notes == {"skipped_genre_pairs": [], "degenerate_fits": expected}
+
+
+def test_multi_direction_failure_counts_degenerate_and_small_pairs(tmp_path):
+    entries, gm_path = write_twin_corpus(tmp_path)
+    config = corpus_config(entries, gm_path, "mLDA", **FAST)
+    with pytest.raises(PipelineError) as excinfo:
+        run_strategy(config)
+    assert (
+        "no genre pair gave a direction (class=None): "
+        "2 degenerate, 0 below 5 training rows a side"
+    ) in str(excinfo.value)
+
+
+def test_skipped_genre_pairs_follow_the_target_order(small_corpus):
+    """Per key, in key order, each genre target in the map's order: "unknown"
+    is never fitted nor noted; a target with too few rows on either side is
+    noted with both counts; the rest are fitted."""
+    entries, _, gm_path = small_corpus
+    config = corpus_config(entries, gm_path, "mLDA", scope="classwise", min_genre_samples=10)
+    domain_a, domain_b, _, _, guard = load_domains(config)
+    guard.enter(PHASE_BIAS)
+    genre1_b = [i for i in domain_b.train_indices.tolist() if domain_b.genres[i] == "genre1"]
+    trimmed_b = np.setdiff1d(domain_b.train_indices, genre1_b[4:])
+    seed = derive_seed(config.run_seeds()["sampling"], f"subsample:class1:{POS}")
+    pools = {
+        None: (domain_a.train_indices, trimmed_b),
+        "class1": balanced_subsample(domain_a.manifest, domain_b.manifest, "class1", POS, seed),
+    }
+    targets = GenreMap(("genre1", "unknown", "genre7", "genre0"))
+    fit = fit_bias(config, domain_a, domain_b, targets, pools)
+    assert fit.skipped_pairs == [
+        {"genre": "genre1", "class": None, "n_a": 66, "n_b": 4},
+        {"genre": "genre7", "class": None, "n_a": 0, "n_b": 0},
+        {"genre": "genre7", "class": "class1", "n_a": 0, "n_b": 0},
+    ]
+    assert fit.degenerate == []
+    assert [p["genre"] for p in fit.operators[None].provenance] == ["genre0"]
+    assert [p["genre"] for p in fit.operators["class1"].provenance] == ["genre1", "genre0"]
+    assert [(p["n_a"], p["n_b"]) for p in fit.operators["class1"].provenance] == [(22, 22)] * 2
 
 
 # --- strategies beyond the baseline ----------------------------------------
