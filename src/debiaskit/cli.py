@@ -5,7 +5,6 @@ Subcommands:
   run     execute one strategy from a JSON config and write its report
   matrix  execute the strategy x scope grid with a shared baseline
   report  re-render a written report in a chosen layout
-  probe   fit bias directions and report model/bias correlations only
 
 Every failure raised by the package exits nonzero with a one-line JSON
 object on stderr carrying the error type and message; an output that cannot
@@ -68,9 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report.add_argument(
         "--layout", choices=("table1", "fig3", "fig2"), default="table1"
     )
-
-    p_probe = sub.add_parser("probe", help="bias/model correlations only")
-    p_probe.add_argument("--config", required=True, help="experiment config JSON")
     return parser
 
 
@@ -112,21 +108,16 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _run_one(args, *, evaluate_cells: bool):
+def _cmd_run(args) -> int:
     """Run the config's strategy; its output directory is made before any work."""
     config = load_config(args.config)
     out_dir = config.output_dir
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    result = run_strategy(config, evaluate_cells=evaluate_cells)
+    result = run_strategy(config)
     if out_dir is not None:
         save_report(result.report, os.path.join(out_dir, "report.json"))
         write_json(os.path.join(out_dir, "audit.json"), result.audit)
-    return out_dir, result
-
-
-def _cmd_run(args) -> int:
-    out_dir, result = _run_one(args, evaluate_cells=True)
     print(render_table(result.report, "table1").text, end="")
     if out_dir is not None:
         print(f"report written to {out_dir}")
@@ -158,18 +149,11 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_probe(args) -> int:
-    _, result = _run_one(args, evaluate_cells=False)
-    print(render_table(result.report, "fig3").text, end="")
-    return 0
-
-
 _COMMANDS = {
     "synth": _cmd_synth,
     "run": _cmd_run,
     "matrix": _cmd_matrix,
     "report": _cmd_report,
-    "probe": _cmd_probe,
 }
 
 

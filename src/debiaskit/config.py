@@ -97,6 +97,7 @@ class ExperimentConfig:
     min_genre_samples: int = DEFAULT_MIN_GENRE_SAMPLES
     seeds_override: dict[str, int] = field(default_factory=dict)
     output_dir: str | None = None
+    base_dir: str | None = None  # where relative paths resolve; reports record paths from here
 
     def effective_scope(self) -> str:
         return effective_scope(self.strategy, self.scope)
@@ -107,14 +108,27 @@ class ExperimentConfig:
         return seeds
 
     def to_dict(self) -> dict:
-        """Science-relevant resolved fields; excludes the output directory so
-        the fingerprint (and the report file) do not depend on where results land."""
+        """Science-relevant resolved fields. Input paths are recorded relative
+        to ``base_dir`` and the output directory is left out, so the
+        fingerprint (and the report file) depend neither on where the corpus
+        lives nor on where results land."""
+
+        def recorded(path: str | None) -> str | None:
+            if path is None or self.base_dir is None:
+                return path
+            return os.path.relpath(path, self.base_dir)
+
         return {
             "datasets": [
-                {"name": d.name, "embeddings": d.embeddings, "manifest": d.manifest, "format": d.fmt}
+                {
+                    "name": d.name,
+                    "embeddings": recorded(d.embeddings),
+                    "manifest": recorded(d.manifest),
+                    "format": d.fmt,
+                }
                 for d in self.datasets
             ],
-            "genre_map": self.genre_map,
+            "genre_map": recorded(self.genre_map),
             "classes": list(self.classes) if self.classes is not None else None,
             "strategy": self.strategy,
             "scope": self.scope,
@@ -267,6 +281,7 @@ def config_from_dict(obj: dict, base_dir: str | None = None) -> ExperimentConfig
         min_genre_samples=min_genre_samples,
         seeds_override=seeds_override,
         output_dir=resolve(obj.get("output_dir"), "output_dir"),
+        base_dir=base_dir,
     )
     for entry in config.datasets:
         for file_path in (entry.embeddings, entry.manifest):

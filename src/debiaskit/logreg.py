@@ -67,6 +67,10 @@ GRAD_TOL = 1e-6
 MAX_ITER = 10_000  # Newton iterations
 ARMIJO = 1e-4  # sufficient-decrease fraction of the directional derivative
 FORCING_MAX = 0.1  # CG stops at residual <= min(FORCING_MAX, sqrt(||g|| / ||g_start||)) * ||g||
+# CG stops before a step entry would pass this. CG diverges on a singular
+# Hessian, as when every curvature vanishes at a saturated intercept; past
+# this size the step's squared norm and regulariser would overflow.
+STEP_MAX = 2.0**256
 
 # 10^-8 .. 10^4, one value per decade.
 DEFAULT_C_GRID = tuple(10.0 ** k for k in range(-8, 5))
@@ -247,7 +251,10 @@ def _newton(
             if curvature <= 0.0:
                 break
             alpha = rz / curvature
-            step += alpha * direction
+            next_step = step + alpha * direction
+            if np.abs(next_step).max() > STEP_MAX:
+                break
+            step = next_step
             resid -= alpha * h_dir
             if resid @ resid <= resid_tol_sq:
                 break

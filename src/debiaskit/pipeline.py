@@ -391,9 +391,7 @@ def _fit_feature_map(config: ExperimentConfig, domains, guard: SplitGuard, rff_s
     return lambda raw: transform_rff(kernel_map, standardizer.apply(raw))
 
 
-def run_strategy(
-    config: ExperimentConfig, *, evaluate_cells: bool = True, corpus: Corpus | None = None
-) -> RunResult:
+def run_strategy(config: ExperimentConfig, *, corpus: Corpus | None = None) -> RunResult:
     """Execute one strategy end to end and assemble its report. ``corpus``,
     when given, must have been loaded from a config with the same datasets,
     classes and genre map."""
@@ -466,32 +464,31 @@ def run_strategy(
     # Held-out scoring: each labelled held-out set is gathered and projected
     # once, then scored by both training domains' models. The cells keep the
     # (train, test) order.
+    guard.enter(PHASE_EVALUATE)
+    if kernelized:
+        for d in domains:
+            d.build_features(d.test_indices, featurize)
+    class_auc: dict[tuple[str, str], dict[str, float]] = {
+        (t.name, e.name): {} for t in domains for e in domains
+    }
+    for eval_domain in domains:
+        for class_name in classes:
+            cell = f"test:{eval_domain.name}"
+            try:
+                idx, y = _labeled_test_rows(eval_domain, class_name)
+                x = debiased(class_name, eval_domain.rows(idx))
+                for train_domain in domains:
+                    cell = f"{train_domain.name}->{eval_domain.name}"
+                    model = models[class_name][train_domain.name]
+                    class_auc[(train_domain.name, eval_domain.name)][class_name] = roc_auc(
+                        predict_scores(model, x), y
+                    )
+            except DebiasKitError as exc:
+                raise _wrap(exc, config, class_name=class_name, cell=cell) from exc
     cells: list[Cell] = []
-    if evaluate_cells:
-        guard.enter(PHASE_EVALUATE)
-        if kernelized:
-            for d in domains:
-                d.build_features(d.test_indices, featurize)
-        class_auc: dict[tuple[str, str], dict[str, float]] = {
-            (t.name, e.name): {} for t in domains for e in domains
-        }
-        for eval_domain in domains:
-            for class_name in classes:
-                cell = f"test:{eval_domain.name}"
-                try:
-                    idx, y = _labeled_test_rows(eval_domain, class_name)
-                    x = debiased(class_name, eval_domain.rows(idx))
-                    for train_domain in domains:
-                        cell = f"{train_domain.name}->{eval_domain.name}"
-                        model = models[class_name][train_domain.name]
-                        class_auc[(train_domain.name, eval_domain.name)][class_name] = roc_auc(
-                            predict_scores(model, x), y
-                        )
-                except DebiasKitError as exc:
-                    raise _wrap(exc, config, class_name=class_name, cell=cell) from exc
-        for (train_name, eval_name), aucs in class_auc.items():
-            mean = sum(aucs.values()) / len(aucs)
-            cells.append(Cell(train_name, eval_name, strategy, scope, aucs, mean))
+    for (train_name, eval_name), aucs in class_auc.items():
+        mean = sum(aucs.values()) / len(aucs)
+        cells.append(Cell(train_name, eval_name, strategy, scope, aucs, mean))
 
     space = "kernelized" if kernelized else "original"
     correlations = _correlations(strategy, scope, space, domains, classes, models, bias_fit)
@@ -510,11 +507,7 @@ def run_strategy(
         genre_histogram=histogram,
         seeds=seeds,
         config=config_dict,
-        expected_cells=[
-            (t.name, e.name, strategy, scope) for t in domains for e in domains
-        ]
-        if evaluate_cells
-        else [],
+        expected_cells=[(t.name, e.name, strategy, scope) for t in domains for e in domains],
     )
     return RunResult(report=report, audit=guard.audit(), bias_fit=bias_fit)
 

@@ -1,7 +1,8 @@
 """Command-line interface: corpus generation, runs, the matrix, re-rendering,
-probes, and the JSON error contract."""
+and the JSON error contract."""
 
 import json
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -228,7 +229,7 @@ def drop_last_column(entry):
     path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
 
 
-@pytest.mark.parametrize("command", ["run", "probe", "matrix"])
+@pytest.mark.parametrize("command", ["run", "matrix"])
 def test_manifests_without_classes_end_in_one_line_json_error(cli_corpus, capsys, command):
     corpus_dir, entries = cli_corpus
     strip_labels(entries)
@@ -251,7 +252,7 @@ def test_datasets_of_different_widths_end_in_one_line_json_error(cli_corpus, cap
     )
 
 
-@pytest.mark.parametrize("command", ["synth", "run", "probe", "matrix", "report"])
+@pytest.mark.parametrize("command", ["synth", "run", "matrix", "report"])
 def test_unwritable_output_ends_in_one_line_json_error(cli_corpus, capsys, monkeypatch, command):
     corpus_dir, entries = cli_corpus
     blocker = corpus_dir / "taken"
@@ -329,6 +330,25 @@ def test_matrix_runs_grid_and_writes_outputs(cli_corpus, capsys):
     assert strategies == {"none", "LDA"}
 
 
+def test_matrix_reports_are_byte_identical_across_corpus_directories(tmp_path, capsys):
+    first = tmp_path / "a"
+    entries, _, _ = write_corpus(first, CLI_SPEC)
+    write_config(first, entries, strategy="LDA", output_dir="results")
+    second = tmp_path / "somewhere" / "else" / "b"
+    shutil.copytree(first, second)
+    written = []
+    for corpus_dir in (first, second):
+        argv = ["matrix", "--config", str(corpus_dir / "config.json"), "--strategies", "LDA"]
+        assert main(argv + ["--scopes", "global"]) == 0
+        reports = sorted((corpus_dir / "results").glob("report*.json"))
+        written.append({path.name: path.read_bytes() for path in reports})
+    assert sorted(written[0]) == ["report.json", "report_LDA_global.json", "report_none_global.json"]
+    assert written[0] == written[1]
+    recorded = json.loads(written[0]["report.json"])["config"]
+    assert recorded["datasets"][0]["embeddings"] == "synthA.csv"
+    assert recorded["genre_map"] == "genres.json"
+
+
 def test_matrix_rejects_unknown_strategy(cli_corpus, capsys):
     corpus_dir, entries = cli_corpus
     config_path = write_config(corpus_dir, entries)
@@ -362,18 +382,19 @@ def test_report_requires_existing_report(tmp_path, capsys):
     assert "no report.json" in payload["message"]
 
 
-# --- probe -----------------------------------------------------------------
-
-
-def test_probe_reports_correlations_without_cells(cli_corpus, capsys):
+def test_run_reports_correlations_and_fig3_renders_every_class(cli_corpus, capsys):
     corpus_dir, entries = cli_corpus
-    config_path = write_config(corpus_dir, entries, strategy="LDA", output_dir="probe_out")
-    assert main(["probe", "--config", config_path]) == 0
-    out = capsys.readouterr().out
-    assert "class0" in out
-    report = load_report(str(corpus_dir / "probe_out" / "report.json"))
-    assert report.cells == ()
-    assert len(report.correlations) == 2
+    config_path = write_config(corpus_dir, entries, strategy="LDA", output_dir="results")
+    assert main(["run", "--config", config_path]) == 0
+    capsys.readouterr()
+    report = load_report(str(corpus_dir / "results" / "report.json"))
+    assert [c.domain for c in report.correlations] == ["synthA", "synthB"]
+    assert main(["report", "--in", str(corpus_dir / "results"), "--layout", "fig3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for class_name in report.classes:
+        (line,) = [ln for ln in lines if ln.split()[:1] == [class_name]]
+        for entry in report.correlations:
+            assert f"{entry.class_corr[class_name]:+.2f}" in line
 
 
 # --- installed entry point -------------------------------------------------
@@ -387,7 +408,7 @@ def test_console_script_shows_usage():
     )
     # argparse --help exits via SystemExit(0)
     assert result.returncode == 0
-    for command in ("synth", "run", "matrix", "report", "probe"):
+    for command in ("synth", "run", "matrix", "report"):
         assert command in result.stdout
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -420,6 +421,19 @@ def test_far_warm_start_reaches_the_cold_start_optimum():
     assert far.converged
     assert far.final_loss <= far.initial_loss
     np.testing.assert_allclose(far.weights, cold.weights, atol=1e-6)
+
+
+def test_singular_intercept_stops_cg_before_its_step_overflows():
+    # The first steps from a far warm start saturate every margin, so every
+    # curvature vanishes and the Hessian is singular in the intercept. CG
+    # must stop before its step overflows; the fit then reaches the optimum,
+    # which at C = 1e-8 and balanced labels is w ~ 0, b = 0.
+    x, y = make_shifted(200, 10, seed=19)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train_logreg(x * 1e-20, y, 1e-8, warm_start=np.full(11, 30.0))
+    assert model.converged
+    assert model.final_loss == pytest.approx(200 * np.log(2.0), rel=1e-12)
 
 
 def test_iteration_cap_reports_not_converged(monkeypatch):

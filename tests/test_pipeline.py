@@ -404,7 +404,7 @@ def test_degenerate_single_direction_fits_are_noted_without_an_operator(
 ):
     entries, gm_path = write_twin_corpus(tmp_path)
     config = corpus_config(entries, gm_path, strategy, scope=scope, dprime_factor=2, **FAST)
-    result = run_strategy(config, evaluate_cells=False)
+    result = run_strategy(config)
     keys = [None] if scope == "global" else ["class0", "class1", "class2"]
     expected = [{"genre": None, "class": key} for key in keys]
     assert result.bias_fit.degenerate == expected
