@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -62,15 +61,6 @@ _FIELDS = {
 def effective_scope(strategy: str, scope: str) -> str:
     """The scope a run actually uses: strategies that remove nothing are global."""
     return scope if STRATEGIES[strategy].projecting else "global"
-
-
-def warn_if_scope_ignored(strategy: str, scope: str) -> None:
-    if effective_scope(strategy, scope) != scope:
-        warnings.warn(
-            f"scope {scope!r} is ignored for strategy {strategy!r} (no bias fit)",
-            UserWarning,
-            stacklevel=3,
-        )
 
 
 @dataclass(frozen=True)
@@ -229,7 +219,6 @@ def config_from_dict(obj: dict, base_dir: str | None = None) -> ExperimentConfig
     scope = obj.get("scope", "global")
     if scope not in SCOPES:
         raise ValidationError(f"unknown scope {scope!r} (expected one of {SCOPES})")
-    warn_if_scope_ignored(strategy, scope)
 
     seed = _number(int, obj["seed"], "seed")
     gamma = obj.get("gamma", "median")

@@ -36,11 +36,13 @@ A fit stops when the gradient test passes: the gradient infinity-norm is at
 most 1e-6 times max(1, ||w||_inf / C). At the optimum the data gradient
 cancels the regularisation gradient w / C, so float64 can resolve the
 gradient only relative to that size; for weak regularisation the test is the
-absolute 1e-6. When the full Newton step's predicted decrease is below the
-spacing of float64 numbers at the loss, the loss cannot judge the step, and
-the fit takes it only if it lowers the gradient infinity-norm. A fit stops
-early when that fails, or when the Armijo decrease of every backtracked
-step is below the spacing at the loss. ``converged`` is True exactly when
+absolute 1e-6. When the Armijo decrease the full Newton step must achieve
+(ARMIJO times its predicted decrease) is below the spacing of float64
+numbers at the loss, the loss cannot judge the step, and the fit takes it
+only if it lowers the gradient infinity-norm; this is the test the line
+search applies to each backtracked step. A fit stops early when that fails,
+or when the Armijo decrease of every backtracked step is below the spacing
+at the loss. ``converged`` is True exactly when
 the gradient test holds at the returned point; a fit that stalls without
 meeting it, or that runs MAX_ITER iterations, is flagged (not failed) with
 ``converged=False``.
@@ -264,9 +266,9 @@ def _newton(
 
         slope = float(grad @ step)
         margin_step = signs * (xa @ step)
-        # Below float64 resolution at the loss, the predicted decrease cannot
+        # Below float64 resolution at the loss, the Armijo decrease cannot
         # judge the step; the full step is then judged by the gradient.
-        judged = loss + 0.5 * slope < loss
+        judged = loss + ARMIJO * slope < loss
         alpha = 1.0
         while True:
             cand = theta + alpha * step

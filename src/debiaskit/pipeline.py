@@ -20,6 +20,7 @@ meaningless for "none"/"K" and is ignored with a warning.
 from __future__ import annotations
 
 import os
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -36,7 +37,6 @@ from .config import (
     config_from_dict,
     effective_scope,
     load_config,
-    warn_if_scope_ignored,
     write_json,
 )
 from .data import (
@@ -76,7 +76,9 @@ from .kernel import fit_rff, fit_standardizer, transform_rff
 from .logreg import cv_select_c, predict_scores, train_logreg
 from .metrics import roc_auc
 from .projection import DebiasOperator, projector_from_direction, projector_from_subspace
-from .report import (
+# perfbench/tracing.py wraps build_report, merge_reports and config_fingerprint
+# by name on this module, so all three stay imported here.
+from .report import (  # noqa: F401
     Cell,
     CorrelationEntry,
     ExperimentReport,
@@ -397,7 +399,12 @@ def run_strategy(config: ExperimentConfig, *, corpus: Corpus | None = None) -> R
     classes and genre map."""
     strategy = config.strategy
     scope = config.effective_scope()
-    warn_if_scope_ignored(strategy, config.scope)
+    if scope != config.scope:
+        warnings.warn(
+            f"scope {config.scope!r} is ignored for strategy {strategy!r} (no bias fit)",
+            UserWarning,
+            stacklevel=2,
+        )
     seeds = config.run_seeds()
     domain_a, domain_b, classes, genre_map, guard = load_domains(config, corpus)
     domains = (domain_a, domain_b)
@@ -485,29 +492,26 @@ def run_strategy(config: ExperimentConfig, *, corpus: Corpus | None = None) -> R
                     )
             except DebiasKitError as exc:
                 raise _wrap(exc, config, class_name=class_name, cell=cell) from exc
-    cells: list[Cell] = []
-    for (train_name, eval_name), aucs in class_auc.items():
-        mean = sum(aucs.values()) / len(aucs)
-        cells.append(Cell(train_name, eval_name, strategy, scope, aucs, mean))
+    cells = [
+        Cell(train_name, eval_name, strategy, scope, aucs, sum(aucs.values()) / len(aucs))
+        for (train_name, eval_name), aucs in class_auc.items()
+    ]
 
     space = "kernelized" if kernelized else "original"
-    correlations = _correlations(strategy, scope, space, domains, classes, models, bias_fit)
-    histogram = _genre_histogram(domains, classes)
-
-    config_dict = config.to_dict()
-    config_dict["bias_fit_notes"] = {
-        "skipped_genre_pairs": bias_fit.skipped_pairs,
-        "degenerate_fits": bias_fit.degenerate,
-    }
     report = build_report(
         datasets=(domain_a.name, domain_b.name),
         classes=classes,
         cells=cells,
-        correlations=correlations,
-        genre_histogram=histogram,
+        correlations=_correlations(strategy, scope, space, domains, classes, models, bias_fit),
+        genre_histogram=_genre_histogram(domains, classes),
         seeds=seeds,
-        config=config_dict,
-        expected_cells=[(t.name, e.name, strategy, scope) for t in domains for e in domains],
+        config=config.to_dict(),
+        bias_fit_notes={
+            f"{strategy}:{scope}": {
+                "skipped_genre_pairs": bias_fit.skipped_pairs,
+                "degenerate_fits": bias_fit.degenerate,
+            }
+        },
     )
     return RunResult(report=report, audit=guard.audit(), bias_fit=bias_fit)
 
@@ -644,23 +648,16 @@ def run_matrix(
         if out_dir is not None:
             save_report(result.report, os.path.join(out_dir, f"report_{strategy}_{scope}.json"))
 
-    combined = merge_reports([reports[j] for j in jobs])
-    matrix_config = dict(reports[jobs[0]].config)
-    matrix_config.update(
+    combined = merge_reports(
+        [reports[j] for j in jobs],
         {
+            **base_config.to_dict(),
             "strategy": None,
             "scope": None,
-            "seed": base_config.seed,
             "matrix_strategies": list(strategies),
             "matrix_scopes": list(scopes),
-        }
-    )
-    matrix_config.pop("bias_fit_notes", None)
-    combined = replace(
-        combined,
-        config=matrix_config,
-        seeds={"master": base_config.seed},
-        fingerprint=config_fingerprint(matrix_config, {"master": base_config.seed}),
+        },
+        {"master": base_config.seed},
     )
     rendered = render_table(combined, "table1")
     if out_dir is not None:

@@ -1,7 +1,9 @@
 """Experiment reports: assembly, JSON persistence, table rendering.
 
 One report can hold a single strategy's cells or a whole strategy x scope
-matrix; the cell key is (train, test, strategy, scope). Rendering follows
+matrix; the cell key is (train, test, strategy, scope). Every report, run
+or read from a file, is made by ``build_report``, which checks its cells and
+recomputes their means and the fingerprint. Rendering follows
 the familiar layouts: "table1" (strategy rows, within/cross transfer
 columns, deltas against the no-debias baseline), "fig3" (per-class bias
 correlations), "fig2" (genre histograms per dataset and class). Text tables
@@ -14,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 from .config import SCOPES, STRATEGIES, _number, _typed, effective_scope, read_json, write_json
 from .errors import IncompleteMatrixError, LayoutError, ValidationError
@@ -55,7 +57,10 @@ class ExperimentReport:
     genre_histogram: dict[str, dict[str, dict[str, int]]]
     seeds: dict[str, int]
     config: dict
-    fingerprint: str = field(default="")
+    # Per job, keyed "strategy:scope": the genre pairs its bias fit skipped
+    # and the fits it found degenerate.
+    bias_fit_notes: dict[str, dict]
+    fingerprint: str
 
     def cell(self, train: str, test: str, strategy: str, scope: str) -> Cell:
         for cell in self.cells:
@@ -76,19 +81,19 @@ class ExperimentReport:
 
     @staticmethod
     def from_dict(obj: dict) -> "ExperimentReport":
-        """Rebuild a report from :meth:`to_dict` output, checking each field's
-        type; every cell must give an AUC for every class."""
+        """Rebuild a report from :meth:`to_dict` output through
+        :func:`build_report`, after checking each field's type. The stored
+        means and fingerprint are recomputed, not read."""
+        unknown = sorted(set(obj) - {f.name for f in fields(ExperimentReport)})
+        if unknown:
+            raise ValidationError(f"unknown report fields: {unknown}")
         datasets = _strings(obj["datasets"], "datasets")
         if len(datasets) != 2:
             raise ValidationError(f"datasets must name two datasets, got {list(datasets)}")
-        classes = _strings(obj["classes"], "classes")
         cells = []
         for c in _typed(obj["cells"], list, "cells", "a list"):
             _strings([c["train"], c["test"], c["strategy"], c["scope"]], "cell keys")
             class_auc = _numbers(c["class_auc"], "class_auc")
-            missing = [name for name in classes if name not in class_auc]
-            if missing:
-                raise ValidationError(f"a cell's class_auc is missing classes {missing}")
             mean = _number(float, c["mean_auc"], "mean_auc")
             cells.append(Cell(**{**c, "class_auc": class_auc, "mean_auc": mean}))
         correlations = []
@@ -103,16 +108,18 @@ class ExperimentReport:
         for per_class in histogram.values():
             for counts in _typed(per_class, dict, "genre_histogram", "nested objects").values():
                 _numbers(counts, "genre counts")
-        _typed(obj["seeds"], dict, "seeds", "an object")
-        _typed(obj["config"], dict, "config", "an object")
-        return ExperimentReport(
-            **{
-                **obj,
-                "datasets": datasets,
-                "classes": classes,
-                "cells": tuple(cells),
-                "correlations": tuple(correlations),
-            }
+        notes = _typed(obj["bias_fit_notes"], dict, "bias_fit_notes", "an object")
+        for job_notes in notes.values():
+            _typed(job_notes, dict, "bias_fit_notes", "an object of objects")
+        return build_report(
+            datasets=datasets,
+            classes=_strings(obj["classes"], "classes"),
+            cells=cells,
+            correlations=correlations,
+            genre_histogram=histogram,
+            seeds=_typed(obj["seeds"], dict, "seeds", "an object"),
+            config=_typed(obj["config"], dict, "config", "an object"),
+            bias_fit_notes=notes,
         )
 
 
@@ -142,16 +149,21 @@ def build_report(
     genre_histogram: dict[str, dict[str, dict[str, int]]],
     seeds: dict[str, int],
     config: dict,
-    expected_cells: list[tuple[str, str, str, str]] | None = None,
+    bias_fit_notes: dict[str, dict],
 ) -> ExperimentReport:
-    """Assemble and validate a report; means are recomputed from per-class AUCs."""
+    """Assemble and validate a report, the one way every report is made.
+
+    Each cell needs an AUC in [0, 1] for every class and a key of its own;
+    its mean is recomputed in ``classes`` order, and the fingerprint from
+    ``config`` and ``seeds``.
+    """
+    if not classes:
+        raise ValidationError("a report needs at least one class")
     recomputed = []
     for cell in cells:
         missing = [c for c in classes if c not in cell.class_auc]
         if missing:
-            raise IncompleteMatrixError(
-                f"cell {cell.key()} is missing classes {missing}"
-            )
+            raise ValidationError(f"cell {cell.key()} is missing classes {missing}")
         bad = {c: v for c, v in cell.class_auc.items() if not 0.0 <= v <= 1.0}
         if bad:
             raise ValidationError(f"cell {cell.key()} has AUCs outside [0, 1]: {bad}")
@@ -159,12 +171,7 @@ def build_report(
         recomputed.append(
             Cell(cell.train, cell.test, cell.strategy, cell.scope, dict(cell.class_auc), mean)
         )
-    have = {c.key() for c in recomputed}
-    if expected_cells is not None:
-        lost = [k for k in expected_cells if k not in have]
-        if lost:
-            raise IncompleteMatrixError(f"declared cells missing from results: {lost}")
-    if len(have) != len(recomputed):
+    if len({c.key() for c in recomputed}) != len(recomputed):
         raise ValidationError("duplicate cell keys in report")
     return ExperimentReport(
         datasets=datasets,
@@ -174,36 +181,29 @@ def build_report(
         genre_histogram=genre_histogram,
         seeds=dict(seeds),
         config=config,
+        bias_fit_notes=bias_fit_notes,
         fingerprint=config_fingerprint(config, seeds),
     )
 
 
-def merge_reports(reports: list[ExperimentReport]) -> ExperimentReport:
-    """Combine per-strategy reports (shared datasets/classes) into one."""
+def merge_reports(reports: list[ExperimentReport], config: dict, seeds: dict) -> ExperimentReport:
+    """One report of the cells, correlations and fit notes of ``reports``
+    (shared datasets, classes and genre histogram), under ``config`` and
+    ``seeds``."""
     if not reports:
         raise ValidationError("nothing to merge")
     head = reports[0]
-    cells: list[Cell] = []
-    correlations: list[CorrelationEntry] = []
-    seen: set[tuple[str, str, str, str]] = set()
-    for report in reports:
-        if report.datasets != head.datasets or report.classes != head.classes:
-            raise ValidationError("reports disagree on datasets or classes")
-        for cell in report.cells:
-            if cell.key() in seen:
-                continue
-            seen.add(cell.key())
-            cells.append(cell)
-        correlations.extend(report.correlations)
-    return ExperimentReport(
+    if any(r.datasets != head.datasets or r.classes != head.classes for r in reports):
+        raise ValidationError("reports disagree on datasets or classes")
+    return build_report(
         datasets=head.datasets,
         classes=head.classes,
-        cells=tuple(cells),
-        correlations=tuple(correlations),
+        cells=[cell for r in reports for cell in r.cells],
+        correlations=[entry for r in reports for entry in r.correlations],
         genre_histogram=head.genre_histogram,
-        seeds=head.seeds,
-        config=head.config,
-        fingerprint=head.fingerprint,
+        seeds=seeds,
+        config=config,
+        bias_fit_notes={job: notes for r in reports for job, notes in r.bias_fit_notes.items()},
     )
 
 

@@ -6,9 +6,10 @@ RESULTS_DIR holds the outputs of the README quick start's matrix: the
 default `debiaskit synth` corpus, run with
 `debiaskit matrix --strategies LDA,mLDA,K,KLDA,mKLDA --scopes global,classwise`.
 The check passes when `table1.csv` and `audit.json` have the expected sha256,
-every AUC cell of `report.json` (per class and mean) matches exactly, and
-every model/bias correlation matches within CORRELATION_ATOL: the float32
-Hessian products make the correlations' last bits depend on the BLAS build.
+every AUC cell of `report.json` (per class and mean) and every job's bias-fit
+notes (genre pairs skipped, fits found degenerate) match exactly, and every
+model/bias correlation matches within CORRELATION_ATOL: the float32 Hessian
+products make the correlations' last bits depend on the BLAS build.
 Otherwise it lists each mismatch and exits 1.
 
 The stock matrix takes about 20 s, so this script is not a pytest module.
@@ -25,6 +26,7 @@ import sys
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_stock_matrix.json")
 CORRELATION_ATOL = 1e-9
 HASHED = {"table1_csv_sha256": "table1.csv", "audit_json_sha256": "audit.json"}
+NOTES = "bias_fit_notes"  # per job: names and counts, matched exactly
 # Per kind of entry: the fields that identify one, its per-class values, its summary.
 ENTRIES = {
     "cells": (("train", "test", "strategy", "scope"), "class_auc", "mean_auc", 0.0),
@@ -44,7 +46,7 @@ def observed(results_dir: str) -> dict:
             values[key] = hashlib.sha256(handle.read()).hexdigest()
     with open(os.path.join(results_dir, "report.json"), encoding="utf-8") as handle:
         report = json.load(handle)
-    return {**values, **{kind: report[kind] for kind in ENTRIES}}
+    return {**values, **{kind: report[kind] for kind in ENTRIES}, NOTES: report.get(NOTES, {})}
 
 
 def mismatches(expected: dict, actual: dict) -> list[str]:
@@ -66,6 +68,10 @@ def mismatches(expected: dict, actual: dict) -> list[str]:
                 a, b = want[key].get(label), got[key].get(label)
                 if a is None or b is None or not abs(a - b) <= atol:
                     problems.append(f"{kind} {key} {label}: expected {a}, got {b}")
+    for job in sorted(expected[NOTES].keys() | actual[NOTES].keys()):
+        a, b = expected[NOTES].get(job), actual[NOTES].get(job)
+        if a != b:
+            problems.append(f"{NOTES} {job}: expected {a}, got {b}")
     return problems
 
 

@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -134,6 +135,18 @@ def test_run_prints_table_and_writes_outputs(cli_corpus, capsys):
     assert audit["clean"] is True
 
 
+@pytest.mark.parametrize("strategy", ["none", "K"])
+def test_run_warns_once_about_an_ignored_scope(cli_corpus, capsys, strategy):
+    corpus_dir, entries = cli_corpus
+    config_path = write_config(corpus_dir, entries, strategy=strategy, scope="classwise")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", config_path]) == 0
+    assert [str(w.message) for w in caught] == [
+        f"scope 'classwise' is ignored for strategy {strategy!r} (no bias fit)"
+    ]
+
+
 # A report whose one cell has no "train" field.
 REPORT_WITHOUT_TRAIN = {
     "datasets": ["synthA", "synthB"],
@@ -151,6 +164,7 @@ REPORT_WITHOUT_TRAIN = {
     "genre_histogram": {},
     "seeds": {},
     "config": {},
+    "bias_fit_notes": {},
 }
 
 
@@ -194,6 +208,9 @@ def edit_first_cell(**fields):
         ("report", {**REPORT, "classes": "class0"}),
         ("report", edit_first_cell(class_auc={})),
         ("report", edit_first_cell(mean_auc="x")),
+        ("report", {**REPORT, "cells": REPORT["cells"] + REPORT["cells"][:1]}),
+        ("report", edit_first_cell(class_auc={"class0": 1.5})),
+        ("report", {**REPORT, "notes": {}}),
     ],
 )
 def test_malformed_input_ends_in_one_line_json_error(cli_corpus, capsys, command, extras):
@@ -330,6 +347,19 @@ def test_matrix_runs_grid_and_writes_outputs(cli_corpus, capsys):
     assert strategies == {"none", "LDA"}
 
 
+def test_matrix_warns_about_no_scope(cli_corpus, capsys):
+    # Neither the config's own strategy and scope, which the matrix does not
+    # run, nor the scope-free jobs the grid collapses to "global" warn.
+    corpus_dir, entries = cli_corpus
+    config_path = write_config(corpus_dir, entries, strategy="K", scope="classwise")
+    argv = ["matrix", "--config", config_path, "--strategies", "LDA,K", "--scopes", "classwise"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert caught == []
+    assert capsys.readouterr().err == ""
+
+
 def test_matrix_reports_are_byte_identical_across_corpus_directories(tmp_path, capsys):
     first = tmp_path / "a"
     entries, _, _ = write_corpus(first, CLI_SPEC)
@@ -374,6 +404,23 @@ def test_report_rerenders_written_report(cli_corpus, capsys):
     assert (corpus_dir / "results" / "fig3.csv").exists()
     assert main(["report", "--in", results, "--layout", "fig2"]) == 0
     assert (corpus_dir / "results" / "fig2.csv").exists()
+
+
+def test_report_renders_the_class_mean_in_place_of_a_tampered_mean(cli_corpus, capsys):
+    corpus_dir, entries = cli_corpus
+    config_path = write_config(corpus_dir, entries, output_dir="grid")
+    assert main(["matrix", "--config", config_path, "--strategies", "LDA"]) == 0
+    grid = corpus_dir / "grid"
+    written = (grid / "table1.txt").read_text()
+    capsys.readouterr()
+    report = json.loads((grid / "report.json").read_text())
+    cell = report["cells"][0]
+    assert cell["mean_auc"] != 0.5
+    cell["mean_auc"] = 0.5
+    (grid / "report.json").write_text(json.dumps(report))
+    assert main(["report", "--in", str(grid), "--layout", "table1"]) == 0
+    assert capsys.readouterr().out == written
+    assert "50.00" not in written
 
 
 def test_report_requires_existing_report(tmp_path, capsys):

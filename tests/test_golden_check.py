@@ -1,5 +1,6 @@
 """The golden checker (tests/check_golden.py) on its committed values: the
-values match themselves, and a changed hash, AUC or correlation is caught."""
+values match themselves, and a changed hash, AUC, correlation or bias-fit
+note is caught."""
 
 import copy
 import json
@@ -22,6 +23,7 @@ def test_committed_values_pin_the_stock_hashes_and_every_entry(golden):
     # Ten jobs: the baseline, K, and four removal strategies at two scopes.
     assert len(golden["cells"]) == 4 * 10
     assert len(golden["correlations"]) == 2 * 10
+    assert len(golden["bias_fit_notes"]) == 10
     assert mismatches(golden, copy.deepcopy(golden)) == []
 
 
@@ -51,3 +53,16 @@ def test_hashes_missing_entries_and_nan_are_mismatches(golden):
     problems = mismatches(golden, actual)
     assert len(problems) == 3
     assert any("missing" in p for p in problems)
+
+
+def test_bias_fit_notes_must_match_exactly(golden):
+    # Class-wise mLDA skips one genre pair for every class of the stock corpus.
+    actual = copy.deepcopy(golden)
+    skipped = actual["bias_fit_notes"]["mLDA:classwise"]["skipped_genre_pairs"]
+    assert len(skipped) == 4
+    skipped[0]["n_a"] += 1
+    del actual["bias_fit_notes"]["K:global"]
+    problems = mismatches(golden, actual)
+    assert len(problems) == 2
+    assert all(p.startswith("bias_fit_notes ") for p in problems)
+    assert any("mLDA:classwise" in p for p in problems)

@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from conftest import SMALL_SPEC, corpus_config, write_corpus
-from debiaskit import pipeline
+from debiaskit import logreg, pipeline
 from debiaskit.data import (
     NEG,
     POS,
@@ -42,7 +42,7 @@ from debiaskit.pipeline import (
 )
 from debiaskit.report import config_fingerprint
 from debiaskit.seeding import derive_run_seeds, derive_seed
-from debiaskit.synth import BiasSpec, SynthSpec
+from debiaskit.synth import BiasSpec, SynthSpec, default_spec
 
 
 # --- config loading --------------------------------------------------------
@@ -176,14 +176,6 @@ def test_config_requires_exactly_two_datasets(small_corpus):
     payload["datasets"] = payload["datasets"][:1]
     with pytest.raises(ValidationError, match="exactly two"):
         config_from_dict(payload)
-
-
-def test_config_warns_when_scope_is_ignored_at_parse_time(small_corpus):
-    entries, _, gm_path = small_corpus
-    payload = config_payload(entries, gm_path, strategy="K", scope="classwise")
-    with pytest.warns(UserWarning, match="ignored"):
-        config = config_from_dict(payload)
-    assert config.effective_scope() == "global"
 
 
 def test_seed_overrides_take_precedence(small_corpus):
@@ -411,8 +403,9 @@ def test_degenerate_single_direction_fits_are_noted_without_an_operator(
     assert result.bias_fit.operators == {}
     assert result.bias_fit.references == {}
     assert result.bias_fit.skipped_pairs == []
-    notes = result.report.config["bias_fit_notes"]
-    assert notes == {"skipped_genre_pairs": [], "degenerate_fits": expected}
+    assert result.report.bias_fit_notes == {
+        f"{strategy}:{scope}": {"skipped_genre_pairs": [], "degenerate_fits": expected}
+    }
 
 
 def test_multi_direction_failure_counts_degenerate_and_small_pairs(tmp_path):
@@ -622,6 +615,37 @@ def test_built_feature_rows_serve_only_their_own_indices(small_corpus):
         domain.rows(domain.train_indices[:1])
 
 
+@pytest.mark.filterwarnings("error")
+def test_stock_klda_classwise_job_fits_all_converge(tmp_path, monkeypatch):
+    """On the stock corpus, the README matrix's class-wise KLDA job at the
+    four smallest C values. One warm-started CV fit, on a 900 x 256 fold at
+    C = 1e-5, had a full step whose Armijo decrease the loss could not
+    resolve; judged by the loss, the line search gave up on it and left
+    the fit stalled above its gradient tolerance."""
+    entries, _, gm_path = write_corpus(tmp_path, default_spec())
+    config = corpus_config(
+        entries,
+        gm_path,
+        "KLDA",
+        scope="classwise",
+        seed=derive_seed(20240901, "run:KLDA:classwise"),
+        c_grid=(1e-8, 1e-7, 1e-6, 1e-5),
+    )
+    fits = []
+
+    def recording(*args, **kwargs):
+        model = train_logreg(*args, **kwargs)
+        fits.append(model)
+        return model
+
+    monkeypatch.setattr(logreg, "train_logreg", recording)
+    monkeypatch.setattr(pipeline, "train_logreg", recording)
+    run_strategy(config)
+    # 4 classes x 2 domains x (5 folds x 4 C + 1 final fit).
+    assert len(fits) == 168
+    assert [f.c_value for f in fits if not f.converged] == []
+
+
 # --- the matrix ------------------------------------------------------------
 
 
@@ -659,6 +683,16 @@ def test_matrix_runs_baseline_plus_requested_and_writes_outputs(small_corpus, tm
     assert result.combined.fingerprint == config_fingerprint(
         result.combined.config, {"master": config.seed}
     )
+    assert set(result.combined.bias_fit_notes) == set(result.audits) == {
+        "none:global",
+        "LDA:global",
+    }
+    # A job's fingerprint covers its config and seeds, and none of its outcome.
+    for (strategy, scope), report in result.reports.items():
+        seed = derive_seed(config.seed, f"run:{strategy}:{scope}")
+        job = replace(config, strategy=strategy, scope=scope, seed=seed).to_dict()
+        assert report.config == job
+        assert report.fingerprint == config_fingerprint(job, derive_run_seeds(seed))
     # Each run is seeded independently from the master seed.
     assert result.reports[("none", "global")].config["seed"] == derive_seed(
         config.seed, "run:none:global"

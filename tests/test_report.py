@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 
 import pytest
 
@@ -39,7 +40,7 @@ def full_matrix(strategy, scope, values):
     ]
 
 
-def assemble(cells, correlations=(), histogram=None):
+def assemble(cells, correlations=(), histogram=None, notes=None):
     return build_report(
         datasets=DATASETS,
         classes=CLASSES,
@@ -48,6 +49,7 @@ def assemble(cells, correlations=(), histogram=None):
         genre_histogram=histogram or {},
         seeds={"sampling": 1, "rff": 2, "cv": 3},
         config={"strategy": "mixed", "scope": "global"},
+        bias_fit_notes=notes or {},
     )
 
 
@@ -98,6 +100,7 @@ def test_single_cell_mean():
         genre_histogram={},
         seeds={},
         config={},
+        bias_fit_notes={},
     )
     assert report.cells[0].mean_auc == 0.9
 
@@ -113,6 +116,7 @@ def test_mean_matches_summation_oracle():
         genre_histogram={},
         seeds={},
         config={},
+        bias_fit_notes={},
     )
     total = 0.0
     for name in names:
@@ -128,25 +132,21 @@ def test_stored_mean_is_recomputed_not_trusted():
 
 def test_missing_class_in_cell_rejected():
     cell = Cell("north", "north", "none", "global", {"guitar": 0.8}, 0.0)
-    with pytest.raises(IncompleteMatrixError, match="voice"):
+    with pytest.raises(ValidationError, match="voice"):
         assemble([cell])
 
 
-def test_declared_cell_missing_rejected():
-    cells = [make_cell("north", "north", "none", "global", (0.9, 0.8))]
-    with pytest.raises(IncompleteMatrixError, match="south"):
+def test_report_without_classes_rejected():
+    with pytest.raises(ValidationError, match="at least one class"):
         build_report(
             datasets=DATASETS,
-            classes=CLASSES,
-            cells=cells,
+            classes=(),
+            cells=[Cell("north", "north", "none", "global", {}, 0.0)],
             correlations=[],
             genre_histogram={},
             seeds={},
             config={},
-            expected_cells=[
-                ("north", "north", "none", "global"),
-                ("south", "south", "none", "global"),
-            ],
+            bias_fit_notes={},
         )
 
 
@@ -171,20 +171,41 @@ def test_cell_lookup_failure_names_the_cell():
 # --- merge / persistence / fingerprint ------------------------------------
 
 
+MATRIX_CONFIG = {"strategy": None, "scope": None}
+MATRIX_SEEDS = {"master": 11}
+
+
 def baseline_plus_lda():
     values_none = {"aa": (0.95, 0.93), "bb": (0.94, 0.92), "ab": (0.86, 0.84), "ba": (0.87, 0.84)}
     values_lda = {"aa": (0.95, 0.93), "bb": (0.94, 0.92), "ab": (0.90, 0.88), "ba": (0.90, 0.89)}
-    first = assemble(full_matrix("none", "global", values_none))
-    second = assemble(full_matrix("LDA", "global", values_lda))
+    skipped = {"genre": "rock", "class": None, "n_a": 3, "n_b": 9}
+    first = assemble(
+        full_matrix("none", "global", values_none),
+        notes={"none:global": {"skipped_genre_pairs": [], "degenerate_fits": []}},
+    )
+    second = assemble(
+        full_matrix("LDA", "global", values_lda),
+        notes={"LDA:global": {"skipped_genre_pairs": [skipped], "degenerate_fits": []}},
+    )
     return first, second
 
 
-def test_merge_combines_cells_and_dedupes():
+def test_merge_combines_cells_and_notes_under_the_given_config():
     first, second = baseline_plus_lda()
-    merged = merge_reports([first, second, first])
+    merged = merge_reports([first, second], MATRIX_CONFIG, MATRIX_SEEDS)
     assert len(merged.cells) == 8
     assert merged.cell("north", "south", "LDA", "global").mean_auc == pytest.approx(0.89)
     assert merged.datasets == DATASETS
+    assert merged.bias_fit_notes == {**first.bias_fit_notes, **second.bias_fit_notes}
+    assert merged.config == MATRIX_CONFIG
+    assert merged.seeds == MATRIX_SEEDS
+    assert merged.fingerprint == config_fingerprint(MATRIX_CONFIG, MATRIX_SEEDS)
+
+
+def test_merge_rejects_a_repeated_report():
+    first, second = baseline_plus_lda()
+    with pytest.raises(ValidationError, match="duplicate"):
+        merge_reports([first, second, first], MATRIX_CONFIG, MATRIX_SEEDS)
 
 
 def test_merge_rejects_mismatched_classes():
@@ -197,19 +218,20 @@ def test_merge_rejects_mismatched_classes():
         genre_histogram={},
         seeds={},
         config={},
+        bias_fit_notes={},
     )
     with pytest.raises(ValidationError):
-        merge_reports([first, other])
+        merge_reports([first, other], MATRIX_CONFIG, MATRIX_SEEDS)
 
 
 def test_merge_empty_rejected():
     with pytest.raises(ValidationError):
-        merge_reports([])
+        merge_reports([], MATRIX_CONFIG, MATRIX_SEEDS)
 
 
 def test_save_load_round_trip(tmp_path):
     first, second = baseline_plus_lda()
-    merged = merge_reports([first, second])
+    merged = merge_reports([first, second], MATRIX_CONFIG, MATRIX_SEEDS)
     path = tmp_path / "report.json"
     save_report(merged, str(path))
     loaded = load_report(str(path))
@@ -218,6 +240,25 @@ def test_save_load_round_trip(tmp_path):
     again = tmp_path / "again.json"
     save_report(loaded, str(again))
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_loaded_report_is_built_and_checked_like_a_run_report():
+    first, _ = baseline_plus_lda()
+
+    def stored():
+        return json.loads(json.dumps(first.to_dict()))
+
+    tampered = stored()
+    tampered["cells"][0]["mean_auc"] = 0.5
+    tampered["fingerprint"] = "0" * 64
+    assert ExperimentReport.from_dict(tampered) == first
+    for field, value in (("extra", 1), ("bias_fit_notes", [])):
+        with pytest.raises(ValidationError, match=field):
+            ExperimentReport.from_dict({**stored(), field: value})
+    repeated = stored()
+    repeated["cells"].append(repeated["cells"][0])
+    with pytest.raises(ValidationError, match="duplicate"):
+        ExperimentReport.from_dict(repeated)
 
 
 def test_fingerprint_stable_and_sensitive():
@@ -340,6 +381,7 @@ def test_table1_csv_quotes_awkward_dataset_names():
         genre_histogram={},
         seeds={},
         config={},
+        bias_fit_notes={},
     )
     rendered = render_table(report, "table1")
     rows = list(csv.reader(io.StringIO(rendered.csv)))
