@@ -2,8 +2,9 @@
 
 A config names the two datasets (embedding file, manifest, format), one
 strategy and scope, the kernel and classifier settings and a master seed.
-Parsing checks the type and range of every field, so a malformed config ends
-in a ValidationError before any embedding is read.
+``ExperimentConfig`` declares every field and its default once. Parsing
+checks the type and range of each field the JSON holds, so a malformed config
+ends in a ValidationError before any embedding is read.
 """
 
 from __future__ import annotations
@@ -11,14 +12,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple
 
 from .bias import DEFAULT_SHRINKAGE
 from .errors import ValidationError
 from .kernel import DEFAULT_DPRIME_FACTOR
 from .logreg import DEFAULT_C_GRID, DEFAULT_FOLDS
-from .seeding import derive_run_seeds
+from .seeding import RUN_PURPOSES, derive_run_seeds
 
 
 class Strategy(NamedTuple):
@@ -38,25 +39,6 @@ STRATEGIES = {
 }
 SCOPES = ("global", "classwise")
 
-DEFAULT_MIN_GENRE_SAMPLES = 5
-
-_FIELDS = {
-    "datasets",
-    "genre_map",
-    "classes",
-    "strategy",
-    "scope",
-    "dprime_factor",
-    "gamma",
-    "shrinkage",
-    "c_grid",
-    "cv_folds",
-    "min_genre_samples",
-    "seed",
-    "seeds",
-    "output_dir",
-}
-
 
 def effective_scope(strategy: str, scope: str) -> str:
     """The scope a run actually uses: strategies that remove nothing are global."""
@@ -73,10 +55,14 @@ class DatasetEntry:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings. The JSON config's keys are these field names,
+    except that JSON ``seeds`` fills ``seeds_override`` and ``base_dir`` is
+    never read from JSON."""
+
     datasets: tuple[DatasetEntry, DatasetEntry]
     strategy: str
-    scope: str
     seed: int
+    scope: str = "global"
     genre_map: str | None = None
     classes: tuple[str, ...] | None = None
     dprime_factor: int = DEFAULT_DPRIME_FACTOR
@@ -84,7 +70,7 @@ class ExperimentConfig:
     shrinkage: float = DEFAULT_SHRINKAGE
     c_grid: tuple[float, ...] = DEFAULT_C_GRID
     cv_folds: int = DEFAULT_FOLDS
-    min_genre_samples: int = DEFAULT_MIN_GENRE_SAMPLES
+    min_genre_samples: int = 5
     seeds_override: dict[str, int] = field(default_factory=dict)
     output_dir: str | None = None
     base_dir: str | None = None  # where relative paths resolve; reports record paths from here
@@ -98,39 +84,32 @@ class ExperimentConfig:
         return seeds
 
     def to_dict(self) -> dict:
-        """Science-relevant resolved fields. Input paths are recorded relative
-        to ``base_dir`` and the output directory is left out, so the
-        fingerprint (and the report file) depend neither on where the corpus
-        lives nor on where results land."""
+        """Science-relevant resolved fields, as JSON types. Input paths are
+        recorded relative to ``base_dir`` and the output directory is left
+        out, so the fingerprint (and the report file) depend neither on where
+        the corpus lives nor on where results land."""
 
         def recorded(path: str | None) -> str | None:
             if path is None or self.base_dir is None:
                 return path
             return os.path.relpath(path, self.base_dir)
 
-        return {
-            "datasets": [
-                {
-                    "name": d.name,
-                    "embeddings": recorded(d.embeddings),
-                    "manifest": recorded(d.manifest),
-                    "format": d.fmt,
+        def json_value(value):
+            if isinstance(value, DatasetEntry):
+                return {
+                    "name": value.name,
+                    "embeddings": recorded(value.embeddings),
+                    "manifest": recorded(value.manifest),
+                    "format": value.fmt,
                 }
-                for d in self.datasets
-            ],
-            "genre_map": recorded(self.genre_map),
-            "classes": list(self.classes) if self.classes is not None else None,
-            "strategy": self.strategy,
-            "scope": self.scope,
-            "dprime_factor": self.dprime_factor,
-            "gamma": self.gamma,
-            "shrinkage": self.shrinkage,
-            "c_grid": list(self.c_grid),
-            "cv_folds": self.cv_folds,
-            "min_genre_samples": self.min_genre_samples,
-            "seed": self.seed,
-            "seeds_override": dict(self.seeds_override),
-        }
+            if isinstance(value, tuple):
+                return [json_value(v) for v in value]
+            return dict(value) if isinstance(value, dict) else value
+
+        out = {f.name: json_value(getattr(self, f.name)) for f in fields(self)}
+        del out["output_dir"], out["base_dir"]
+        out["genre_map"] = recorded(self.genre_map)
+        return out
 
 
 def read_json(path: str, what: str):
@@ -168,30 +147,51 @@ def _typed(value, kinds, name: str, expected: str):
     return value
 
 
-def _number(kind, value, name: str):
+def _number(kind, value, name: str, least=None):
+    """``value`` as ``kind`` (int or float) if it is a finite JSON number of
+    that kind, not below ``least``: an integer setting takes only an integer,
+    a float setting an integer or a float. Booleans and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        expected = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{name} must be {expected}, got {value!r}")
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{name} must be a number, got {value!r}") from exc
+        number = kind(value)
+    except OverflowError as exc:
+        raise ValidationError(f"{name} is out of range, got {value!r}") from exc
+    if kind is float and not math.isfinite(number):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    if least is not None and number < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value!r}")
+    return number
+
+
+# The numeric settings: (kind, least allowed value); a seed may be any integer.
+_NUMBERS = {
+    "seed": (int, None),
+    "dprime_factor": (int, 1),
+    "shrinkage": (float, 0),
+    "cv_folds": (int, 2),
+    "min_genre_samples": (int, 2),
+}
 
 
 def config_from_dict(obj: dict, base_dir: str | None = None) -> ExperimentConfig:
-    """Validate a config object; relative paths resolve against ``base_dir``."""
+    """Validate a config object; relative paths resolve against ``base_dir``.
+    Only the fields the object holds are passed on, so every default is the
+    dataclass's."""
     _typed(obj, dict, "config", "a JSON object")
-    unknown = sorted(set(obj) - _FIELDS)
+    keys = {f.name for f in fields(ExperimentConfig)} - {"seeds_override", "base_dir"}
+    unknown = sorted(set(obj) - keys - {"seeds"})
     if unknown:
         raise ValidationError(f"unknown config fields: {unknown}")
-    for required in ("datasets", "strategy", "seed"):
-        if required not in obj:
-            raise ValidationError(f"config is missing required field {required!r}")
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in obj:
+            raise ValidationError(f"config is missing required field {f.name!r}")
 
     def resolve(p, name: str) -> str | None:
-        if p is None:
-            return None
-        _typed(p, str, name, "a path string")
-        if base_dir is not None and not os.path.isabs(p):
-            return os.path.join(base_dir, p)
-        return p
+        if p is None or os.path.isabs(_typed(p, str, name, "a path string")) or base_dir is None:
+            return p
+        return os.path.join(base_dir, p)
 
     raw_datasets = obj["datasets"]
     if not isinstance(raw_datasets, list) or len(raw_datasets) != 2:
@@ -199,6 +199,9 @@ def config_from_dict(obj: dict, base_dir: str | None = None) -> ExperimentConfig
     entries = []
     for raw in raw_datasets:
         _typed(raw, dict, "a dataset entry", "an object")
+        unknown = sorted(set(raw) - {"name", "embeddings", "manifest", "format"})
+        if unknown:
+            raise ValidationError(f"unknown dataset entry fields: {unknown}")
         for key in ("name", "embeddings", "manifest"):
             if not isinstance(raw.get(key), str):
                 raise ValidationError(f"dataset entry needs a string field {key!r}")
@@ -213,69 +216,45 @@ def config_from_dict(obj: dict, base_dir: str | None = None) -> ExperimentConfig
 
     strategy = obj["strategy"]
     if not isinstance(strategy, str) or strategy not in STRATEGIES:
-        raise ValidationError(
-            f"unknown strategy {strategy!r} (expected one of {tuple(STRATEGIES)})"
-        )
-    scope = obj.get("scope", "global")
-    if scope not in SCOPES:
-        raise ValidationError(f"unknown scope {scope!r} (expected one of {SCOPES})")
-
-    seed = _number(int, obj["seed"], "seed")
-    gamma = obj.get("gamma", "median")
-    if gamma != "median":
-        gamma = _number(float, gamma, "gamma")
-        if not (gamma > 0 and math.isfinite(gamma)):
+        expected = tuple(STRATEGIES)
+        raise ValidationError(f"unknown strategy {strategy!r} (expected one of {expected})")
+    kwargs = {"datasets": tuple(entries), "strategy": strategy, "base_dir": base_dir}
+    if "scope" in obj:
+        if obj["scope"] not in SCOPES:
+            raise ValidationError(f"unknown scope {obj['scope']!r} (expected one of {SCOPES})")
+        kwargs["scope"] = obj["scope"]
+    for key, (kind, least) in _NUMBERS.items():
+        if key in obj:
+            kwargs[key] = _number(kind, obj[key], key, least)
+    if "gamma" in obj and obj["gamma"] != "median":
+        gamma = kwargs["gamma"] = _number(float, obj["gamma"], "gamma")
+        if not gamma > 0:
             raise ValidationError(f"gamma must be positive and finite or 'median', got {gamma}")
-    dprime_factor = _number(int, obj.get("dprime_factor", DEFAULT_DPRIME_FACTOR), "dprime_factor")
-    if dprime_factor < 1:
-        raise ValidationError("dprime_factor must be >= 1")
-    shrinkage = _number(float, obj.get("shrinkage", DEFAULT_SHRINKAGE), "shrinkage")
-    if not (shrinkage >= 0 and math.isfinite(shrinkage)):
-        raise ValidationError("shrinkage must be a finite non-negative number")
-    raw_grid = _typed(obj.get("c_grid", DEFAULT_C_GRID), (list, tuple), "c_grid", "a list")
-    c_grid = tuple(_number(float, c, "c_grid entry") for c in raw_grid)
-    if not c_grid or any(not (c > 0 and math.isfinite(c)) for c in c_grid):
-        raise ValidationError("c_grid must be a non-empty list of positive numbers")
-    cv_folds = _number(int, obj.get("cv_folds", DEFAULT_FOLDS), "cv_folds")
-    if cv_folds < 2:
-        raise ValidationError("cv_folds must be >= 2")
-    min_genre_samples = _number(
-        int, obj.get("min_genre_samples", DEFAULT_MIN_GENRE_SAMPLES), "min_genre_samples"
-    )
-    if min_genre_samples < 2:
-        raise ValidationError("min_genre_samples must be >= 2")
-    seeds_override = {}
-    for purpose, value in _typed(obj.get("seeds", {}), dict, "seeds", "an object").items():
-        if purpose not in ("sampling", "rff", "cv"):
-            raise ValidationError(f"unknown seed purpose {purpose!r}")
-        seeds_override[purpose] = _number(int, value, f"seed {purpose!r}")
-    classes = obj.get("classes")
-    if classes is not None:
-        classes = tuple(str(c) for c in _typed(classes, (list, tuple), "classes", "a list"))
+    if "c_grid" in obj:
+        raw_grid = _typed(obj["c_grid"], (list, tuple), "c_grid", "a list")
+        c_grid = kwargs["c_grid"] = tuple(_number(float, c, "c_grid entry") for c in raw_grid)
+        if not c_grid or any(not c > 0 for c in c_grid):
+            raise ValidationError("c_grid must be a non-empty list of positive numbers")
+    if "seeds" in obj:
+        overrides = kwargs["seeds_override"] = {}
+        for purpose, value in _typed(obj["seeds"], dict, "seeds", "an object").items():
+            if purpose not in RUN_PURPOSES:
+                raise ValidationError(f"unknown seed purpose {purpose!r}")
+            overrides[purpose] = _number(int, value, f"seed {purpose!r}", 0)
+    if obj.get("classes") is not None:
+        classes = kwargs["classes"] = tuple(
+            _typed(c, str, "classes entry", "a string")
+            for c in _typed(obj["classes"], (list, tuple), "classes", "a list")
+        )
         if len(set(classes)) != len(classes) or not classes:
             raise ValidationError("classes must be a non-empty list of unique names")
+    for key in ("genre_map", "output_dir"):
+        if key in obj:
+            kwargs[key] = resolve(obj[key], key)
 
-    config = ExperimentConfig(
-        datasets=(entries[0], entries[1]),
-        strategy=strategy,
-        scope=scope,
-        seed=seed,
-        genre_map=resolve(obj.get("genre_map"), "genre_map"),
-        classes=classes,
-        dprime_factor=dprime_factor,
-        gamma=gamma,
-        shrinkage=shrinkage,
-        c_grid=c_grid,
-        cv_folds=cv_folds,
-        min_genre_samples=min_genre_samples,
-        seeds_override=seeds_override,
-        output_dir=resolve(obj.get("output_dir"), "output_dir"),
-        base_dir=base_dir,
-    )
-    for entry in config.datasets:
-        for file_path in (entry.embeddings, entry.manifest):
-            if not os.path.exists(file_path):
-                raise ValidationError(f"referenced file does not exist: {file_path}")
-    if config.genre_map is not None and not os.path.exists(config.genre_map):
-        raise ValidationError(f"referenced file does not exist: {config.genre_map}")
+    config = ExperimentConfig(**kwargs)
+    paths = [p for e in config.datasets for p in (e.embeddings, e.manifest)] + [config.genre_map]
+    for path in paths:
+        if path is not None and not os.path.exists(path):
+            raise ValidationError(f"referenced file does not exist: {path}")
     return config

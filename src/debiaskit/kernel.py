@@ -24,6 +24,7 @@ from .seeding import derive_seed
 
 DEFAULT_DPRIME_FACTOR = 4
 MEDIAN_SAMPLE_CAP = 1000
+MAX_MAP_VALUES = 2**26  # cap on dprime * dim, the frequencies a map draws (512 MiB)
 _SCALE_FLOOR = 1e-8
 
 
@@ -134,6 +135,10 @@ def fit_rff(
     """Draw a frozen feature map. ``gamma`` may be "median" (needs ``x_sample``)."""
     if dim < 1 or dprime < 1:
         raise ValidationError("dim and dprime must be >= 1")
+    if dprime * dim > MAX_MAP_VALUES:
+        raise ValidationError(
+            f"a {dprime} x {dim} feature map exceeds {MAX_MAP_VALUES} values; lower dprime_factor"
+        )
     if gamma == "median":
         if x_sample is None:
             raise InsufficientSampleError("median heuristic requested without a sample")

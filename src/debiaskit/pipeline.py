@@ -431,7 +431,10 @@ def run_strategy(config: ExperimentConfig, *, corpus: Corpus | None = None) -> R
     # Shared feature space: standardize + random features, fitted on training
     # rows; each domain's training rows are mapped once, here.
     if kernelized:
-        featurize = _fit_feature_map(config, domains, guard, seeds["rff"])
+        try:
+            featurize = _fit_feature_map(config, domains, guard, seeds["rff"])
+        except DebiasKitError as exc:
+            raise _wrap(exc, config) from exc
         for d in domains:
             d.build_features(d.train_indices, featurize)
 

@@ -3,7 +3,7 @@
 One report can hold a single strategy's cells or a whole strategy x scope
 matrix; the cell key is (train, test, strategy, scope). Every report, run
 or read from a file, is made by ``build_report``, which checks its cells and
-recomputes their means and the fingerprint. Rendering follows
+recomputes every mean and the fingerprint. Rendering follows
 the familiar layouts: "table1" (strategy rows, within/cross transfer
 columns, deltas against the no-debias baseline), "fig3" (per-class bias
 correlations), "fig2" (genre histograms per dataset and class). Text tables
@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 from .config import SCOPES, STRATEGIES, _number, _typed, effective_scope, read_json, write_json
 from .errors import IncompleteMatrixError, LayoutError, ValidationError
@@ -107,7 +107,7 @@ class ExperimentReport:
         histogram = _typed(obj["genre_histogram"], dict, "genre_histogram", "an object")
         for per_class in histogram.values():
             for counts in _typed(per_class, dict, "genre_histogram", "nested objects").values():
-                _numbers(counts, "genre counts")
+                _numbers(counts, "genre counts", int)
         notes = _typed(obj["bias_fit_notes"], dict, "bias_fit_notes", "an object")
         for job_notes in notes.values():
             _typed(job_notes, dict, "bias_fit_notes", "an object of objects")
@@ -117,7 +117,7 @@ class ExperimentReport:
             cells=cells,
             correlations=correlations,
             genre_histogram=histogram,
-            seeds=_typed(obj["seeds"], dict, "seeds", "an object"),
+            seeds=_numbers(obj["seeds"], "seeds", int),
             config=_typed(obj["config"], dict, "config", "an object"),
             bias_fit_notes=notes,
         )
@@ -129,10 +129,10 @@ def _strings(value, name: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _numbers(value, name: str) -> dict[str, float]:
-    """A JSON object of numbers, each read as a float."""
+def _numbers(value, name: str, kind=float) -> dict:
+    """A JSON object of numbers, each read as ``kind``."""
     _typed(value, dict, name, "an object of numbers")
-    return {k: _number(float, v, f"{name} entry {k!r}") for k, v in value.items()}
+    return {k: _number(kind, v, f"{name} entry {k!r}") for k, v in value.items()}
 
 
 def config_fingerprint(config: dict, seeds: dict) -> str:
@@ -153,9 +153,10 @@ def build_report(
 ) -> ExperimentReport:
     """Assemble and validate a report, the one way every report is made.
 
-    Each cell needs an AUC in [0, 1] for every class and a key of its own;
-    its mean is recomputed in ``classes`` order, and the fingerprint from
-    ``config`` and ``seeds``.
+    Each cell needs an AUC in [0, 1] for every class and a key of its own.
+    Every mean is recomputed in ``classes`` order: a cell's over all classes,
+    a correlation entry's mean |correlation| over the classes it holds. The
+    fingerprint is recomputed from ``config`` and ``seeds``.
     """
     if not classes:
         raise ValidationError("a report needs at least one class")
@@ -168,16 +169,21 @@ def build_report(
         if bad:
             raise ValidationError(f"cell {cell.key()} has AUCs outside [0, 1]: {bad}")
         mean = sum(cell.class_auc[c] for c in classes) / len(classes)
-        recomputed.append(
-            Cell(cell.train, cell.test, cell.strategy, cell.scope, dict(cell.class_auc), mean)
-        )
+        recomputed.append(replace(cell, class_auc=dict(cell.class_auc), mean_auc=mean))
     if len({c.key() for c in recomputed}) != len(recomputed):
         raise ValidationError("duplicate cell keys in report")
+    entries = []
+    for entry in correlations:
+        held = [abs(entry.class_corr[c]) for c in classes if c in entry.class_corr]
+        if not held:
+            raise ValidationError(f"correlation entry {entry.domain}:{entry.space} holds no class")
+        mean = sum(held) / len(held)
+        entries.append(replace(entry, class_corr=dict(entry.class_corr), mean_abs_corr=mean))
     return ExperimentReport(
         datasets=datasets,
         classes=tuple(classes),
         cells=tuple(recomputed),
-        correlations=tuple(correlations),
+        correlations=tuple(entries),
         genre_histogram=genre_histogram,
         seeds=dict(seeds),
         config=config,

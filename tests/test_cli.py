@@ -15,7 +15,7 @@ from conftest import SMALL_SPEC, write_corpus
 from debiaskit import cli
 from debiaskit.cli import main
 from debiaskit.pipeline import load_config
-from debiaskit.report import load_report
+from debiaskit.report import load_report, save_report
 
 CLI_SPEC = replace(SMALL_SPEC, samples_per_cell=12)
 
@@ -32,13 +32,15 @@ CLI_SPEC_JSON = {
 }
 
 
-def write_config(corpus_dir, entries, *, strategy="none", output_dir=None, **extras):
+def write_config(corpus_dir, entries, *, strategy="none", output_dir=None, entry=None, **extras):
+    """Write a config for ``entries``; ``entry`` adds keys to each dataset entry."""
     payload = {
         "datasets": [
             {
                 "name": e.name,
                 "embeddings": Path(e.embeddings).name,
                 "manifest": Path(e.manifest).name,
+                **(entry or {}),
             }
             for e in entries
         ],
@@ -180,6 +182,17 @@ REPORT = {
 }
 
 
+# A correlation entry that holds no class of the report.
+CORRELATION_WITHOUT_CLASSES = {
+    "domain": "synthA",
+    "strategy": "none",
+    "scope": "global",
+    "space": "original",
+    "class_corr": {},
+    "mean_abs_corr": 0.0,
+}
+
+
 def edit_first_cell(**fields):
     return {**REPORT, "cells": [{**REPORT["cells"][0], **fields}] + REPORT["cells"][1:]}
 
@@ -211,6 +224,20 @@ def edit_first_cell(**fields):
         ("report", {**REPORT, "cells": REPORT["cells"] + REPORT["cells"][:1]}),
         ("report", edit_first_cell(class_auc={"class0": 1.5})),
         ("report", {**REPORT, "notes": {}}),
+        # Read strictly: a boolean, a numeric string or a float where an
+        # integer belongs is rejected, never converted; so is an unknown
+        # dataset-entry key.
+        ("run", {"seed": True}),
+        ("run", {"shrinkage": "0.5"}),
+        ("run", {"cv_folds": 2.5}),
+        ("run", {"gamma": True}),
+        ("run", {"classes": [0]}),
+        ("run", {"entry": {"fromat": "binary"}}),
+        ("synth", {"dim": True}),
+        ("synth", {"noise_sigma": "1"}),
+        ("report", edit_first_cell(class_auc={"class0": True})),
+        ("report", {**REPORT, "seeds": {"master": "x"}}),
+        ("report", {**REPORT, "correlations": [CORRELATION_WITHOUT_CLASSES]}),
     ],
 )
 def test_malformed_input_ends_in_one_line_json_error(cli_corpus, capsys, command, extras):
@@ -421,6 +448,47 @@ def test_report_renders_the_class_mean_in_place_of_a_tampered_mean(cli_corpus, c
     assert main(["report", "--in", str(grid), "--layout", "table1"]) == 0
     assert capsys.readouterr().out == written
     assert "50.00" not in written
+
+
+def test_report_renders_the_class_mean_in_place_of_a_tampered_correlation_mean(
+    cli_corpus, capsys
+):
+    corpus_dir, entries = cli_corpus
+    config_path = write_config(corpus_dir, entries, strategy="LDA", output_dir="results")
+    assert main(["run", "--config", config_path]) == 0
+    results = corpus_dir / "results"
+    written = (results / "report.json").read_text()
+    assert main(["report", "--in", str(results), "--layout", "fig3"]) == 0
+    rendered = (results / "fig3.txt").read_text()
+    capsys.readouterr()
+    report = json.loads(written)
+    entry = report["correlations"][0]
+    assert round(entry["mean_abs_corr"], 2) != 0.99
+    entry["mean_abs_corr"] = 0.99
+    (results / "report.json").write_text(json.dumps(report))
+    assert main(["report", "--in", str(results), "--layout", "fig3"]) == 0
+    assert capsys.readouterr().out == rendered
+    assert "(0.99)" not in rendered
+
+
+def test_a_run_report_keeps_its_bytes_when_read_back(cli_corpus):
+    corpus_dir, entries = cli_corpus
+    config_path = write_config(corpus_dir, entries, strategy="mLDA", output_dir="results")
+    assert main(["run", "--config", config_path]) == 0
+    path = corpus_dir / "results" / "report.json"
+    written = path.read_text()
+    save_report(load_report(str(path)), str(path))
+    assert path.read_text() == written
+
+
+def test_huge_feature_map_ends_in_one_line_json_error(cli_corpus, capsys):
+    # Rejected by size before the map's frequencies are drawn.
+    corpus_dir, entries = cli_corpus
+    config_path = write_config(corpus_dir, entries, strategy="K", dprime_factor=10**30)
+    assert main(["run", "--config", config_path]) == 1
+    payload, _ = read_stderr_error(capsys)
+    assert payload["error"] == "PipelineError"
+    assert "feature map exceeds" in payload["message"]
 
 
 def test_report_requires_existing_report(tmp_path, capsys):

@@ -29,7 +29,7 @@ FIELDS = [
     "output_dir",
     "not_a_field",
 ]
-ENTRY_FIELDS = ["name", "embeddings", "manifest", "format"]
+ENTRY_FIELDS = ["name", "embeddings", "manifest", "format", "not_a_field"]
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),

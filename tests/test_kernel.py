@@ -9,8 +9,10 @@ from debiaskit.errors import (
     InsufficientSampleError,
     InvalidGammaError,
     NonFiniteError,
+    ValidationError,
 )
 from debiaskit.kernel import (
+    MAX_MAP_VALUES,
     MEDIAN_SAMPLE_CAP,
     KernelMap,
     Standardizer,
@@ -163,6 +165,14 @@ def test_invalid_gamma_values():
         fit_rff(4, 16, -1.0, seed=0)
     with pytest.raises(InvalidGammaError):
         fit_rff(4, 16, float("inf"), seed=0)
+
+
+def test_oversized_map_is_refused_before_drawing():
+    # Sized far past memory: refused from the shape alone.
+    with pytest.raises(ValidationError, match="feature map exceeds"):
+        fit_rff(512, 10**30 * 512, 1.0, seed=0)
+    with pytest.raises(ValidationError, match="feature map exceeds"):
+        fit_rff(2, MAX_MAP_VALUES // 2 + 1, 1.0, seed=0)
 
 
 def test_median_request_requires_sample():

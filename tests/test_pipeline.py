@@ -13,6 +13,7 @@ from numpy.testing import assert_array_equal
 
 from conftest import SMALL_SPEC, corpus_config, write_corpus
 from debiaskit import logreg, pipeline
+from debiaskit.config import ExperimentConfig
 from debiaskit.data import (
     NEG,
     POS,
@@ -40,7 +41,7 @@ from debiaskit.pipeline import (
     run_matrix,
     run_strategy,
 )
-from debiaskit.report import config_fingerprint
+from debiaskit.report import config_fingerprint, load_report, save_report
 from debiaskit.seeding import derive_run_seeds, derive_seed
 from debiaskit.synth import BiasSpec, SynthSpec, default_spec
 
@@ -161,6 +162,27 @@ def test_config_rejects_missing_referenced_files(small_corpus):
         ({"seeds": {"weights": 3}}, "unknown seed purpose"),
         ({"classes": []}, "classes"),
         ({"classes": ["a", "a"]}, "classes"),
+        # Numbers must be JSON numbers of the setting's kind, and finite.
+        ({"seed": True}, "seed must be an integer"),
+        ({"seed": 7.5}, "seed must be an integer"),
+        ({"seed": "5"}, "seed must be an integer"),
+        ({"shrinkage": "0.5"}, "shrinkage must be a number"),
+        ({"shrinkage": True}, "shrinkage must be a number"),
+        ({"shrinkage": float("inf")}, "shrinkage must be finite"),
+        ({"cv_folds": 2.5}, "cv_folds must be an integer"),
+        ({"cv_folds": 3.0}, "cv_folds must be an integer"),
+        ({"dprime_factor": None}, "dprime_factor must be an integer"),
+        ({"min_genre_samples": "5"}, "min_genre_samples must be an integer"),
+        ({"gamma": True}, "gamma must be a number"),
+        ({"gamma": "1.0"}, "gamma must be a number"),
+        ({"gamma": float("nan")}, "gamma must be finite"),
+        ({"c_grid": [1.0, "10"]}, "c_grid entry must be a number"),
+        ({"c_grid": [10**400]}, "c_grid entry is out of range"),
+        ({"seeds": {"rff": 1.5}}, "seed 'rff' must be an integer"),
+        ({"seeds": {"rff": -1}}, "seed 'rff' must be >= 0"),
+        ({"classes": [0]}, "classes entry must be a string"),
+        ({"seeds_override": {"rff": 1}}, "unknown config fields"),
+        ({"base_dir": "."}, "unknown config fields"),
     ],
 )
 def test_config_validates_parameters(small_corpus, overrides, pattern):
@@ -168,6 +190,31 @@ def test_config_validates_parameters(small_corpus, overrides, pattern):
     payload = config_payload(entries, gm_path, **overrides)
     with pytest.raises(ValidationError, match=pattern):
         config_from_dict(payload)
+
+
+def test_config_rejects_unknown_dataset_entry_fields(small_corpus):
+    entries, _, gm_path = small_corpus
+    payload = config_payload(entries, gm_path)
+    payload["datasets"][1]["fromat"] = "binary"
+    with pytest.raises(ValidationError, match=r"unknown dataset entry fields: \['fromat'\]"):
+        config_from_dict(payload)
+
+
+def test_config_defaults_are_the_dataclass_defaults(small_corpus):
+    entries, _, gm_path = small_corpus
+    parsed = config_from_dict(config_payload(entries, gm_path))
+    built = ExperimentConfig(
+        datasets=parsed.datasets, strategy="none", seed=31, genre_map=gm_path
+    )
+    assert parsed == built
+
+
+def test_config_reads_integers_in_float_settings_as_floats(small_corpus):
+    entries, _, gm_path = small_corpus
+    payload = config_payload(entries, gm_path, gamma=2, shrinkage=0, c_grid=[1, 10])
+    config = config_from_dict(payload)
+    assert (config.gamma, config.shrinkage, config.c_grid) == (2.0, 0.0, (1.0, 10.0))
+    assert all(type(v) is float for v in (config.gamma, config.shrinkage, *config.c_grid))
 
 
 def test_config_requires_exactly_two_datasets(small_corpus):
@@ -196,6 +243,18 @@ def test_config_dict_excludes_output_dir(small_corpus):
     moved = replace(config, output_dir="/tmp/elsewhere")
     seeds = config.run_seeds()
     assert config_fingerprint(as_dict, seeds) == config_fingerprint(moved.to_dict(), seeds)
+
+
+def test_config_dict_holds_json_types(small_corpus):
+    entries, _, gm_path = small_corpus
+    config = corpus_config(entries, gm_path, "LDA", classes=("class0", "class1"))
+    config = replace(config, seeds_override={"rff": 3})
+    as_dict = config.to_dict()
+    assert as_dict == json.loads(json.dumps(as_dict))
+    assert isinstance(as_dict["datasets"], list) and isinstance(as_dict["c_grid"], list)
+    assert as_dict["classes"] == ["class0", "class1"]
+    assert as_dict["seeds_override"] == {"rff": 3}
+    assert as_dict["seeds_override"] is not config.seeds_override
 
 
 # --- baseline run ----------------------------------------------------------
@@ -240,6 +299,17 @@ def test_baseline_run_produces_full_matrix_cell_block(small_corpus):
         if phase != "evaluate":
             assert stats["test_rows"] == 0, f"test rows read during {phase}"
     assert report.genre_histogram["synthA"]["class0"]  # counts present
+
+
+def test_a_run_report_reads_back_from_disk_unchanged(small_corpus, tmp_path):
+    entries, _, gm_path = small_corpus
+    config = corpus_config(entries, gm_path, "LDA", classes=("class0", "class1"), **FAST)
+    result = run_strategy(config)
+    path = str(tmp_path / "report.json")
+    save_report(result.report, path)
+    loaded = load_report(path)
+    assert loaded.config == result.report.config
+    assert loaded == result.report
 
 
 def test_run_warns_when_scope_is_ignored(small_corpus):
