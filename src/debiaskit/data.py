@@ -10,12 +10,13 @@ count, u32 dimension; then per row: u32 id byte-length, UTF-8 id bytes,
 u32 frame index, D little-endian float32 values. Values are widened to
 float64 in memory; save/load round-trips the file byte-exactly.
 
-Manifest: JSON Lines. Each record carries ``clip_id``, ``dataset``,
-``split`` ("train" | "test"), ``genres`` (list of strings) and ``labels``
-(object mapping class name to "pos" | "neg" | "unk"). The manifest's classes
-are every class name seen anywhere in the file; a class that a record omits
-reads as "unk". In memory a manifest is its columns: one read-only array per
-field with an entry per clip, and one array of label states per class.
+Manifest: JSON Lines, one record per line; only LF (U+000A) ends a line.
+Each record carries ``clip_id``, ``dataset``, ``split`` ("train" | "test"),
+``genres`` (list of strings) and ``labels`` (object mapping class name to
+"pos" | "neg" | "unk"). The manifest's classes are every class name seen
+anywhere in the file; a class that a record omits reads as "unk". In memory a
+manifest is its columns: one read-only array per field with an entry per
+clip, and one array of label states per class.
 
 Genre map: JSON object ``{"targets": [...], "rules": {"source": "target"}}``.
 A genre equal to a canonical target maps to itself; rules cover renames.
@@ -27,6 +28,7 @@ import csv
 import io
 import json
 import struct
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +54,8 @@ POS = "pos"
 NEG = "neg"
 UNK = "unk"
 LABEL_STATES = (POS, NEG, UNK)
+# The loaded label columns hold these three strings, not each record's copy.
+_STATES = {state: state for state in LABEL_STATES}
 
 UNKNOWN_GENRE = "unknown"
 
@@ -145,34 +149,42 @@ def _load_csv(path: str) -> EmbeddingTable:
             expected = ["clip_id", "frame"] + [f"e{i}" for i in range(dim)]
             if header != expected:
                 raise FormatError(f"{path}: malformed header {header[:4]}...")
+            # `float()` parses each value straight into one float64 buffer
+            # that grows in place, so no Python object is kept per value.
             ids: list[str] = []
-            frames: list[int] = []
-            rows: list[list[float]] = []
-            for line_no, row in enumerate(reader, start=2):
+            frames = array("q")
+            values = array("d")
+            for row in reader:
                 if not row:
                     continue
+                line_no = reader.line_num  # a quoted id may span lines
                 if len(row) != dim + 2:
                     raise FormatError(
                         f"{path}: row at line {line_no} has {len(row) - 2} values, expected {dim}"
                     )
                 try:
                     frames.append(int(row[1]))
-                    rows.append([float(v) for v in row[2:]])
-                except ValueError as exc:
+                    values.extend(map(float, row[2:]))
+                except (ValueError, OverflowError) as exc:
                     raise ParseError(str(exc), line=line_no, path=path) from exc
                 ids.append(row[0])
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
-    vectors = np.asarray(rows, dtype=np.float64).reshape(len(ids), dim)
-    return EmbeddingTable(tuple(ids), np.asarray(frames), vectors)
+    except csv.Error as exc:  # such as a field over the csv module's size limit
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
+    vectors = np.frombuffer(values, dtype=np.float64).reshape(len(ids), dim)
+    return EmbeddingTable(tuple(ids), np.frombuffer(frames, dtype=np.int64), vectors)
 
 
 def _save_csv(table: EmbeddingTable, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["clip_id", "frame"] + [f"e{i}" for i in range(table.dim)])
-        for clip_id, frame, vec in zip(table.clip_ids, table.frames, table.vectors):
-            writer.writerow([clip_id, int(frame)] + [repr(float(v)) for v in vec])
+        # csv writes a float as str(), its shortest round-trip repr.
+        writer.writerows(
+            [clip_id, frame, *vec.tolist()]
+            for clip_id, frame, vec in zip(table.clip_ids, table.frames.tolist(), table.vectors)
+        )
 
 
 _HEADER = struct.Struct("<4sIII")
@@ -311,70 +323,89 @@ class Manifest:
 
 
 def load_manifest(path: str) -> Manifest:
+    """Read a JSON Lines manifest. Only LF ends a record: JSON strings may
+    hold other line separators, and the CR of a CRLF is JSON whitespace.
+    Each line is decoded and checked as it is read, so the first faulty line
+    is the one reported."""
+    clip_ids: list[str] = []
+    datasets: list[str] = []
+    splits: list[str] = []
+    genre_lists: list[tuple[str, ...]] = []
+    # Each class's column, in the order the classes first appear; the
+    # records read before a class appears hold "unk" for it.
+    states: dict[str, list[str]] = {}
+    seen_ids: set[tuple[str, str]] = set()
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        with open(path, "rb") as handle:
+            for line_no, raw in enumerate(handle, start=1):
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(
+                        f"not valid UTF-8 ({exc.reason})", line=line_no, path=path
+                    ) from exc
+                if not line.strip():
+                    continue
+                clip_id, dataset, split, genres, labels = _record(line, line_no, path)
+                if (dataset, clip_id) in seen_ids:
+                    raise ValidationError(
+                        f"duplicate clip_id {clip_id!r} within dataset {dataset!r}",
+                        line=line_no,
+                        path=path,
+                    )
+                seen_ids.add((dataset, clip_id))
+                for cls in labels:
+                    if cls not in states:
+                        states[cls] = [UNK] * len(clip_ids)
+                for cls, column in states.items():
+                    column.append(_STATES[labels.get(cls, UNK)])
+                clip_ids.append(clip_id)
+                datasets.append(dataset)
+                splits.append(split)
+                genre_lists.append(genres)
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8 ({exc.reason})", path=path) from exc
-    raw: list[tuple[int, dict]] = []
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed JSON ({exc.msg})", line=line_no, path=path) from exc
-        except RecursionError as exc:
-            raise ParseError("JSON nested too deeply", line=line_no, path=path) from exc
-        except ValueError as exc:  # an integer too long to convert
-            raise ParseError(str(exc), line=line_no, path=path) from exc
-        if not isinstance(obj, dict):
-            raise ParseError("record is not a JSON object", line=line_no, path=path)
-        raw.append((line_no, obj))
-    records: list[tuple] = []
-    classes: dict[str, None] = {}
-    seen_ids: set[tuple[str, str]] = set()
-    for line_no, obj in raw:
-        for key in ("clip_id", "dataset", "split", "genres", "labels"):
-            if key not in obj:
-                raise ValidationError(f"missing field {key!r}", line=line_no, path=path)
-        clip_id, dataset, split = obj["clip_id"], obj["dataset"], obj["split"]
-        if not isinstance(clip_id, str) or not isinstance(dataset, str):
-            raise ValidationError("clip_id and dataset must be strings", line=line_no, path=path)
-        if split not in SPLITS:
-            raise ValidationError(
-                f"unknown split token {split!r} (expected one of {SPLITS})",
-                line=line_no,
-                path=path,
-            )
-        genres = obj["genres"]
-        if not isinstance(genres, list) or not all(isinstance(g, str) for g in genres):
-            raise ValidationError("genres must be a list of strings", line=line_no, path=path)
-        labels = obj["labels"]
-        if not isinstance(labels, dict):
-            raise ValidationError("labels must be an object", line=line_no, path=path)
-        for cls, state in labels.items():
-            if state not in LABEL_STATES:
-                raise ValidationError(
-                    f"label state {state!r} for class {cls!r} not in {LABEL_STATES}",
-                    line=line_no,
-                    path=path,
-                )
-            classes.setdefault(cls, None)
-        key = (dataset, clip_id)
-        if key in seen_ids:
-            raise ValidationError(
-                f"duplicate clip_id {clip_id!r} within dataset {dataset!r}",
-                line=line_no,
-                path=path,
-            )
-        seen_ids.add(key)
-        records.append((clip_id, dataset, split, tuple(genres), labels))
-    clip_ids, datasets, splits, genre_lists, label_objects = zip(*records) if records else ((),) * 5
-    states = {c: [obj.get(c, UNK) for obj in label_objects] for c in classes}
     return Manifest(clip_ids, datasets, splits, genre_lists, states)
+
+
+def _record(line: str, line_no: int, path: str) -> tuple:
+    """One manifest line's (clip_id, dataset, split, genres, labels), checked."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON ({exc.msg})", line=line_no, path=path) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply", line=line_no, path=path) from exc
+    except ValueError as exc:  # an integer too long to convert
+        raise ParseError(str(exc), line=line_no, path=path) from exc
+    if not isinstance(obj, dict):
+        raise ParseError("record is not a JSON object", line=line_no, path=path)
+    for key in ("clip_id", "dataset", "split", "genres", "labels"):
+        if key not in obj:
+            raise ValidationError(f"missing field {key!r}", line=line_no, path=path)
+    clip_id, dataset, split = obj["clip_id"], obj["dataset"], obj["split"]
+    if not isinstance(clip_id, str) or not isinstance(dataset, str):
+        raise ValidationError("clip_id and dataset must be strings", line=line_no, path=path)
+    if split not in SPLITS:
+        raise ValidationError(
+            f"unknown split token {split!r} (expected one of {SPLITS})",
+            line=line_no,
+            path=path,
+        )
+    genres = obj["genres"]
+    if not isinstance(genres, list) or not all(isinstance(g, str) for g in genres):
+        raise ValidationError("genres must be a list of strings", line=line_no, path=path)
+    labels = obj["labels"]
+    if not isinstance(labels, dict):
+        raise ValidationError("labels must be an object", line=line_no, path=path)
+    for cls, state in labels.items():
+        if state not in LABEL_STATES:
+            raise ValidationError(
+                f"label state {state!r} for class {cls!r} not in {LABEL_STATES}",
+                line=line_no,
+                path=path,
+            )
+    return clip_id, dataset, split, tuple(genres), labels
 
 
 def save_manifest(manifest: Manifest, path: str) -> None:

@@ -495,10 +495,7 @@ def run_strategy(config: ExperimentConfig, *, corpus: Corpus | None = None) -> R
                     )
             except DebiasKitError as exc:
                 raise _wrap(exc, config, class_name=class_name, cell=cell) from exc
-    cells = [
-        Cell(train_name, eval_name, strategy, scope, aucs, sum(aucs.values()) / len(aucs))
-        for (train_name, eval_name), aucs in class_auc.items()
-    ]
+    cells = [Cell(*key, strategy, scope, aucs) for key, aucs in class_auc.items()]
 
     space = "kernelized" if kernelized else "original"
     report = build_report(
@@ -560,12 +557,8 @@ def _correlations(
             except ZeroVectorError:
                 value = 0.0
             class_corr[class_name] = value
-        if not class_corr:
-            continue
-        mean_abs = sum(abs(v) for v in class_corr.values()) / len(class_corr)
-        entries.append(
-            CorrelationEntry(domain.name, strategy, scope, space, class_corr, mean_abs)
-        )
+        if class_corr:
+            entries.append(CorrelationEntry(domain.name, strategy, scope, space, class_corr))
     return entries
 
 

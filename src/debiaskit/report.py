@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 
 from .config import SCOPES, STRATEGIES, _number, _typed, effective_scope, read_json, write_json
@@ -32,7 +33,7 @@ class Cell:
     strategy: str
     scope: str
     class_auc: dict[str, float]
-    mean_auc: float
+    mean_auc: float = math.nan  # set by build_report, which computes every mean
 
     def key(self) -> tuple[str, str, str, str]:
         return (self.train, self.test, self.strategy, self.scope)
@@ -45,7 +46,7 @@ class CorrelationEntry:
     scope: str
     space: str  # "original" | "kernelized"
     class_corr: dict[str, float]
-    mean_abs_corr: float
+    mean_abs_corr: float = math.nan  # set by build_report
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Embedding/manifest IO, genre reduction, pooling, and balanced sampling."""
 
+import csv
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +101,13 @@ def test_csv_rejects_wrong_width(tmp_path):
         load_embeddings(str(path), "csv")
 
 
+def test_csv_wrong_width_after_a_blank_line_names_its_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("clip_id,frame,e0,e1,e2\nc0,0,1.0,2.0,3.0\n\nc1,0,1.0,2.0\n")
+    with pytest.raises(FormatError, match="line 4 "):
+        load_embeddings(str(path), "csv")
+
+
 def test_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,frame,e0\nc0,0,1.0\n")
@@ -106,11 +115,20 @@ def test_csv_rejects_bad_header(tmp_path):
         load_embeddings(str(path), "csv")
 
 
-@pytest.mark.parametrize("fmt", ["csv", "binary"])
-def test_loader_rejects_nan(tmp_path, fmt):
+@pytest.mark.parametrize(
+    "fmt, body",
+    [
+        ("csv", "c0,0,1.0\nc1,0,nan\n"),
+        ("csv", "c0,0,1.0\n\nc1,0,-Infinity\n"),
+        ("csv", "c0,0,1.0\nc1,0,1e400\n"),
+        ("binary", None),
+    ],
+    ids=["csv", "csv-infinity-after-blank", "csv-overflow", "binary"],
+)
+def test_loader_rejects_nan(tmp_path, fmt, body):
     path = tmp_path / "bad"
     if fmt == "csv":
-        path.write_text("clip_id,frame,e0\nc0,0,1.0\nc1,0,nan\n")
+        path.write_text("clip_id,frame,e0\n" + body)
     else:
         rows = [(b"c0", 1.0), (b"c1", float("nan"))]
         path.write_bytes(
@@ -127,6 +145,87 @@ def test_csv_rejects_unparsable_float(tmp_path):
     path.write_text("clip_id,frame,e0\nc0,0,abc\n")
     with pytest.raises(ParseError):
         load_embeddings(str(path), "csv")
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        ("c0,0,1.0\n\n\nc1,0,0x10\n", 5),
+        ("c0,0,1.0\r\n\r\nc1,x,1.0\r\n", 4),
+        ('"c\n0",0,1.0\nc1,0,xyz\n', 4),
+        # A frame index beyond int64.
+        ("c0,99999999999999999999,1.0\n", 2),
+    ],
+    ids=["value-after-blank-lines", "frame-crlf", "after-a-two-line-id", "frame-overflow"],
+)
+def test_csv_rejects_unparsable_field_naming_its_line(tmp_path, body, line):
+    path = tmp_path / "bad.csv"
+    path.write_text("clip_id,frame,e0\n" + body, newline="")
+    with pytest.raises(ParseError) as excinfo:
+        load_embeddings(str(path), "csv")
+    assert excinfo.value.line == line
+
+
+def test_csv_values_parse_as_python_floats(tmp_path):
+    texts = ["1_0", " 7 ", "\u0661\u0662", "-0.0", "1e-320", "0.1", "+.5e1", "4.9e-324"]
+    path = tmp_path / "t.csv"
+    header = "clip_id,frame," + ",".join(f"e{i}" for i in range(len(texts)))
+    path.write_text(f"{header}\nc0,1_0,{','.join(texts)}\n", encoding="utf-8")
+    table = load_embeddings(str(path), "csv")
+    expected = np.array([[float(t) for t in texts]])
+    assert table.vectors.tobytes() == expected.tobytes()
+    assert table.frames.tolist() == [10]
+
+
+def reference_save_csv(table, path):
+    """The writer as it was first written: one `writerow` per row, each
+    value a numpy scalar passed through `repr(float(v))`."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["clip_id", "frame"] + [f"e{i}" for i in range(table.dim)])
+        for clip_id, frame, vec in zip(table.clip_ids, table.frames, table.vectors):
+            writer.writerow([clip_id, int(frame)] + [repr(float(v)) for v in vec])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_csv_writer_matches_the_reference_bytes_and_round_trips(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n, dim = 40, 6
+    # Values across the exponent range, plus exact zeros, halves and integers.
+    vectors = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-300, 300, (n, dim))
+    vectors[0] = [0.0, -0.0, 0.5, 1e16, 123456789.0, 5e-324]
+    # Ids that csv.writer must quote, and ids it writes bare.
+    tricky = ["a,b", 'say "hi"', "clip-é☃", " padded ", "line\nbreak", "", "'"]
+    ids = tricky + [f"clip{i}" for i in range(n - len(tricky))]
+    table = make_table(ids, rng.integers(0, 2**31, n), vectors)
+    save_embeddings(table, str(tmp_path / "new.csv"), "csv")
+    reference_save_csv(table, str(tmp_path / "ref.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    loaded = load_embeddings(str(tmp_path / "new.csv"), "csv")
+    assert loaded.clip_ids == table.clip_ids
+    np.testing.assert_array_equal(loaded.frames, table.frames)
+    np.testing.assert_array_equal(loaded.vectors, vectors)
+
+
+def traced_peak(load):
+    """Bytes that ``load()`` holds at its high-water mark, by tracemalloc,
+    after one untraced call to warm any caches."""
+    load()
+    tracemalloc.start()
+    try:
+        load()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_loader_peaks_below_three_times_its_array(tmp_path):
+    # One float64 array and the ids: no Python object per value.
+    table = random_table(np.random.default_rng(3), n=2000, dim=64)
+    path = str(tmp_path / "t.csv")
+    save_embeddings(table, path, "csv")
+    peak = traced_peak(lambda: load_embeddings(path, "csv"))
+    assert peak < 3 * table.vectors.nbytes
 
 
 # --- binary format --------------------------------------------------------
@@ -259,6 +358,56 @@ def test_manifest_malformed_json_names_line(tmp_path):
         load_manifest(str(path))
 
 
+@pytest.mark.parametrize("separator", ["\u0085", "\u2028", "\u2029"])
+def test_manifest_strings_may_hold_unicode_line_separators(tmp_path, separator):
+    # JSON allows these unescaped inside a string; only LF ends a record.
+    record = {
+        "clip_id": "a",
+        "dataset": "A",
+        "split": "train",
+        "genres": [f"rock{separator}pop"],
+        "labels": {"k": "pos"},
+    }
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps(record, ensure_ascii=False) + "\r\n", encoding="utf-8")
+    manifest = load_manifest(str(path))
+    assert manifest.genres.tolist() == [(f"rock{separator}pop",)]
+    assert manifest.label_states("k").tolist() == [POS]
+
+
+def test_manifest_loader_peak_per_record(tmp_path):
+    # Each record goes straight into the columns, so the loader holds far
+    # less than one parsed JSON object per record at its peak.
+    n = 2000
+    path = tmp_path / "m.jsonl"
+    with open(path, "w", encoding="utf-8") as handle:
+        for i in range(n):
+            record = {
+                "clip_id": f"synthA-k{i % 4}-g{i % 3}-{i:05d}",
+                "dataset": "synthA",
+                "split": TRAIN if i % 3 else TEST,
+                "genres": [f"genre{i % 3}"],
+                "labels": {f"class{k}": POS if k == i % 4 else NEG for k in range(4)},
+            }
+            handle.write(json.dumps(record) + "\n")
+    peak = traced_peak(lambda: load_manifest(str(path)))
+    assert peak < 1024 * n
+
+
+def test_manifest_reports_its_first_faulty_line(tmp_path):
+    good = {"clip_id": "a", "dataset": "A", "split": "train", "genres": [], "labels": {}}
+    lines = [json.dumps(good).encode(), b'{"clip_id": "b"}', b"\xff", b"{not json"]
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ValidationError, match="missing field") as excinfo:
+        load_manifest(str(path))
+    assert excinfo.value.line == 2
+    path.write_bytes(b"\n".join(lines[:1] + lines[2:]) + b"\n")
+    with pytest.raises(ParseError, match="UTF-8") as excinfo:
+        load_manifest(str(path))
+    assert excinfo.value.line == 2
+
+
 def test_manifest_bad_label_state_rejected(tmp_path):
     path = tmp_path / "m.jsonl"
     line = {"clip_id": "a", "dataset": "A", "split": "train", "genres": [], "labels": {"k": "maybe"}}
@@ -387,6 +536,8 @@ DEEP = "[" * 100_000 + "]" * 100_000
     [
         ("m.jsonl", b'{"clip_id": "\xff"}\n', "manifest", ParseError),
         ("e.csv", b"clip_id,frame,e0\n\xff,0,1.0\n", "csv", FormatError),
+        # The csv module refuses a field over 128 KiB.
+        ("long.csv", b"clip_id,frame,e0\n" + b"a" * 200_000 + b",0,1.0\n", "csv", FormatError),
         ("g.json", b'{"targets": ["\xff"]}', "genre_map", ParseError),
         ("deep.json", ('{"targets": ' + DEEP + "}").encode(), "genre_map", ParseError),
         ("deep.jsonl", ('{"clip_id": ' + DEEP + "}\n").encode(), "manifest", ParseError),
@@ -399,6 +550,7 @@ DEEP = "[" * 100_000 + "]" * 100_000
     ids=[
         "manifest-utf8",
         "csv-utf8",
+        "csv-long-field",
         "genre-map-utf8",
         "genre-map-deep",
         "manifest-deep",

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -26,7 +27,7 @@ CLASSES = ("guitar", "voice")
 
 def make_cell(train, test, strategy, scope, aucs):
     class_auc = dict(zip(CLASSES, aucs))
-    return Cell(train, test, strategy, scope, class_auc, 0.0)
+    return Cell(train, test, strategy, scope, class_auc)
 
 
 def full_matrix(strategy, scope, values):
@@ -95,7 +96,7 @@ def test_single_cell_mean():
     report = build_report(
         datasets=DATASETS,
         classes=("guitar",),
-        cells=[Cell("north", "north", "none", "global", {"guitar": 0.9}, 0.0)],
+        cells=[Cell("north", "north", "none", "global", {"guitar": 0.9})],
         correlations=[],
         genre_histogram={},
         seeds={},
@@ -111,7 +112,7 @@ def test_mean_matches_summation_oracle():
     report = build_report(
         datasets=DATASETS,
         classes=names,
-        cells=[Cell("north", "north", "none", "global", aucs, 0.0)],
+        cells=[Cell("north", "north", "none", "global", aucs)],
         correlations=[],
         genre_histogram={},
         seeds={},
@@ -130,8 +131,17 @@ def test_stored_mean_is_recomputed_not_trusted():
     assert report.cells[0].mean_auc == pytest.approx(0.7)
 
 
+def test_means_are_left_to_build_report():
+    cell = Cell("north", "north", "none", "global", {"guitar": 0.8, "voice": 0.6})
+    entry = CorrelationEntry("north", "none", "global", "original", {"guitar": -0.4, "voice": 0.2})
+    assert math.isnan(cell.mean_auc) and math.isnan(entry.mean_abs_corr)
+    report = assemble([cell], correlations=[entry])
+    assert report.cells[0].mean_auc == pytest.approx(0.7)
+    assert report.correlations[0].mean_abs_corr == pytest.approx(0.3)
+
+
 def test_missing_class_in_cell_rejected():
-    cell = Cell("north", "north", "none", "global", {"guitar": 0.8}, 0.0)
+    cell = Cell("north", "north", "none", "global", {"guitar": 0.8})
     with pytest.raises(ValidationError, match="voice"):
         assemble([cell])
 
@@ -141,7 +151,7 @@ def test_report_without_classes_rejected():
         build_report(
             datasets=DATASETS,
             classes=(),
-            cells=[Cell("north", "north", "none", "global", {}, 0.0)],
+            cells=[Cell("north", "north", "none", "global", {})],
             correlations=[],
             genre_histogram={},
             seeds={},
@@ -213,7 +223,7 @@ def test_merge_rejects_mismatched_classes():
     other = build_report(
         datasets=DATASETS,
         classes=("guitar",),
-        cells=[Cell("north", "north", "none", "global", {"guitar": 0.9}, 0.0)],
+        cells=[Cell("north", "north", "none", "global", {"guitar": 0.9})],
         correlations=[],
         genre_histogram={},
         seeds={},
@@ -369,7 +379,7 @@ def test_table1_baseline_only_renders_without_deltas():
 def test_table1_csv_quotes_awkward_dataset_names():
     tricky = ("data,set", 'qu"oted')
     cells = [
-        Cell(t, e, "none", "global", {"guitar": 0.9, "voice": 0.8}, 0.0)
+        Cell(t, e, "none", "global", {"guitar": 0.9, "voice": 0.8})
         for t in tricky
         for e in tricky
     ]
