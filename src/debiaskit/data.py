@@ -3,7 +3,8 @@
 File contracts
 --------------
 Embedding CSV: header ``clip_id,frame,e0,...,e{D-1}``, one row per
-(clip, frame), decimal floats.
+(clip, frame), floats as their shortest round-trip repr, CRLF row ends; an id
+is quoted csv-style only when it holds a comma, a double quote, CR or LF.
 
 Embedding binary: magic ``EMB1``; little-endian u32 version (=1), u32 row
 count, u32 dimension; then per row: u32 id byte-length, UTF-8 id bytes,
@@ -177,14 +178,28 @@ def _load_csv(path: str) -> EmbeddingTable:
 
 
 def _save_csv(table: EmbeddingTable, path: str) -> None:
+    """Write the bytes ``csv.writer`` writes, a row at a time: shortest
+    round-trip floats (``repr``, as csv formats a float), CRLF row ends, and
+    the csv module's minimal quoting of ids."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["clip_id", "frame"] + [f"e{i}" for i in range(table.dim)])
-        # csv writes a float as str(), its shortest round-trip repr.
-        writer.writerows(
-            [clip_id, frame, *vec.tolist()]
+        csv.writer(handle).writerow(["clip_id", "frame"] + [f"e{i}" for i in range(table.dim)])
+        # One row at a time becomes Python floats: in numpy 2 a numpy scalar's
+        # repr is "np.float64(...)", and the whole table as a list of floats
+        # would take 32 bytes per value.
+        handle.writelines(
+            f"{_csv_id(clip_id)},{frame},{','.join(map(repr, vec.tolist()))}\r\n"
             for clip_id, frame, vec in zip(table.clip_ids, table.frames.tolist(), table.vectors)
         )
+
+
+def _csv_id(clip_id: str) -> str:
+    """``clip_id`` as a field of a csv.writer row: bare unless it holds a
+    delimiter, quote or line end, and then quoted by the csv module itself."""
+    if not any(char in clip_id for char in ',"\r\n'):
+        return clip_id
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([clip_id])
+    return buffer.getvalue()[: -len("\r\n")]
 
 
 _HEADER = struct.Struct("<4sIII")

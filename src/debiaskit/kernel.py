@@ -55,7 +55,9 @@ class Standardizer:
             raise DimensionMismatchError(
                 f"standardizer dimension {self.mean.shape[0]} does not match {x.shape[-1]}"
             )
-        return (x - self.mean) / self.scale
+        out = x - self.mean
+        out /= self.scale
+        return out
 
 
 def fit_standardizer(x: np.ndarray) -> Standardizer:
@@ -162,7 +164,9 @@ def transform_rff(kernel_map: KernelMap, x: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"map expects dimension {kernel_map.input_dim}, got {rows.shape[1]}"
         )
-    out = np.sqrt(2.0 / kernel_map.dprime) * np.cos(
-        rows @ kernel_map.frequencies.T + kernel_map.phases
-    )
+    # sqrt(2 / D') cos(rows . w + b), computed in the product's own buffer.
+    out = rows @ kernel_map.frequencies.T
+    out += kernel_map.phases
+    np.cos(out, out=out)
+    out *= np.sqrt(2.0 / kernel_map.dprime)
     return out[0] if single else out

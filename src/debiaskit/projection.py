@@ -60,7 +60,9 @@ class DebiasOperator:
             raise DimensionMismatchError(
                 f"operator dimension {self.dim} does not match features {rows.shape[1]}"
             )
-        out = rows - (rows @ self.basis) @ self.basis.T
+        # rows - (rows B) B^T, the difference written over the product.
+        out = (rows @ self.basis) @ self.basis.T
+        np.subtract(rows, out, out=out)
         return out[0] if single else out
 
 

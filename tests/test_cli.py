@@ -1,6 +1,7 @@
 """Command-line interface: corpus generation, runs, the matrix, re-rendering,
 and the JSON error contract."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -109,6 +110,33 @@ def test_synth_binary_format(tmp_path):
     assert not (out_dir / "synthA.csv").exists()
     config = load_config(str(out_dir / "config.json"))
     assert config.datasets[0].fmt == "binary"
+
+
+# The README quick-start corpus, pinned by value: comparing two runs of the
+# same code would pass a writer or generator change that moved every file.
+STOCK_CORPUS_SHA256 = {
+    "csv": {
+        "synthA.csv": "26c33ab26ca9524979f66de1b88ff002e4ef83425bf2eb394632a2be18a94caa",
+        "synthB.csv": "053c9157cb44924b5eef5fdc18b7e4285bb76f2f9e962127137eb5ceac315be5",
+    },
+    "binary": {
+        "synthA.emb": "d275cd98d5406e0d1d1176bdc0cca3818be551237c11e63e0e1bfd9befa7364d",
+        "synthB.emb": "7e96e2d7b4751e38afd791aa4b2cd56d8b71702dc143d43ae5635b2983d91af7",
+    },
+}
+STOCK_MANIFEST_SHA256 = {
+    "synthA.jsonl": "8f597511f3337821a2bad5ae08fbaf78396d1a363a572a283523fa67d6ffc0cb",
+    "synthB.jsonl": "cbb59f7291b45eb828be4b6c48feccad5deedfe30016c58442507e4202ab0cbc",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(STOCK_CORPUS_SHA256))
+def test_stock_synth_corpus_keeps_its_bytes(tmp_path, fmt):
+    out_dir = tmp_path / fmt
+    assert main(["synth", "--out", str(out_dir), "--format", fmt]) == 0
+    expected = {**STOCK_CORPUS_SHA256[fmt], **STOCK_MANIFEST_SHA256}
+    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in expected}
+    assert digests == expected
 
 
 def test_synth_rejects_invalid_spec(tmp_path, capsys):

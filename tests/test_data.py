@@ -190,14 +190,21 @@ def reference_save_csv(table, path):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_csv_writer_matches_the_reference_bytes_and_round_trips(tmp_path, seed):
     rng = np.random.default_rng(seed)
-    n, dim = 40, 6
+    clips, dim = 40, 6
+    frames_per_clip = 1 + seed
+    n = clips * frames_per_clip
     # Values across the exponent range, plus exact zeros, halves and integers.
     vectors = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-300, 300, (n, dim))
     vectors[0] = [0.0, -0.0, 0.5, 1e16, 123456789.0, 5e-324]
-    # Ids that csv.writer must quote, and ids it writes bare.
-    tricky = ["a,b", 'say "hi"', "clip-é☃", " padded ", "line\nbreak", "", "'"]
-    ids = tricky + [f"clip{i}" for i in range(n - len(tricky))]
-    table = make_table(ids, rng.integers(0, 2**31, n), vectors)
+    # Ids that csv.writer must quote (some spanning lines), and ids it writes bare.
+    tricky = [
+        "a,b", 'say "hi"', '"lead', '""', "clip-é☃", " padded ", "line\nbreak",
+        "cr\ronly", "crlf\r\nid", "\r", "", "'",
+    ]
+    ids = tricky + [f"clip{i}" for i in range(clips - len(tricky))]
+    # Each clip's frames are distinct, in no particular order.
+    frames = np.concatenate([rng.choice(2**31, frames_per_clip, replace=False) for _ in ids])
+    table = make_table(np.repeat(ids, frames_per_clip).tolist(), frames, vectors)
     save_embeddings(table, str(tmp_path / "new.csv"), "csv")
     reference_save_csv(table, str(tmp_path / "ref.csv"))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

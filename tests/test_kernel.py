@@ -76,6 +76,17 @@ def test_standardizer_dimension_check():
         fitted.apply(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("shape", [(50, 9), (9,)])
+def test_standardizer_apply_matches_the_plain_expression_bit_for_bit(shape):
+    rng = np.random.default_rng(20)
+    fitted = fit_standardizer(rng.standard_normal((30, 9)) * 1e3)
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 5, shape)
+    before = x.copy()
+    out = fitted.apply(x)
+    assert out.tobytes() == ((before - fitted.mean) / fitted.scale).tobytes()
+    assert x.tobytes() == before.tobytes()
+
+
 # --- feature map construction ---------------------------------------------
 
 
@@ -260,6 +271,21 @@ def test_single_row_matches_matrix_row():
     x = np.random.default_rng(6).standard_normal((3, 5))
     matrix = transform_rff(kernel_map, x)
     np.testing.assert_allclose(transform_rff(kernel_map, x[1]), matrix[1], atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(40, 6), (6,)])
+def test_transform_matches_the_plain_expression_bit_for_bit(shape):
+    kernel_map = fit_rff(6, 48, 0.3, seed=16)
+    x = np.random.default_rng(7).standard_normal(shape) * 3.0
+    before = x.copy()
+    rows = np.atleast_2d(before)
+    plain = np.sqrt(2.0 / kernel_map.dprime) * np.cos(
+        rows @ kernel_map.frequencies.T + kernel_map.phases
+    )
+    out = transform_rff(kernel_map, x)
+    assert out.shape == shape[:-1] + (48,)
+    assert out.tobytes() == plain.tobytes()
+    assert x.tobytes() == before.tobytes()
 
 
 def test_map_shape_properties():

@@ -183,6 +183,20 @@ def test_apply_rejects_wrong_width():
         op.apply(np.zeros((2, 4)))
 
 
+@pytest.mark.parametrize("shape", [(30, 7), (7,)])
+def test_apply_matches_the_plain_expression_bit_for_bit(shape):
+    rng = np.random.default_rng(8)
+    op = projector_from_subspace([direction(rng.standard_normal(7)) for _ in range(3)])
+    x = rng.standard_normal(shape) * 5.0
+    before = x.copy()
+    rows = np.atleast_2d(before)
+    plain = rows - (rows @ op.basis) @ op.basis.T
+    out = op.apply(x)
+    assert out.shape == x.shape
+    assert out.tobytes() == plain.tobytes()
+    assert x.tobytes() == before.tobytes()
+
+
 def test_operator_requires_orthonormal_basis():
     with pytest.raises(RankDeficientError):
         DebiasOperator(
