@@ -9,6 +9,13 @@ training rows in the kernel phase, the held-out rows on entering evaluate.
 A fitted operator, global or per class, is applied to each gathered training
 or test set, so no projected copy of the rows is kept.
 
+The train phase fits, per class and training domain, one logistic regression
+on that class's balanced, debiased training rows. Its C comes from
+``c_grid``: a one-value grid is the C, with no folds built and no fold fits;
+a grid of two or more values is searched by stratified ``cv_folds``-fold
+cross-validation on those rows. The final model is then trained from scratch
+on all of them at that C.
+
 Strategies: "none" (baseline), "LDA" (single-direction removal), "mLDA"
 (per-genre subspace removal), "K" (random-feature space, no removal),
 "KLDA"/"mKLDA" (removal inside the random-feature space). Scopes: "global"
@@ -465,8 +472,12 @@ def run_strategy(config: ExperimentConfig, *, corpus: Corpus | None = None) -> R
                 y = np.concatenate(
                     [np.ones(len(pos_idx), dtype=bool), np.zeros(len(neg_idx), dtype=bool)]
                 )
-                cv_seed = derive_seed(seeds["cv"], f"cv:{class_name}:{domain.name}")
-                c_value, _ = cv_select_c(x, y, cv_seed, config.c_grid, config.cv_folds)
+                if len(config.c_grid) == 1:
+                    # A one-value grid leaves nothing to select: no folds.
+                    (c_value,) = config.c_grid
+                else:
+                    cv_seed = derive_seed(seeds["cv"], f"cv:{class_name}:{domain.name}")
+                    c_value, _ = cv_select_c(x, y, cv_seed, config.c_grid, config.cv_folds)
                 models[class_name][domain.name] = train_logreg(x, y, c_value)
             except DebiasKitError as exc:
                 raise _wrap(exc, config, class_name=class_name, cell=f"train:{domain.name}") from exc

@@ -17,6 +17,7 @@ from debiaskit import cli
 from debiaskit.cli import main
 from debiaskit.pipeline import load_config
 from debiaskit.report import load_report, save_report
+from debiaskit.synth import SynthSpec
 
 CLI_SPEC = replace(SMALL_SPEC, samples_per_cell=12)
 
@@ -346,6 +347,28 @@ def test_unwritable_output_ends_in_one_line_json_error(cli_corpus, capsys, monke
     assert main(argv) == 1
     payload, _ = read_stderr_error(capsys)
     assert payload["error"] == "IoError"
+
+
+@pytest.mark.parametrize("c_grid", [[1.0], [0.1, 1.0]])
+def test_fewer_training_positives_than_folds_fail_only_when_c_is_selected(
+    tmp_path, capsys, c_grid
+):
+    """Each class has 2 training positives per dataset, below 3 folds. A
+    one-value grid builds no folds, so the run trains; a grid to select from
+    cannot fold the class and ends in the one-line JSON error."""
+    spec = SynthSpec(dim=8, n_classes=2, n_genres=1, samples_per_cell=3, test_fraction=0.34, seed=7)
+    entries, _, _ = write_corpus(tmp_path, spec)
+    config = write_config(tmp_path, entries, output_dir="results", c_grid=c_grid, cv_folds=3)
+    if len(c_grid) == 1:
+        assert main(["run", "--config", config]) == 0
+        assert (tmp_path / "results" / "report.json").is_file()
+        return
+    assert main(["run", "--config", config]) == 1
+    payload, captured = read_stderr_error(capsys)
+    assert payload["error"] == "PipelineError"
+    assert "cannot build 3 stratified folds from 2 positives" in payload["message"]
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "results" / "report.json").exists()
 
 
 def test_run_without_output_dir_only_prints(cli_corpus, capsys):

@@ -716,6 +716,50 @@ def test_stock_klda_classwise_job_fits_all_converge(tmp_path, monkeypatch):
     assert [f.c_value for f in fits if not f.converged] == []
 
 
+@pytest.mark.parametrize("strategy, scope", [("LDA", "classwise"), ("KLDA", "global")])
+def test_a_one_value_grid_trains_at_its_c_without_cross_validation(
+    small_corpus, monkeypatch, strategy, scope
+):
+    """A one-value grid is the selected C: the run makes no CV fits, and it
+    reports what selecting between two equal grid values reports."""
+    entries, _, gm_path = small_corpus
+    selected, cv_fits, final_cs = [], [], []
+
+    def selecting(*args, **kwargs):
+        c_value, curve = cv_select_c(*args, **kwargs)
+        selected.append(c_value)
+        return c_value, curve
+
+    def cv_fitting(*args, **kwargs):
+        cv_fits.append(args[2])
+        return train_logreg(*args, **kwargs)
+
+    def final_fitting(x, y, c_value):
+        final_cs.append(c_value)
+        return train_logreg(x, y, c_value)
+
+    monkeypatch.setattr(pipeline, "cv_select_c", selecting)
+    monkeypatch.setattr(logreg, "train_logreg", cv_fitting)
+    monkeypatch.setattr(pipeline, "train_logreg", final_fitting)
+    one = run_strategy(
+        corpus_config(entries, gm_path, strategy, scope=scope, c_grid=(1.0,), cv_folds=3)
+    )
+    assert (selected, cv_fits) == ([], [])
+    # 3 classes x 2 training domains, each trained once at the grid's C.
+    assert final_cs == [1.0] * 6
+
+    final_cs.clear()
+    two = run_strategy(
+        corpus_config(entries, gm_path, strategy, scope=scope, c_grid=(1.0, 1.0), cv_folds=3)
+    )
+    assert selected == [1.0] * 6
+    assert cv_fits == [1.0] * (6 * 3 * 2)  # 3 folds x 2 grid values per selection
+    assert final_cs == [1.0] * 6
+    assert one.report.cells == two.report.cells
+    assert one.report.correlations == two.report.correlations
+    assert one.report.bias_fit_notes == two.report.bias_fit_notes
+
+
 # --- the matrix ------------------------------------------------------------
 
 
