@@ -143,24 +143,3 @@ def subspace_correlation(basis: np.ndarray, vector: np.ndarray) -> float:
         raise ZeroVectorError("cannot take the cosine of a zero vector")
     return float(np.linalg.norm(basis.T @ (vector / norm_v)))
 
-
-def domain_probe_accuracy(x_a: np.ndarray, x_b: np.ndarray, direction: np.ndarray) -> float:
-    """Balanced accuracy of a midpoint-threshold domain classifier along ``direction``.
-
-    0.5 means the direction carries no domain information; literally identical
-    clouds give exactly 0.5.
-    """
-    x_a = _validate_group(x_a, "x_a")
-    x_b = _validate_group(x_b, "x_b")
-    direction = np.asarray(direction, dtype=np.float64).ravel()
-    if x_a.shape[1] != direction.shape[0] or x_b.shape[1] != direction.shape[0]:
-        raise DimensionMismatchError("direction dimension does not match samples")
-    if float(np.linalg.norm(direction)) == 0.0:
-        raise ZeroVectorError("cannot probe along a zero direction")
-    proj_a = x_a @ direction
-    proj_b = x_b @ direction
-    threshold = 0.5 * (proj_a.mean() + proj_b.mean())
-    # Predict "side a" strictly above the midpoint; the same rule on both
-    # sides makes identical clouds land at exactly 0.5 balanced accuracy.
-    acc = 0.5 * (float((proj_a > threshold).mean()) + float((proj_b <= threshold).mean()))
-    return max(acc, 1.0 - acc)

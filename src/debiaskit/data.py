@@ -21,6 +21,10 @@ clip, and one array of label states per class.
 
 Genre map: JSON object ``{"targets": [...], "rules": {"source": "target"}}``.
 A genre equal to a canonical target maps to itself; rules cover renames.
+
+The order of the rows in an embedding file and of the lines in a manifest
+does not affect results: pooling orders clips by id and each clip's frames by
+frame index, and the pipeline takes the manifests' classes in sorted order.
 """
 
 from __future__ import annotations
@@ -515,17 +519,15 @@ def reduce_genres(genres: tuple[str, ...] | list[str], genre_map: GenreMap) -> s
 
 
 def pool_frames(table: EmbeddingTable) -> EmbeddingTable:
-    """Mean-pool frames per clip; output order is first appearance, frame 0."""
-    order: dict[str, int] = {}
-    for clip_id in table.clip_ids:
-        if clip_id not in order:
-            order[clip_id] = len(order)
-    index = np.fromiter((order[c] for c in table.clip_ids), dtype=np.int64, count=table.n_rows)
-    sums = np.zeros((len(order), table.dim), dtype=np.float64)
-    np.add.at(sums, index, table.vectors)
-    counts = np.bincount(index, minlength=len(order)).astype(np.float64)
-    means = sums / counts[:, None]
-    return EmbeddingTable(tuple(order), np.zeros(len(order), dtype=np.int64), means)
+    """Mean-pool frames per clip, each clip at frame 0. Clips come out in
+    code-point order of their ids, and a clip's frames are summed in
+    frame-index order, so the order of the rows does not change the result."""
+    ids, index = np.unique(np.array(table.clip_ids, dtype=object), return_inverse=True)
+    order = np.lexsort((table.frames, index))
+    sums = np.zeros((ids.size, table.dim), dtype=np.float64)
+    np.add.at(sums, index[order], table.vectors[order])
+    sums /= np.bincount(index, minlength=ids.size)[:, None]
+    return EmbeddingTable(tuple(ids.tolist()), np.zeros(ids.size, dtype=np.int64), sums)
 
 
 # --- balanced subsampling -------------------------------------------------

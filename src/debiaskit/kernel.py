@@ -78,7 +78,6 @@ class KernelMap:
     frequencies: np.ndarray  # D' x D
     phases: np.ndarray  # D'
     gamma: float
-    seed: int
 
     def __post_init__(self):
         freq = np.ascontiguousarray(self.frequencies, dtype=np.float64)
@@ -152,7 +151,7 @@ def fit_rff(
     rng = np.random.default_rng(seed)
     frequencies = rng.standard_normal((dprime, dim)) * np.sqrt(2.0 * gamma_value)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=dprime)
-    return KernelMap(frequencies, phases, gamma_value, seed)
+    return KernelMap(frequencies, phases, gamma_value)
 
 
 def transform_rff(kernel_map: KernelMap, x: np.ndarray) -> np.ndarray:

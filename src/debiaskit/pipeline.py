@@ -35,7 +35,9 @@ import numpy as np
 
 from .bias import bias_correlation, fit_lda_direction, subspace_correlation
 
-# Config parsing lives in .config; these names stay importable from here.
+# Config parsing lives in .config. DatasetEntry, ExperimentConfig and
+# config_from_dict stay importable from here: the acceptance suite and the
+# test fixtures import them from this module.
 from .config import (
     SCOPES,
     STRATEGIES,
@@ -43,7 +45,6 @@ from .config import (
     ExperimentConfig,
     config_from_dict,
     effective_scope,
-    load_config,
     write_json,
 )
 from .data import (
@@ -219,7 +220,7 @@ def load_corpus(config: ExperimentConfig) -> Corpus:
             f"datasets {entry_a.name!r} and {entry_b.name!r} differ in embedding width: "
             f"{table_a.dim} against {table_b.dim}"
         )
-    universe = tuple(dict.fromkeys(c for _, _, manifest in loaded for c in manifest.classes))
+    universe = tuple(sorted({c for _, _, manifest in loaded for c in manifest.classes}))
     manifests = []
     for entry, table, manifest in loaded:
         if entry.name not in manifest.datasets:

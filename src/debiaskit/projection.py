@@ -8,7 +8,7 @@ direction matrix via a reduced SVD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class DebiasOperator:
 
     basis: np.ndarray
     singular_values: np.ndarray
-    provenance: tuple[dict, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         basis = np.ascontiguousarray(self.basis, dtype=np.float64)
@@ -45,7 +44,6 @@ class DebiasOperator:
         sv.setflags(write=False)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "singular_values", sv)
-        object.__setattr__(self, "provenance", tuple(self.provenance))
 
     @property
     def dim(self) -> int:
@@ -66,17 +64,6 @@ class DebiasOperator:
         return out[0] if single else out
 
 
-def _provenance(direction: BiasDirection) -> dict:
-    return {
-        "scope": direction.scope,
-        "class": direction.class_name,
-        "genre": direction.genre,
-        "n_a": direction.n_a,
-        "n_b": direction.n_b,
-        "shrinkage": direction.shrinkage,
-    }
-
-
 def projector_from_direction(direction: BiasDirection) -> DebiasOperator:
     """Rank-1 removal of a single fitted direction."""
     vector = direction.vector
@@ -84,7 +71,7 @@ def projector_from_direction(direction: BiasDirection) -> DebiasOperator:
     if norm == 0.0:
         raise ZeroVectorError("cannot build a projector from a zero direction")
     basis = (vector / norm)[:, None]
-    return DebiasOperator(basis, np.ones(1), (_provenance(direction),))
+    return DebiasOperator(basis, np.ones(1))
 
 
 def projector_from_subspace(
@@ -125,4 +112,4 @@ def projector_from_subspace(
             singular_values=sv,
             correlated_pairs=pairs,
         )
-    return DebiasOperator(left, sv, tuple(_provenance(d) for d in directions))
+    return DebiasOperator(left, sv)

@@ -1,4 +1,4 @@
-"""Discriminant-direction fitting, cosine diagnostics, and the domain probe."""
+"""Discriminant-direction fitting and cosine diagnostics."""
 
 import tracemalloc
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from debiaskit.bias import (
     bias_correlation,
-    domain_probe_accuracy,
     fit_lda_direction,
     subspace_correlation,
 )
@@ -245,48 +244,3 @@ def test_subspace_correlation_zero_vector():
     with pytest.raises(ZeroVectorError):
         subspace_correlation(np.eye(3)[:, :2], [0.0, 0.0, 0.0])
 
-
-# --- domain probe ---------------------------------------------------------
-
-
-def test_probe_fully_separated():
-    x_a = np.array([[1.0, 5.0], [2.0, -1.0], [1.5, 0.0]])
-    x_b = np.array([[-1.0, 2.0], [-2.0, 1.0], [-1.2, -3.0]])
-    assert domain_probe_accuracy(x_a, x_b, [1.0, 0.0]) == 1.0
-
-
-def test_probe_identical_points_exactly_half():
-    x = np.array([[0.3, 0.7], [1.1, -0.2], [0.5, 0.5]])
-    assert domain_probe_accuracy(x, x.copy(), [1.0, 1.0]) == 0.5
-
-
-def test_probe_detects_planted_shift_and_loses_it_when_projected():
-    rng = np.random.default_rng(21)
-    w = unit(rng.standard_normal(10))
-    x_a = rng.standard_normal((1000, 10)) + 3.0 * w
-    x_b = rng.standard_normal((1000, 10))
-    assert domain_probe_accuracy(x_a, x_b, w) > 0.9
-    projector = np.eye(10) - np.outer(w, w)
-    # After removing the shift axis, probe along a fresh random direction.
-    other = unit(rng.standard_normal(10))
-    assert domain_probe_accuracy(x_a @ projector, x_b @ projector, other) < 0.6
-
-
-def test_probe_never_below_half():
-    rng = np.random.default_rng(22)
-    for _ in range(20):
-        x_a = rng.standard_normal((50, 4))
-        x_b = rng.standard_normal((50, 4))
-        acc = domain_probe_accuracy(x_a, x_b, rng.standard_normal(4))
-        assert 0.5 <= acc <= 1.0
-
-
-def test_probe_zero_direction_rejected():
-    x = np.ones((3, 2))
-    with pytest.raises(ZeroVectorError):
-        domain_probe_accuracy(x, x, [0.0, 0.0])
-
-
-def test_probe_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        domain_probe_accuracy(np.ones((3, 2)), np.ones((3, 2)), [1.0, 0.0, 0.0])

@@ -3,6 +3,7 @@ and the JSON error contract."""
 
 import hashlib
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -15,7 +16,8 @@ import pytest
 from conftest import SMALL_SPEC, write_corpus
 from debiaskit import cli
 from debiaskit.cli import main
-from debiaskit.pipeline import load_config
+from debiaskit.config import load_config
+from debiaskit.data import EmbeddingTable, load_embeddings, save_embeddings
 from debiaskit.report import load_report, save_report
 from debiaskit.synth import SynthSpec
 
@@ -405,6 +407,95 @@ def test_synth_generated_config_runs_unmodified(tmp_path, capsys):
     assert len(report.cells) == 4
 
 
+# --- row and line order ----------------------------------------------------
+
+
+def shuffle_rows(path, rng, header=1, end=b"\n"):
+    """Shuffle the lines of ``path`` after its first ``header`` lines."""
+    lines = Path(path).read_bytes().split(end)
+    assert lines[-1] == b""
+    body = lines[header:-1]
+    rng.shuffle(body)
+    Path(path).write_bytes(end.join(lines[:header] + body + [b""]))
+
+
+def shuffle_binary_rows(path, rng):
+    table = load_embeddings(str(path), "binary")
+    rows = list(range(table.n_rows))
+    rng.shuffle(rows)
+    shuffled = EmbeddingTable(
+        [table.clip_ids[i] for i in rows], table.frames[rows], table.vectors[rows]
+    )
+    save_embeddings(shuffled, str(path), "binary")
+
+
+def omit_class0_on_class2_records(path):
+    """Records of class2 drop their class0 label, which then reads "unk"."""
+    records = [json.loads(line) for line in Path(path).read_text().splitlines()]
+    for record in records:
+        if record["labels"]["class2"] == "pos":
+            del record["labels"]["class0"]
+    Path(path).write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+def write_frames(path, order=None):
+    """Rewrite a one-frame CSV as three frames a clip, at frame indices 0, 3
+    and 7: in that order, or with each clip's rows shuffled in place by the
+    random generator ``order``."""
+    noise = random.Random(3)
+    lines = Path(path).read_bytes().decode().split("\r\n")
+    rows = [lines[0]]
+    for line in lines[1:-1]:
+        clip_id, _, *values = line.split(",")
+        frames = [
+            f"{clip_id},{frame}," + ",".join(repr(float(v) + noise.gauss(0.0, 0.5)) for v in values)
+            for frame in (0, 3, 7)
+        ]
+        if order is not None:
+            order.shuffle(frames)
+        rows += frames
+    Path(path).write_bytes("\r\n".join(rows + [""]).encode())
+
+
+@pytest.mark.parametrize(
+    "case", ["csv-rows", "binary-rows", "manifest-lines", "frames-within-clips"]
+)
+def test_row_and_line_order_leave_a_run_byte_identical(tmp_path, case):
+    """A corpus and a copy of it with its rows or lines in another order (the
+    same clips, the same frames) write the same report.json and audit.json."""
+    base = tmp_path / "base"
+    entries, _, _ = write_corpus(base, CLI_SPEC, "binary" if case == "binary-rows" else "csv")
+    if case == "manifest-lines":
+        for entry in entries:
+            omit_class0_on_class2_records(entry.manifest)
+    shuffled = tmp_path / "shuffled"
+    shutil.copytree(base, shuffled)
+    rng = random.Random(5)
+    for entry in entries:
+        embeddings = shuffled / Path(entry.embeddings).name
+        manifest = shuffled / Path(entry.manifest).name
+        if case == "csv-rows":
+            shuffle_rows(embeddings, rng, end=b"\r\n")
+        elif case == "binary-rows":
+            shuffle_binary_rows(embeddings, rng)
+        elif case == "manifest-lines":
+            shuffle_rows(manifest, rng, header=0)
+        else:
+            write_frames(entry.embeddings)
+            write_frames(embeddings, order=rng)
+        changed = embeddings if case != "manifest-lines" else manifest
+        assert changed.read_bytes() != (base / changed.name).read_bytes()
+    written = []
+    for corpus_dir in (base, shuffled):
+        config = write_config(
+            corpus_dir, entries, strategy="mKLDA", scope="classwise", output_dir="results"
+        )
+        assert main(["run", "--config", config]) == 0
+        results = corpus_dir / "results"
+        written.append([(results / name).read_bytes() for name in ("report.json", "audit.json")])
+    assert written[0] == written[1]
+
+
 # --- matrix ----------------------------------------------------------------
 
 
@@ -585,6 +676,8 @@ import sys
 sys.modules["scipy"] = None
 from debiaskit import cli
 from debiaskit.cli import main
+from debiaskit.config import load_config
+from debiaskit.data import EmbeddingTable, load_embeddings, save_embeddings
 loaded = [name for name, module in sys.modules.items() if name.startswith("scipy") and module]
 assert not loaded, loaded
 sys.exit(main(sys.argv[1:]))

@@ -617,9 +617,56 @@ def test_pool_is_idempotent():
     np.testing.assert_array_equal(twice.vectors, once.vectors)
 
 
-def test_pool_keeps_first_appearance_order():
-    table = make_table(["b", "a", "b"], [0, 0, 1], [[1.0], [2.0], [3.0]])
-    assert pool_frames(table).clip_ids == ("b", "a")
+def test_pool_orders_clips_by_id():
+    table = make_table(
+        ["b", "a", "b", "B", "\u00e9"], [0, 0, 1, 0, 0], [[1.0], [2.0], [3.0], [4.0], [5.0]]
+    )
+    assert pool_frames(table).clip_ids == ("B", "a", "b", "\u00e9")
+
+
+def pool_by_first_appearance(table):
+    """The reference: clips in the order they first appear, each clip's
+    frames summed in row order into zeros, then divided by the frame count."""
+    order: dict[str, int] = {}
+    for clip_id in table.clip_ids:
+        if clip_id not in order:
+            order[clip_id] = len(order)
+    index = np.fromiter((order[c] for c in table.clip_ids), dtype=np.int64, count=table.n_rows)
+    sums = np.zeros((len(order), table.dim), dtype=np.float64)
+    np.add.at(sums, index, table.vectors)
+    counts = np.bincount(index, minlength=len(order)).astype(np.float64)
+    means = sums / counts[:, None]
+    return EmbeddingTable(tuple(order), np.zeros(len(order), dtype=np.int64), means)
+
+
+@st.composite
+def sorted_frame_tables(draw):
+    """A table in (clip id, frame index) order: several clips of one to four
+    frames, with values that include -0.0."""
+    ids = sorted(draw(st.lists(st.text(max_size=3), min_size=1, max_size=6, unique=True)))
+    dim = draw(st.integers(1, 4))
+    value = st.one_of(st.just(-0.0), st.floats(-1e6, 1e6))
+    rows = []
+    for clip_id in ids:
+        frames = sorted(draw(st.sets(st.integers(0, 2**32 - 1), min_size=1, max_size=4)))
+        rows += [(clip_id, f, draw(st.lists(value, min_size=dim, max_size=dim))) for f in frames]
+    return make_table(*zip(*rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=sorted_frame_tables(), data=st.data())
+def test_pool_matches_first_appearance_pooling_and_ignores_row_order(table, data):
+    pooled = pool_frames(table)
+    reference = pool_by_first_appearance(table)
+    assert pooled.clip_ids == reference.clip_ids
+    assert pooled.frames.tobytes() == reference.frames.tobytes()
+    assert pooled.vectors.tobytes() == reference.vectors.tobytes()
+    rows = np.array(data.draw(st.permutations(range(table.n_rows))), dtype=np.intp)
+    shuffled = pool_frames(
+        make_table([table.clip_ids[i] for i in rows], table.frames[rows], table.vectors[rows])
+    )
+    assert shuffled.clip_ids == pooled.clip_ids
+    assert shuffled.vectors.tobytes() == pooled.vectors.tobytes()
 
 
 # --- balanced subsampling -------------------------------------------------

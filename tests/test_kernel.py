@@ -298,4 +298,4 @@ def test_map_shape_properties():
 
 def test_kernel_map_validation():
     with pytest.raises(DimensionMismatchError):
-        KernelMap(np.zeros((4, 3)), np.zeros(5), 0.5, 0)
+        KernelMap(np.zeros((4, 3)), np.zeros(5), 0.5)

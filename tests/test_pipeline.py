@@ -13,7 +13,7 @@ from numpy.testing import assert_array_equal
 
 from conftest import SMALL_SPEC, corpus_config, write_corpus
 from debiaskit import logreg, pipeline
-from debiaskit.config import ExperimentConfig
+from debiaskit.config import ExperimentConfig, load_config
 from debiaskit.data import (
     NEG,
     POS,
@@ -36,7 +36,6 @@ from debiaskit.pipeline import (
     _matrix_jobs,
     config_from_dict,
     fit_bias,
-    load_config,
     load_domains,
     run_matrix,
     run_strategy,
@@ -489,7 +488,21 @@ def test_multi_direction_failure_counts_degenerate_and_small_pairs(tmp_path):
     ) in str(excinfo.value)
 
 
-def test_skipped_genre_pairs_follow_the_target_order(small_corpus):
+def record_directions(monkeypatch) -> list:
+    """Every direction the pipeline's ``fit_lda_direction`` returns, in order."""
+    original = pipeline.fit_lda_direction
+    fitted = []
+
+    def recording(*args, **kwargs):
+        direction = original(*args, **kwargs)
+        fitted.append(direction)
+        return direction
+
+    monkeypatch.setattr(pipeline, "fit_lda_direction", recording)
+    return fitted
+
+
+def test_skipped_genre_pairs_follow_the_target_order(small_corpus, monkeypatch):
     """Per key, in key order, each genre target in the map's order: "unknown"
     is never fitted nor noted; a target with too few rows on either side is
     noted with both counts; the rest are fitted."""
@@ -505,6 +518,7 @@ def test_skipped_genre_pairs_follow_the_target_order(small_corpus):
         "class1": balanced_subsample(domain_a.manifest, domain_b.manifest, "class1", POS, seed),
     }
     targets = GenreMap(("genre1", "unknown", "genre7", "genre0"))
+    fitted = record_directions(monkeypatch)
     fit = fit_bias(config, domain_a, domain_b, targets, pools)
     assert fit.skipped_pairs == [
         {"genre": "genre1", "class": None, "n_a": 66, "n_b": 4},
@@ -512,9 +526,13 @@ def test_skipped_genre_pairs_follow_the_target_order(small_corpus):
         {"genre": "genre7", "class": "class1", "n_a": 0, "n_b": 0},
     ]
     assert fit.degenerate == []
-    assert [p["genre"] for p in fit.operators[None].provenance] == ["genre0"]
-    assert [p["genre"] for p in fit.operators["class1"].provenance] == ["genre1", "genre0"]
-    assert [(p["n_a"], p["n_b"]) for p in fit.operators["class1"].provenance] == [(22, 22)] * 2
+    assert [(d.class_name, d.genre) for d in fitted] == [
+        (None, "genre0"),
+        ("class1", "genre1"),
+        ("class1", "genre0"),
+    ]
+    assert [(d.n_a, d.n_b) for d in fitted[1:]] == [(22, 22)] * 2
+    assert [fit.operators[key].basis.shape[1] for key in (None, "class1")] == [1, 2]
 
 
 # --- strategies beyond the baseline ----------------------------------------
@@ -649,13 +667,14 @@ def test_classwise_fit_uses_the_draws_its_classifiers_train_on(small_corpus, mon
         return pools
 
     monkeypatch.setattr(pipeline, "balanced_subsample", recording)
-    result = run_strategy(corpus_config(entries, gm_path, "LDA", scope="classwise", **FAST))
-    # One positive and one negative draw per class.
+    fitted = record_directions(monkeypatch)
+    run_strategy(corpus_config(entries, gm_path, "LDA", scope="classwise", **FAST))
+    # One positive and one negative draw per class, and one direction per
+    # class fitted on its positives.
     assert len(drawn) == 6
-    for class_name, state, (pos_a, pos_b) in drawn:
-        if state == POS:
-            (provenance,) = result.bias_fit.operators[class_name].provenance
-            assert (provenance["n_a"], provenance["n_b"]) == (len(pos_a), len(pos_b))
+    positives = {c: (len(a), len(b)) for c, state, (a, b) in drawn if state == POS}
+    assert {d.class_name: (d.n_a, d.n_b) for d in fitted} == positives
+    assert len(fitted) == len(positives)
 
 
 @pytest.mark.parametrize("strategy", ["LDA", "KLDA"])

@@ -202,7 +202,6 @@ def test_operator_requires_orthonormal_basis():
         DebiasOperator(
             basis=np.array([[1.0], [1.0]]),
             singular_values=np.array([1.0]),
-            provenance=(),
         )
 
 
