@@ -22,7 +22,7 @@ from .config import load_config, read_json, write_json
 from .data import save_embeddings, save_genre_map, save_manifest
 from .errors import DebiasKitError, IoError, ValidationError
 from .pipeline import run_matrix, run_strategy
-from .report import load_report, render_table, save_report
+from .report import LAYOUTS, load_report, render_table, save_report, save_table
 from .synth import (
     default_spec,
     generate_biased_corpus,
@@ -64,9 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="render a written report")
     p_report.add_argument("--in", dest="in_dir", required=True, help="directory holding report.json")
-    p_report.add_argument(
-        "--layout", choices=("table1", "fig3", "fig2"), default="table1"
-    )
+    p_report.add_argument("--layout", choices=list(LAYOUTS), default="table1")
     return parser
 
 
@@ -139,12 +137,8 @@ def _cmd_report(args) -> int:
     report_path = os.path.join(args.in_dir, "report.json")
     if not os.path.exists(report_path):
         raise ValidationError(f"no report.json under {args.in_dir}")
-    report = load_report(report_path)
-    rendered = render_table(report, args.layout)
-    with open(os.path.join(args.in_dir, f"{args.layout}.txt"), "w", encoding="utf-8") as handle:
-        handle.write(rendered.text)
-    with open(os.path.join(args.in_dir, f"{args.layout}.csv"), "w", encoding="utf-8") as handle:
-        handle.write(rendered.csv)
+    rendered = render_table(load_report(report_path), args.layout)
+    save_table(rendered, args.in_dir, args.layout)
     print(rendered.text, end="")
     return 0
 

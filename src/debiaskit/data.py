@@ -15,9 +15,9 @@ Manifest: JSON Lines, one record per line; only LF (U+000A) ends a line.
 Each record carries ``clip_id``, ``dataset``, ``split`` ("train" | "test"),
 ``genres`` (list of strings) and ``labels`` (object mapping class name to
 "pos" | "neg" | "unk"). The manifest's classes are every class name seen
-anywhere in the file; a class that a record omits reads as "unk". In memory a
-manifest is its columns: one read-only array per field with an entry per
-clip, and one array of label states per class.
+anywhere in the file (at most ``MAX_CLASSES``); a class that a record omits
+reads as "unk". In memory a manifest is its columns: one read-only array per
+field with an entry per clip, and one array of label states per class.
 
 Genre map: JSON object ``{"targets": [...], "rules": {"source": "target"}}``.
 A genre equal to a canonical target maps to itself; rules cover renames.
@@ -61,6 +61,7 @@ UNK = "unk"
 LABEL_STATES = (POS, NEG, UNK)
 # The loaded label columns hold these three strings, not each record's copy.
 _STATES = {state: state for state in LABEL_STATES}
+MAX_CLASSES = 1024  # cap on a manifest's classes: each record fills every class column
 
 UNKNOWN_GENRE = "unknown"
 
@@ -191,18 +192,18 @@ def _save_csv(table: EmbeddingTable, path: str) -> None:
         # repr is "np.float64(...)", and the whole table as a list of floats
         # would take 32 bytes per value.
         handle.writelines(
-            f"{_csv_id(clip_id)},{frame},{','.join(map(repr, vec.tolist()))}\r\n"
+            f"{csv_field(clip_id)},{frame},{','.join(map(repr, vec.tolist()))}\r\n"
             for clip_id, frame, vec in zip(table.clip_ids, table.frames.tolist(), table.vectors)
         )
 
 
-def _csv_id(clip_id: str) -> str:
-    """``clip_id`` as a field of a csv.writer row: bare unless it holds a
-    delimiter, quote or line end, and then quoted by the csv module itself."""
-    if not any(char in clip_id for char in ',"\r\n'):
-        return clip_id
+def csv_field(text: str) -> str:
+    """``text`` as a field of a csv.writer row: bare unless it holds a comma,
+    a double quote, CR or LF, and then quoted by the csv module itself."""
+    if not any(char in text for char in ',"\r\n'):
+        return text
     buffer = io.StringIO()
-    csv.writer(buffer).writerow([clip_id])
+    csv.writer(buffer).writerow([text])
     return buffer.getvalue()[: -len("\r\n")]
 
 
@@ -375,6 +376,10 @@ def load_manifest(path: str) -> Manifest:
                 seen_ids.add((dataset, clip_id))
                 for cls in labels:
                     if cls not in states:
+                        if len(states) == MAX_CLASSES:
+                            raise ValidationError(
+                                f"more than {MAX_CLASSES} classes", line=line_no, path=path
+                            )
                         states[cls] = [UNK] * len(clip_ids)
                 for cls, column in states.items():
                     column.append(_STATES[labels.get(cls, UNK)])

@@ -25,6 +25,7 @@ from .seeding import derive_seed
 DEFAULT_DPRIME_FACTOR = 4
 MEDIAN_SAMPLE_CAP = 1000
 MAX_MAP_VALUES = 2**26  # cap on dprime * dim, the frequencies a map draws (512 MiB)
+MAX_FEATURE_VALUES = 2**27  # cap on dprime**2 (the scatter) and train rows * dprime (1 GiB)
 _SCALE_FLOOR = 1e-8
 
 

@@ -80,7 +80,7 @@ from .guard import (
     PHASE_TRAIN,
     SplitGuard,
 )
-from .kernel import fit_rff, fit_standardizer, transform_rff
+from .kernel import MAX_FEATURE_VALUES, MAX_MAP_VALUES, fit_rff, fit_standardizer, transform_rff
 from .logreg import cv_select_c, predict_scores, train_logreg
 from .metrics import roc_auc
 from .projection import DebiasOperator, projector_from_direction, projector_from_subspace
@@ -96,6 +96,7 @@ from .report import (  # noqa: F401
     merge_reports,
     render_table,
     save_report,
+    save_table,
 )
 from .seeding import derive_seed
 
@@ -387,13 +388,20 @@ def _fit_feature_map(config: ExperimentConfig, domains, guard: SplitGuard, rff_s
     training rows; return the raw-rows -> random-features function."""
     guard.enter(PHASE_STANDARDIZE)
     train_stack = np.vstack([d.rows(d.train_indices) for d in domains])
+    n_rows, dim = train_stack.shape
+    dprime = config.dprime_factor * dim
+    # A map past fit_rff's own cap is refused there, before it draws.
+    if dprime * dim <= MAX_MAP_VALUES and max(dprime, n_rows) * dprime > MAX_FEATURE_VALUES:
+        raise ValidationError(
+            f"{dprime} random features over {n_rows} training rows exceed {MAX_FEATURE_VALUES}"
+            " values in the scatter or the feature rows; lower dprime_factor"
+        )
     standardizer = fit_standardizer(train_stack)
     guard.enter(PHASE_KERNEL)
     standardized_train = standardizer.apply(train_stack)
-    dim = standardized_train.shape[1]
     kernel_map = fit_rff(
         dim,
-        config.dprime_factor * dim,
+        dprime,
         config.gamma,
         rff_seed,
         x_sample=standardized_train,
@@ -670,16 +678,10 @@ def run_matrix(
     rendered = render_table(combined, "table1")
     if out_dir is not None:
         save_report(combined, os.path.join(out_dir, "report.json"))
-        _write_text(os.path.join(out_dir, "table1.txt"), rendered.text)
-        _write_text(os.path.join(out_dir, "table1.csv"), rendered.csv)
+        save_table(rendered, out_dir, "table1")
         audit_all = {"runs": audits, "clean": all(a["clean"] for a in audits.values())}
         write_json(os.path.join(out_dir, "audit.json"), audit_all)
     return MatrixResult(tuple(jobs), reports, combined, rendered, audits)
-
-
-def _write_text(path: str, content: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(content)
 
 
 def _write_partial(

@@ -3,23 +3,24 @@
 One report can hold a single strategy's cells or a whole strategy x scope
 matrix; the cell key is (train, test, strategy, scope). Every report, run
 or read from a file, is made by ``build_report``, which checks its cells and
-recomputes every mean and the fingerprint. Rendering follows
-the familiar layouts: "table1" (strategy rows, within/cross transfer
-columns, deltas against the no-debias baseline), "fig3" (per-class bias
-correlations), "fig2" (genre histograms per dataset and class). Text tables
-round to two decimals; the CSV carries full precision and is byte-stable
-across re-runs.
+recomputes every mean and the fingerprint. ``LAYOUTS`` lists the rendered
+layouts: "table1" (strategy rows, within/cross transfer columns, deltas
+against the no-debias baseline), "fig3" (per-class bias correlations), "fig2"
+(genre histograms per dataset and class). Text tables round to two decimals;
+the CSV carries full precision, quotes as the csv module does and is
+byte-stable across re-runs.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, fields, replace
 
 from .config import SCOPES, STRATEGIES, _number, _typed, effective_scope, read_json, write_json
+from .data import csv_field
 from .errors import IncompleteMatrixError, LayoutError, ValidationError
 
 BASELINE = "none"
@@ -70,12 +71,6 @@ class ExperimentReport:
         raise IncompleteMatrixError(
             f"no cell for train={train}, test={test}, strategy={strategy}, scope={scope}"
         )
-
-    def strategies(self) -> tuple[tuple[str, str], ...]:
-        seen: dict[tuple[str, str], None] = {}
-        for cell in self.cells:
-            seen.setdefault((cell.strategy, cell.scope), None)
-        return tuple(seen)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -264,30 +259,27 @@ def _table_text(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def _csv_text(headers: list[str], rows: list[list]) -> str:
-    out = io.StringIO()
-    out.write(",".join(headers) + "\n")
-    for row in rows:
-        out.write(",".join(_csv_field(v) for v in row) + "\n")
-    return out.getvalue()
-
-
-def _csv_field(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    text = str(value)
-    if any(ch in text for ch in ",\"\n"):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
+    """One LF-ended line per row: floats as their shortest round-trip repr,
+    every other value as text in the csv module's minimal quoting."""
+    return "".join(
+        ",".join(repr(v) if isinstance(v, float) else csv_field(str(v)) for v in row) + "\n"
+        for row in [headers, *rows]
+    )
 
 
 def render_table(report: ExperimentReport, layout: str) -> RenderedTable:
-    if layout == "table1":
-        return _render_table1(report)
-    if layout == "fig3":
-        return _render_fig3(report)
-    if layout == "fig2":
-        return _render_fig2(report)
-    raise LayoutError(f"unknown layout {layout!r} (expected table1, fig3 or fig2)")
+    if layout not in LAYOUTS:
+        *head, last = LAYOUTS
+        raise LayoutError(f"unknown layout {layout!r} (expected {', '.join(head)} or {last})")
+    return LAYOUTS[layout](report)
+
+
+def save_table(rendered: RenderedTable, out_dir: str, layout: str) -> None:
+    """Write ``<layout>.txt`` and ``<layout>.csv`` under ``out_dir``."""
+    for suffix, content in (("txt", rendered.text), ("csv", rendered.csv)):
+        path = os.path.join(out_dir, f"{layout}.{suffix}")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(content)
 
 
 def _transfer_columns(report: ExperimentReport) -> list[tuple[str, str, bool]]:
@@ -297,22 +289,22 @@ def _transfer_columns(report: ExperimentReport) -> list[tuple[str, str, bool]]:
 
 
 def _render_table1(report: ExperimentReport) -> RenderedTable:
-    combos = report.strategies()
-    strategies = [s for s in STRATEGIES if any(c[0] == s for c in combos)]
+    cells = {cell.key(): cell for cell in report.cells}
+    strategies = [s for s in STRATEGIES if any(key[2] == s for key in cells)]
     if not strategies:
         raise LayoutError("report holds no cells to render")
-    scopes = [s for s in SCOPES if any(c[1] == s and c[0] != BASELINE for c in combos)]
-    if not scopes:
-        scopes = ["global"]
+    debiased = {key[3] for key in cells if key[2] != BASELINE}
+    scopes = [s for s in SCOPES if s in debiased] or ["global"]
+    columns = _transfer_columns(report)
     # Deltas are defined against the no-debias baseline; a report without
     # baseline cells (a single-strategy run) renders plain values instead.
-    baseline_cells: dict[tuple[str, str], float] | None = None
+    baseline: dict[tuple[str, str], float] | None = None
     if BASELINE in strategies:
-        baseline_cells = {}
-        for train, test, _ in _transfer_columns(report):
-            baseline_cells[(train, test)] = report.cell(train, test, BASELINE, "global").mean_auc
+        baseline = {
+            (train, test): report.cell(train, test, BASELINE, "global").mean_auc
+            for train, test, _ in columns
+        }
 
-    columns = _transfer_columns(report)
     headers = ["strategy"] + [
         f"{scope}:{train}-{test}" for scope in scopes for train, test, _ in columns
     ]
@@ -325,22 +317,19 @@ def _render_table1(report: ExperimentReport) -> RenderedTable:
             # single set of numbers in every scope group, as the source table does.
             actual_scope = effective_scope(strategy, scope)
             for train, test, is_cross in columns:
-                try:
-                    cell = report.cell(train, test, strategy, actual_scope)
-                except IncompleteMatrixError:
+                cell = cells.get((train, test, strategy, actual_scope))
+                if cell is None:
                     row.append("-")
                     continue
                 base = None
-                if strategy != BASELINE and is_cross and baseline_cells is not None:
-                    base = baseline_cells[(train, test)]
+                if is_cross and strategy != BASELINE and baseline is not None:
+                    base = baseline[(train, test)]
                 row.append(format_value_with_delta(cell.mean_auc, base))
-                if strategy != BASELINE and baseline_cells is not None:
-                    delta = cell.mean_auc - baseline_cells[(train, test)]
+                # The baseline's own delta is x - x, exactly 0.0 and unflagged.
+                delta, flagged = "", 0
+                if baseline is not None:
+                    delta = cell.mean_auc - baseline[(train, test)]
                     flagged = int(abs(delta * 100.0) > DELTA_FLAG_PP)
-                elif strategy == BASELINE:
-                    delta, flagged = 0.0, 0
-                else:  # no baseline in the report: no delta to record
-                    delta, flagged = "", 0
                 csv_rows.append(
                     [strategy, actual_scope, train, test, cell.mean_auc, delta, flagged]
                 )
@@ -406,3 +395,7 @@ def _render_fig2(report: ExperimentReport) -> RenderedTable:
         _table_text(headers, rows),
         _csv_text(["dataset", "class", "genre", "count"], csv_rows),
     )
+
+
+# The rendered layouts, in the order the docs list them.
+LAYOUTS = {"table1": _render_table1, "fig3": _render_fig3, "fig2": _render_fig2}

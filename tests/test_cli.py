@@ -3,10 +3,12 @@ and the JSON error contract."""
 
 import hashlib
 import json
+import math
 import random
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -14,10 +16,11 @@ from pathlib import Path
 import pytest
 
 from conftest import SMALL_SPEC, write_corpus
-from debiaskit import cli
+from debiaskit import cli, pipeline
 from debiaskit.cli import main
 from debiaskit.config import load_config
-from debiaskit.data import EmbeddingTable, load_embeddings, save_embeddings
+from debiaskit.data import MAX_CLASSES, EmbeddingTable, load_embeddings, save_embeddings
+from debiaskit.kernel import MAX_FEATURE_VALUES, MAX_MAP_VALUES
 from debiaskit.report import load_report, save_report
 from debiaskit.synth import SynthSpec
 
@@ -631,6 +634,48 @@ def test_huge_feature_map_ends_in_one_line_json_error(cli_corpus, capsys):
     payload, _ = read_stderr_error(capsys)
     assert payload["error"] == "PipelineError"
     assert "feature map exceeds" in payload["message"]
+
+
+def test_feature_width_past_the_scatter_bound_is_refused_before_any_draw(
+    cli_corpus, capsys, monkeypatch
+):
+    # Within the map cap (dprime * dim), but the dprime x dprime discriminant
+    # scatter would exceed MAX_FEATURE_VALUES: refused before fit_rff runs.
+    corpus_dir, entries = cli_corpus
+    dprime_factor = math.isqrt(MAX_FEATURE_VALUES) // CLI_SPEC.dim + 1
+    assert dprime_factor * CLI_SPEC.dim**2 <= MAX_MAP_VALUES
+    draws = []
+    monkeypatch.setattr(pipeline, "fit_rff", lambda *args, **kwargs: draws.append(args))
+    config_path = write_config(corpus_dir, entries, strategy="KLDA", dprime_factor=dprime_factor)
+    assert main(["run", "--config", config_path]) == 1
+    payload, _ = read_stderr_error(capsys)
+    assert payload["error"] == "PipelineError"
+    assert f"exceed {MAX_FEATURE_VALUES} values" in payload["message"]
+    assert draws == []
+
+
+def test_manifest_past_the_class_bound_names_the_line(cli_corpus, capsys):
+    # Each record names a class of its own; the class past MAX_CLASSES first
+    # appears on the line after the one that brings the count to the bound.
+    corpus_dir, entries = cli_corpus
+    manifest = Path(entries[0].manifest)
+    lines = manifest.read_text().splitlines()
+    known = {c for line in lines for c in json.loads(line)["labels"]}
+    records = []
+    for i in range(2 * MAX_CLASSES):
+        record = json.loads(lines[i % len(lines)])
+        record["clip_id"] = f"extra{i}"
+        record["labels"] = {f"extra{i}": "unk"}
+        records.append(json.dumps(record))
+    manifest.write_text("\n".join(lines + records) + "\n")
+    bad_line = len(lines) + MAX_CLASSES - len(known) + 1
+    config_path = write_config(corpus_dir, entries)
+    start = time.perf_counter()
+    assert main(["run", "--config", config_path]) == 1
+    assert time.perf_counter() - start < 1.0
+    payload, _ = read_stderr_error(capsys)
+    assert payload["error"] == "ValidationError"
+    assert f"line {bad_line}: more than {MAX_CLASSES} classes" in payload["message"]
 
 
 def test_report_requires_existing_report(tmp_path, capsys):

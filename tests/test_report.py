@@ -6,9 +6,15 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from debiaskit.config import SCOPES, STRATEGIES, effective_scope
 from debiaskit.errors import IncompleteMatrixError, LayoutError, ValidationError
 from debiaskit.report import (
+    BASELINE,
+    DELTA_FLAG_PP,
+    LAYOUTS,
     Cell,
     CorrelationEntry,
     ExperimentReport,
@@ -17,8 +23,11 @@ from debiaskit.report import (
     format_value_with_delta,
     load_report,
     merge_reports,
+    _table_text,
+    _transfer_columns,
     render_table,
     save_report,
+    save_table,
 )
 
 DATASETS = ("north", "south")
@@ -407,7 +416,8 @@ def test_empty_report_rejected_by_table1():
 
 def test_unknown_layout_rejected():
     report = assemble([])
-    with pytest.raises(LayoutError):
+    message = r"^unknown layout 'fig9' \(expected table1, fig3 or fig2\)$"
+    with pytest.raises(LayoutError, match=message):
         render_table(report, "fig9")
 
 
@@ -471,3 +481,197 @@ def test_fig2_counts_render():
 def test_fig2_requires_histogram():
     with pytest.raises(LayoutError):
         render_table(assemble([]), "fig2")
+
+
+# --- the renderers against a reference -------------------------------------
+#
+# The table1 renderer and CSV field rule these replaced, kept as the reference:
+# on any report whose names hold no CR, the renderers must give the same bytes.
+
+
+def _reference_csv_field(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    text = str(value)
+    if any(ch in text for ch in ",\"\n"):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _reference_csv_text(headers, rows) -> str:
+    out = io.StringIO()
+    out.write(",".join(headers) + "\n")
+    for row in rows:
+        out.write(",".join(_reference_csv_field(v) for v in row) + "\n")
+    return out.getvalue()
+
+
+def _reference_render_table1(report):
+    seen = {}
+    for cell in report.cells:
+        seen.setdefault((cell.strategy, cell.scope), None)
+    combos = tuple(seen)
+    strategies = [s for s in STRATEGIES if any(c[0] == s for c in combos)]
+    if not strategies:
+        raise LayoutError("report holds no cells to render")
+    scopes = [s for s in SCOPES if any(c[1] == s and c[0] != BASELINE for c in combos)]
+    if not scopes:
+        scopes = ["global"]
+    baseline_cells = None
+    if BASELINE in strategies:
+        baseline_cells = {}
+        for train, test, _ in _transfer_columns(report):
+            baseline_cells[(train, test)] = report.cell(train, test, BASELINE, "global").mean_auc
+    columns = _transfer_columns(report)
+    headers = ["strategy"] + [
+        f"{scope}:{train}-{test}" for scope in scopes for train, test, _ in columns
+    ]
+    text_rows, csv_rows = [], []
+    for strategy in strategies:
+        row = [strategy]
+        for scope in scopes:
+            actual_scope = effective_scope(strategy, scope)
+            for train, test, is_cross in columns:
+                try:
+                    cell = report.cell(train, test, strategy, actual_scope)
+                except IncompleteMatrixError:
+                    row.append("-")
+                    continue
+                base = None
+                if strategy != BASELINE and is_cross and baseline_cells is not None:
+                    base = baseline_cells[(train, test)]
+                row.append(format_value_with_delta(cell.mean_auc, base))
+                if strategy != BASELINE and baseline_cells is not None:
+                    delta = cell.mean_auc - baseline_cells[(train, test)]
+                    flagged = int(abs(delta * 100.0) > DELTA_FLAG_PP)
+                elif strategy == BASELINE:
+                    delta, flagged = 0.0, 0
+                else:
+                    delta, flagged = "", 0
+                csv_rows.append(
+                    [strategy, actual_scope, train, test, cell.mean_auc, delta, flagged]
+                )
+        text_rows.append(row)
+    class_rows = [
+        [cell.strategy, cell.scope, cell.train, cell.test, cls, cell.class_auc[cls]]
+        for cell in report.cells
+        for cls in report.classes
+    ]
+    csv_text = _reference_csv_text(
+        ["strategy", "scope", "train", "test", "mean_auc", "delta", "flagged"], csv_rows
+    )
+    csv_text += _reference_csv_text(
+        ["strategy", "scope", "train", "test", "class", "auc"], class_rows
+    )
+    return _table_text(headers, text_rows), csv_text
+
+
+# Names drawn from letters and the characters the CSV must quote, except CR,
+# which the reference left bare.
+NAMES = st.text(alphabet='ab,"\n ', min_size=1, max_size=4)
+
+
+@st.composite
+def random_reports(draw):
+    datasets = tuple(draw(st.lists(NAMES, min_size=2, max_size=2, unique=True)))
+    classes = tuple(draw(st.lists(NAMES, min_size=1, max_size=3, unique=True)))
+    a, b = datasets
+    keys = [
+        (train, test, strategy, scope)
+        for strategy in STRATEGIES
+        for scope in SCOPES
+        for train, test in ((a, a), (b, b), (b, a), (a, b))
+    ]
+    # With the whole baseline, with none of it, or with a random part of it.
+    baseline = [k for k in keys if k[2] == BASELINE and k[3] == "global"]
+    others = [k for k in keys if k not in baseline]
+    part = draw(st.lists(st.sampled_from(baseline), unique=True))
+    chosen = draw(st.sampled_from([baseline, [], part]))
+    chosen = chosen + draw(st.lists(st.sampled_from(others), unique=True, max_size=12))
+    auc = st.floats(min_value=0.0, max_value=1.0)
+    cells = [Cell(*key, {c: draw(auc) for c in classes}) for key in chosen]
+    return build_report(
+        datasets=datasets,
+        classes=classes,
+        cells=cells,
+        correlations=[],
+        genre_histogram={},
+        seeds={},
+        config={},
+        bias_fit_notes={},
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_reports())
+def test_table1_renders_the_reference_bytes(report):
+    try:
+        expected = _reference_render_table1(report)
+    except (IncompleteMatrixError, LayoutError) as exc:
+        with pytest.raises(type(exc)):
+            render_table(report, "table1")
+        return
+    rendered = render_table(report, "table1")
+    assert (rendered.text, rendered.csv) == expected
+
+
+AWKWARD = ("car\rriage", "line\nfeed", "com,ma", 'qu"ote')
+
+
+def awkward_report():
+    """Every string field of every layout's CSV holds CR, LF, a comma or a
+    double quote."""
+    datasets = ("car\rriage", "line\nfeed")
+    classes = ("com,ma", 'qu"ote', "car\rriage")
+    cells = [
+        Cell(train, test, strategy, "global", {c: 0.75 for c in classes})
+        for strategy in ("none", "LDA")
+        for train in datasets
+        for test in datasets
+    ]
+    correlations = [
+        CorrelationEntry(d, "LDA", "global", "original", {c: 0.5 for c in classes})
+        for d in datasets
+    ]
+    histogram = {d: {c: {g: 3 for g in AWKWARD} for c in classes} for d in datasets}
+    return build_report(
+        datasets=datasets,
+        classes=classes,
+        cells=cells,
+        correlations=correlations,
+        genre_histogram=histogram,
+        seeds={},
+        config={},
+        bias_fit_notes={},
+    )
+
+
+def test_every_layout_csv_reads_back_names_with_line_ends_and_quotes():
+    report = awkward_report()
+    datasets, classes = set(report.datasets), set(report.classes)
+    expected = {
+        "table1": {"train": datasets, "test": datasets, "class": classes},
+        "fig3": {"domain": datasets, "class": classes | {"MEAN_ABS"}},
+        "fig2": {"dataset": datasets, "class": classes, "genre": set(AWKWARD)},
+    }
+    assert list(expected) == list(LAYOUTS)
+    for layout, columns in expected.items():
+        rows = csv.reader(io.StringIO(render_table(report, layout).csv, newline=""))
+        read_back: dict[str, set] = {}
+        header = None
+        for row in rows:
+            if row[0] in ("strategy", "domain", "dataset"):
+                header = row
+                continue
+            # Every row comes back whole: no name splits it.
+            assert len(row) == len(header), (layout, row)
+            for name, value in zip(header, row):
+                read_back.setdefault(name, set()).add(value)
+        assert {name: read_back[name] for name in columns} == columns, layout
+
+
+def test_save_table_writes_the_rendered_bytes(tmp_path):
+    rendered = render_table(awkward_report(), "fig2")
+    save_table(rendered, str(tmp_path), "fig2")
+    assert (tmp_path / "fig2.txt").read_bytes() == rendered.text.encode("utf-8")
+    assert (tmp_path / "fig2.csv").read_bytes() == rendered.csv.encode("utf-8")
