@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .config import load_config, read_json, write_json
+from .config import BASELINE, STRATEGIES, load_config, read_json, write_json
 from .data import save_embeddings, save_genre_map, save_manifest
 from .errors import DebiasKitError, IoError, ValidationError
 from .pipeline import run_matrix, run_strategy
@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_matrix.add_argument("--config", required=True, help="experiment config JSON")
     p_matrix.add_argument(
         "--strategies",
-        default="LDA,mLDA,K,KLDA,mKLDA",
+        default=",".join(s for s in STRATEGIES if s != BASELINE),
         help="comma-separated strategies (baseline always included)",
     )
     p_matrix.add_argument(

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .bias import DEFAULT_SHRINKAGE
 from .errors import ValidationError
 from .kernel import DEFAULT_DPRIME_FACTOR
-from .logreg import DEFAULT_C_GRID, DEFAULT_FOLDS
+from .logreg import DEFAULT_C_GRID, DEFAULT_FOLDS, MIN_C
 from .seeding import RUN_PURPOSES, derive_run_seeds
 
 
@@ -37,6 +37,7 @@ STRATEGIES = {
     "KLDA": Strategy(kernelized=True, multi=False, projecting=True),
     "mKLDA": Strategy(kernelized=True, multi=True, projecting=True),
 }
+BASELINE = "none"  # every matrix runs it: the deltas are taken against it
 SCOPES = ("global", "classwise")
 
 
@@ -232,8 +233,8 @@ def config_from_dict(obj: dict, base_dir: str | None = None) -> ExperimentConfig
             raise ValidationError(f"gamma must be positive and finite or 'median', got {gamma}")
     if "c_grid" in obj:
         raw_grid = _typed(obj["c_grid"], (list, tuple), "c_grid", "a list")
-        c_grid = kwargs["c_grid"] = tuple(_number(float, c, "c_grid entry") for c in raw_grid)
-        if not c_grid or any(not c > 0 for c in c_grid):
+        c_grid = kwargs["c_grid"] = tuple(_number(float, c, "c_grid entry", MIN_C) for c in raw_grid)
+        if not c_grid:
             raise ValidationError("c_grid must be a non-empty list of positive numbers")
     if "seeds" in obj:
         overrides = kwargs["seeds_override"] = {}

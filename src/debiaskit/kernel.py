@@ -149,8 +149,11 @@ def fit_rff(
         gamma_value = float(gamma)
         if not (gamma_value > 0.0 and np.isfinite(gamma_value)):
             raise InvalidGammaError(f"gamma must be positive and finite, got {gamma}")
+    scale = np.sqrt(2.0 * gamma_value)
+    if not np.isfinite(scale):
+        raise InvalidGammaError(f"kernel width {gamma_value} overflows the frequency scale sqrt(2 gamma)")
     rng = np.random.default_rng(seed)
-    frequencies = rng.standard_normal((dprime, dim)) * np.sqrt(2.0 * gamma_value)
+    frequencies = rng.standard_normal((dprime, dim)) * scale
     phases = rng.uniform(0.0, 2.0 * np.pi, size=dprime)
     return KernelMap(frequencies, phases, gamma_value)
 

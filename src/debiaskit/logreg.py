@@ -53,6 +53,7 @@ so reruns write the same bytes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,9 @@ FORCING_MAX = 0.1  # CG stops at residual <= min(FORCING_MAX, sqrt(||g|| / ||g_s
 # Hessian, as when every curvature vanishes at a saturated intercept; past
 # this size the step's squared norm and regulariser would overflow.
 STEP_MAX = 2.0**256
+# The smallest C whose regulariser 1 / C is finite: 1 / sys.float_info.max
+# rounds to 2**-1024, whose reciprocal overflows.
+MIN_C = math.nextafter(1.0 / sys.float_info.max, 1.0)
 
 # 10^-8 .. 10^4, one value per decade.
 DEFAULT_C_GRID = tuple(10.0 ** k for k in range(-8, 5))
@@ -308,8 +312,8 @@ def train_logreg(
     ``_design`` is ``_prepare(x, y)`` when the caller already holds it, as
     cross-validation does for each fold along the C grid.
     """
-    if not (c_value > 0 and np.isfinite(c_value)):
-        raise ValueError(f"C must be positive and finite, got {c_value}")
+    if not (c_value >= MIN_C and np.isfinite(c_value)):
+        raise ValueError(f"C must be finite and >= {MIN_C}, got {c_value}")
     design = _prepare(x, y) if _design is None else _design
     n_params = design.xa.shape[1]
     start = np.zeros(n_params)

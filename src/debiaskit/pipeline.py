@@ -29,6 +29,7 @@ from __future__ import annotations
 import os
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,6 +40,7 @@ from .bias import bias_correlation, fit_lda_direction, subspace_correlation
 # config_from_dict stay importable from here: the acceptance suite and the
 # test fixtures import them from this module.
 from .config import (
+    BASELINE,
     SCOPES,
     STRATEGIES,
     DatasetEntry,
@@ -100,6 +102,9 @@ from .report import (  # noqa: F401
 )
 from .seeding import derive_seed
 
+# The largest pooled value a run takes: the largest a binary embedding file holds.
+MAX_EMBEDDING_VALUE = float(np.finfo(np.float32).max)
+
 # --- guarded per-dataset rows ---------------------------------------------
 
 
@@ -141,8 +146,6 @@ class DomainData:
         indices = np.asarray(indices, dtype=np.intp)
         raw = self.rows(indices)
         self._built = indices
-        self._positions = np.full(self.table.n_rows, -1, dtype=np.intp)
-        self._positions[indices] = np.arange(indices.size)
         self._features = featurize(raw)
         self._features.setflags(write=False)
 
@@ -156,9 +159,12 @@ class DomainData:
             # A read of every built row, as the global bias fit makes, is
             # served without a copy: the copy would double peak memory.
             return self._features
-        positions = self._positions[indices]
-        if (positions < 0).any():
-            missing = np.sort(indices[positions < 0])
+        # Built indices ascend (Manifest.indices is flatnonzero order): binary search.
+        positions = np.searchsorted(self._built, indices)
+        found = positions < self._built.size
+        found[found] = self._built[positions[found]] == indices[found]
+        if not found.all():
+            missing = np.sort(indices[~found])
             raise LeakageError(
                 f"rows of {self.name!r} read during phase {self.guard.phase!r} are "
                 f"not among the built feature rows: indices {missing[:5].tolist()}"
@@ -224,6 +230,12 @@ def load_corpus(config: ExperimentConfig) -> Corpus:
     universe = tuple(sorted({c for _, _, manifest in loaded for c in manifest.classes}))
     manifests = []
     for entry, table, manifest in loaded:
+        if max(table.vectors.max(), -table.vectors.min()) > MAX_EMBEDDING_VALUE:
+            row = np.flatnonzero(np.abs(table.vectors).max(axis=1) > MAX_EMBEDDING_VALUE)[0]
+            raise ValidationError(
+                f"dataset {entry.name!r}: clip {table.clip_ids[row]!r} pools to a value beyond"
+                f" {MAX_EMBEDDING_VALUE!r} in magnitude, the float32 range of embedding files"
+            )
         if entry.name not in manifest.datasets:
             raise ValidationError(f"manifest {entry.manifest} holds no records for dataset {entry.name!r}")
         manifests.append(_align(entry.name, table, manifest, universe))
@@ -372,15 +384,16 @@ class RunResult:
     bias_fit: BiasFit | None = None
 
 
-def _wrap(exc: DebiasKitError, config: ExperimentConfig, **context) -> PipelineError:
-    if isinstance(exc, PipelineError):
-        return exc
-    return PipelineError(
-        str(exc),
-        strategy=config.strategy,
-        scope=config.effective_scope(),
-        **context,
-    )
+@contextmanager
+def _job_context(config: ExperimentConfig, **context):
+    """Re-raise a package error from the block as a PipelineError that names
+    the job's strategy and scope and the given class and cell."""
+    try:
+        yield
+    except DebiasKitError as exc:
+        raise PipelineError(
+            str(exc), strategy=config.strategy, scope=config.effective_scope(), **context
+        ) from exc
 
 
 def _fit_feature_map(config: ExperimentConfig, domains, guard: SplitGuard, rff_seed: int):
@@ -430,7 +443,7 @@ def run_strategy(config: ExperimentConfig, *, corpus: Corpus | None = None) -> R
     # a class-wise correction is fitted on the positives its classifier uses.
     samples: dict[str, tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
     for class_name in classes:
-        try:
+        with _job_context(config, class_name=class_name):
             samples[class_name] = tuple(
                 balanced_subsample(
                     domain_a.manifest,
@@ -441,18 +454,14 @@ def run_strategy(config: ExperimentConfig, *, corpus: Corpus | None = None) -> R
                 )
                 for state in (POS, NEG)
             )
-        except DebiasKitError as exc:
-            raise _wrap(exc, config, class_name=class_name) from exc
 
     # Shared feature space: standardize + random features, fitted on training
     # rows; each domain's training rows are mapped once, here.
     if kernelized:
-        try:
+        with _job_context(config):
             featurize = _fit_feature_map(config, domains, guard, seeds["rff"])
-        except DebiasKitError as exc:
-            raise _wrap(exc, config) from exc
-        for d in domains:
-            d.build_features(d.train_indices, featurize)
+            for d in domains:
+                d.build_features(d.train_indices, featurize)
 
     # Bias directions / subspaces, fitted on training rows: all of them for
     # the global correction, each class's positives for a class-wise one.
@@ -461,10 +470,8 @@ def run_strategy(config: ExperimentConfig, *, corpus: Corpus | None = None) -> R
     else:
         pools = {c: samples[c][0] for c in classes}
     guard.enter(PHASE_BIAS)
-    try:
+    with _job_context(config):
         bias_fit = fit_bias(config, domain_a, domain_b, genre_map, pools)
-    except DebiasKitError as exc:
-        raise _wrap(exc, config) from exc
 
     def debiased(class_name: str, x: np.ndarray) -> np.ndarray:
         op = bias_fit.operators.get(class_name, bias_fit.operators.get(None))
@@ -476,7 +483,7 @@ def run_strategy(config: ExperimentConfig, *, corpus: Corpus | None = None) -> R
     for class_name in classes:
         (pos_a, pos_b), (neg_a, neg_b) = samples[class_name]
         for domain, pos_idx, neg_idx in ((domain_a, pos_a, neg_a), (domain_b, pos_b, neg_b)):
-            try:
+            with _job_context(config, class_name=class_name, cell=f"train:{domain.name}"):
                 x = debiased(class_name, domain.rows(np.concatenate([pos_idx, neg_idx])))
                 y = np.concatenate(
                     [np.ones(len(pos_idx), dtype=bool), np.zeros(len(neg_idx), dtype=bool)]
@@ -488,33 +495,28 @@ def run_strategy(config: ExperimentConfig, *, corpus: Corpus | None = None) -> R
                     cv_seed = derive_seed(seeds["cv"], f"cv:{class_name}:{domain.name}")
                     c_value, _ = cv_select_c(x, y, cv_seed, config.c_grid, config.cv_folds)
                 models[class_name][domain.name] = train_logreg(x, y, c_value)
-            except DebiasKitError as exc:
-                raise _wrap(exc, config, class_name=class_name, cell=f"train:{domain.name}") from exc
 
     # Held-out scoring: each labelled held-out set is gathered and projected
     # once, then scored by both training domains' models. The cells keep the
     # (train, test) order.
     guard.enter(PHASE_EVALUATE)
     if kernelized:
-        for d in domains:
-            d.build_features(d.test_indices, featurize)
+        with _job_context(config):
+            for d in domains:
+                d.build_features(d.test_indices, featurize)
     class_auc: dict[tuple[str, str], dict[str, float]] = {
         (t.name, e.name): {} for t in domains for e in domains
     }
     for eval_domain in domains:
         for class_name in classes:
-            cell = f"test:{eval_domain.name}"
-            try:
+            with _job_context(config, class_name=class_name, cell=f"test:{eval_domain.name}"):
                 idx, y = _labeled_test_rows(eval_domain, class_name)
                 x = debiased(class_name, eval_domain.rows(idx))
-                for train_domain in domains:
-                    cell = f"{train_domain.name}->{eval_domain.name}"
+            for train_domain in domains:
+                cell = (train_domain.name, eval_domain.name)
+                with _job_context(config, class_name=class_name, cell="->".join(cell)):
                     model = models[class_name][train_domain.name]
-                    class_auc[(train_domain.name, eval_domain.name)][class_name] = roc_auc(
-                        predict_scores(model, x), y
-                    )
-            except DebiasKitError as exc:
-                raise _wrap(exc, config, class_name=class_name, cell=cell) from exc
+                    class_auc[cell][class_name] = roc_auc(predict_scores(model, x), y)
     cells = [Cell(*key, strategy, scope, aucs) for key, aucs in class_auc.items()]
 
     space = "kernelized" if kernelized else "original"
@@ -610,7 +612,7 @@ class MatrixResult:
 
 
 def _matrix_jobs(strategies: list[str], scopes: list[str]) -> list[tuple[str, str]]:
-    jobs: list[tuple[str, str]] = [("none", "global")]
+    jobs: list[tuple[str, str]] = [(BASELINE, "global")]
     for strategy in strategies:
         if strategy not in STRATEGIES:
             raise ValidationError(f"unknown strategy {strategy!r}")

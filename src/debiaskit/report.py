@@ -19,11 +19,10 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields, replace
 
-from .config import SCOPES, STRATEGIES, _number, _typed, effective_scope, read_json, write_json
+from .config import BASELINE, SCOPES, STRATEGIES, _number, _typed, effective_scope, read_json, write_json
 from .data import csv_field
 from .errors import IncompleteMatrixError, LayoutError, ValidationError
 
-BASELINE = "none"
 DELTA_FLAG_PP = 0.1
 
 

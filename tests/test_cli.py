@@ -13,6 +13,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import SMALL_SPEC, write_corpus
@@ -21,6 +22,7 @@ from debiaskit.cli import main
 from debiaskit.config import load_config
 from debiaskit.data import MAX_CLASSES, EmbeddingTable, load_embeddings, save_embeddings
 from debiaskit.kernel import MAX_FEATURE_VALUES, MAX_MAP_VALUES
+from debiaskit.logreg import MIN_C
 from debiaskit.report import load_report, save_report
 from debiaskit.synth import SynthSpec
 
@@ -551,6 +553,11 @@ def test_matrix_reports_are_byte_identical_across_corpus_directories(tmp_path, c
     assert recorded["genre_map"] == "genres.json"
 
 
+def test_matrix_strategies_default_to_every_strategy_but_the_baseline():
+    args = cli._build_parser().parse_args(["matrix", "--config", "config.json"])
+    assert args.strategies == "LDA,mLDA,K,KLDA,mKLDA"
+
+
 def test_matrix_rejects_unknown_strategy(cli_corpus, capsys):
     corpus_dir, entries = cli_corpus
     config_path = write_config(corpus_dir, entries)
@@ -676,6 +683,54 @@ def test_manifest_past_the_class_bound_names_the_line(cli_corpus, capsys):
     payload, _ = read_stderr_error(capsys)
     assert payload["error"] == "ValidationError"
     assert f"line {bad_line}: more than {MAX_CLASSES} classes" in payload["message"]
+
+
+def set_first_value(entry, text):
+    """Write ``text`` in place of the first value of the last row of
+    ``entry``'s CSV, a training clip; returns that clip's id."""
+    path = Path(entry.embeddings)
+    lines = path.read_text().splitlines()
+    fields = lines[-1].split(",")
+    fields[2] = text
+    lines[-1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    return fields[0]
+
+
+@pytest.mark.parametrize(
+    "extras, error, message",
+    [
+        ({"c_grid": [1e-310]}, "ValidationError", f"c_grid entry must be >= {MIN_C}, got 1e-310"),
+        (
+            {"strategy": "KLDA", "gamma": 1e308},
+            "PipelineError",
+            "kernel width 1e+308 overflows the frequency scale sqrt(2 gamma)"
+            " [strategy=KLDA, scope=global]",
+        ),
+        ({"value": "1e300"}, "ValidationError", "dataset 'synthA': clip {clip!r} pools to a value"
+         " beyond 3.4028234663852886e+38 in magnitude, the float32 range of embedding files"),
+    ],
+    ids=["c-below-min-c", "gamma-overflows-the-frequency-scale", "value-beyond-float32"],
+)
+def test_numbers_past_the_float_range_end_in_one_line_json_error(
+    cli_corpus, capsys, extras, error, message
+):
+    corpus_dir, entries = cli_corpus
+    extras = dict(extras)
+    clip = set_first_value(entries[0], extras.pop("value")) if "value" in extras else None
+    config_path = write_config(corpus_dir, entries, **extras)
+    start = time.perf_counter()
+    assert main(["run", "--config", config_path]) == 1
+    assert time.perf_counter() - start < 5.0
+    payload, _ = read_stderr_error(capsys)
+    assert payload == {"error": error, "message": message.format(clip=clip)}
+
+
+def test_a_pooled_value_at_the_float32_bound_runs(cli_corpus, capsys):
+    corpus_dir, entries = cli_corpus
+    set_first_value(entries[0], repr(float(np.finfo(np.float32).max)))
+    assert main(["run", "--config", write_config(corpus_dir, entries, strategy="LDA")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_report_requires_existing_report(tmp_path, capsys):

@@ -178,6 +178,16 @@ def test_invalid_gamma_values():
         fit_rff(4, 16, float("inf"), seed=0)
 
 
+@pytest.mark.parametrize("gamma", [1e308, "median"])
+def test_a_width_whose_frequency_scale_overflows_is_refused(gamma):
+    # sqrt(2 * 1e308) is inf; so is the median heuristic's 1 / (2 m^2) for
+    # rows 1e-160 apart, although the median distance itself is finite.
+    x = np.array([[0.0], [1e-160], [2e-160]])
+    with pytest.raises(InvalidGammaError, match="overflows the frequency scale"):
+        fit_rff(1, 4, gamma, 0, x_sample=x)
+    assert np.isfinite(fit_rff(1, 4, 1e307, 0).frequencies).all()
+
+
 def test_oversized_map_is_refused_before_drawing():
     # Sized far past memory: refused from the shape alone.
     with pytest.raises(ValidationError, match="feature map exceeds"):

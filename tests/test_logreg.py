@@ -1,6 +1,7 @@
 """Regularised binary classifier: objective, optimiser, fold logic, C selection."""
 
 import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -14,6 +15,7 @@ from debiaskit.errors import FoldDegenerateError, NonFiniteError, SingleClassErr
 from debiaskit.logreg import (
     DEFAULT_C_GRID,
     GRAD_TOL,
+    MIN_C,
     ClassifierModel,
     cv_select_c,
     logreg_objective,
@@ -189,9 +191,20 @@ def test_label_flip_negates_weights():
 
 def test_invalid_c_rejected():
     x, y = make_separable(seed=8)
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
+    for bad in (0.0, -1.0, float("nan"), float("inf"), 1e-310, math.nextafter(MIN_C, 0.0)):
         with pytest.raises(ValueError):
             train_logreg(x, y, c_value=bad)
+
+
+def test_the_smallest_c_has_a_finite_regulariser_and_trains():
+    # 1 / sys.float_info.max rounds to 2**-1024, whose reciprocal is inf;
+    # MIN_C is the next float up. Warnings are errors here, so an overflow
+    # in the loss or the gradient fails the fit.
+    assert math.isfinite(1.0 / MIN_C) and 1.0 / math.nextafter(MIN_C, 0.0) == math.inf
+    x, y = make_shifted(200, 8, seed=3)
+    model = train_logreg(x, y, MIN_C)
+    assert model.converged
+    assert np.all(np.abs(model.weights) < 1e-300)
 
 
 def test_scores_monotone_in_linear_score():

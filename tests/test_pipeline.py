@@ -27,7 +27,13 @@ from debiaskit.data import (
     load_manifest,
     pool_frames,
 )
-from debiaskit.errors import LeakageError, PipelineError, ValidationError
+from debiaskit.errors import (
+    LeakageError,
+    NonFiniteError,
+    PipelineError,
+    SingleClassError,
+    ValidationError,
+)
 from debiaskit.guard import PHASE_BIAS, PHASE_EVALUATE
 from debiaskit.logreg import cv_select_c, predict_scores, train_logreg
 from debiaskit.metrics import roc_auc
@@ -600,8 +606,17 @@ def test_kernel_debias_changes_little_without_planted_bias(tmp_path):
         assert abs(auc_k - by_pair_klda[pair]) <= 0.05, pair
 
 
+# One spec per failure site: every clip of one class and genre, so each site's
+# counts are fixed by samples_per_cell and test_fraction.
+SITE_SPEC = SynthSpec(dim=8, n_classes=2, n_genres=1, samples_per_cell=20, seed=7, bias=())
+
+
+def failing_roc_auc(scores, labels):
+    raise SingleClassError("planted scoring failure")
+
+
 @pytest.mark.parametrize(
-    "spec, strategy, scope, cell",
+    "spec, strategy, scope, overrides, cell, message",
     [
         # Every class predominant-only means no negative examples exist anywhere.
         (
@@ -617,7 +632,10 @@ def test_kernel_debias_changes_little_without_planted_bias(tmp_path):
             ),
             "none",
             "global",
+            {},
             None,
+            "no train records with label 'neg' for class 'class0' on side a"
+            " [strategy=none, scope=global, class=class0]",
         ),
         # Every clip held out: the first class's positive draw finds no
         # training record, before any bias fit.
@@ -627,33 +645,109 @@ def test_kernel_debias_changes_little_without_planted_bias(tmp_path):
             ),
             "LDA",
             "classwise",
+            {},
             None,
+            "no train records with label 'pos' for class 'class0' on side a"
+            " [strategy=LDA, scope=classwise, class=class0]",
         ),
         # No clip held out: the first held-out set gathered, synthA's for the
         # first class, is empty; the error names that set, not a training set.
         (
-            SynthSpec(
-                dim=8, n_classes=2, n_genres=1, samples_per_cell=20, test_fraction=0.0, seed=7, bias=()
-            ),
+            replace(SITE_SPEC, test_fraction=0.0),
             "none",
             "global",
+            {},
             "test:synthA",
+            "dataset 'synthA' has no labeled held-out rows for class 'class0'"
+            " [strategy=none, scope=global, class=class0, cell=test:synthA]",
+        ),
+        # The feature map: a width whose scatter passes the bound, refused
+        # before any draw; no class or cell is involved yet.
+        (
+            SITE_SPEC,
+            "K",
+            "global",
+            {"dprime_factor": 1449},
+            None,
+            "11592 random features over 60 training rows exceed 134217728 values in the"
+            " scatter or the feature rows; lower dprime_factor [strategy=K, scope=global]",
+        ),
+        # The bias fit: no genre has enough training rows for a direction.
+        (
+            SITE_SPEC,
+            "mLDA",
+            "global",
+            {"min_genre_samples": 100},
+            None,
+            "no genre pair gave a direction (class=None): 0 degenerate, 1 below 100"
+            " training rows a side [strategy=mLDA, scope=global]",
+        ),
+        # Training: a class with fewer training positives than folds.
+        (
+            SITE_SPEC,
+            "none",
+            "global",
+            {"cv_folds": 20},
+            "train:synthA",
+            "cannot build 20 stratified folds from 15 positives and 15 negatives"
+            " [strategy=none, scope=global, class=class0, cell=train:synthA]",
+        ),
+        # Scoring: the first model scored, synthA's on synthA's held-out rows.
+        (
+            SITE_SPEC,
+            "none",
+            "global",
+            {"roc_auc": failing_roc_auc},
+            "synthA->synthA",
+            "planted scoring failure [strategy=none, scope=global, class=class0, cell=synthA->synthA]",
         ),
     ],
-    ids=["no-negatives", "no-training-clips", "no-held-out-clips"],
+    ids=[
+        "no-negatives",
+        "no-training-clips",
+        "no-held-out-clips",
+        "feature-map",
+        "bias-fit",
+        "train",
+        "scoring",
+    ],
 )
-def test_pipeline_errors_carry_run_context(tmp_path, spec, strategy, scope, cell):
+def test_pipeline_errors_carry_run_context(
+    tmp_path, monkeypatch, spec, strategy, scope, overrides, cell, message
+):
+    overrides = dict(overrides)
+    if "roc_auc" in overrides:
+        monkeypatch.setattr(pipeline, "roc_auc", overrides.pop("roc_auc"))
     entries, _, gm_path = write_corpus(tmp_path, spec)
-    config = corpus_config(entries, gm_path, strategy, scope=scope, **FAST)
+    config = corpus_config(entries, gm_path, strategy, scope=scope, **{**FAST, **overrides})
     with pytest.raises(PipelineError) as excinfo:
         run_strategy(config)
     err = excinfo.value
+    assert str(err) == message
     assert err.strategy == strategy
     assert err.scope == scope
-    assert err.class_name == "class0"
+    assert err.class_name == ("class0" if "class=class0" in message else None)
     assert err.cell == cell
-    assert f"[strategy={strategy}" in str(err)
-    assert "class=class0" in str(err)
+
+
+@pytest.mark.parametrize("failing_call", [1, 3], ids=["training-rows", "held-out-rows"])
+def test_feature_row_failures_carry_run_context(small_corpus, monkeypatch, failing_call):
+    """The random-feature map runs on each domain's training rows, then on
+    each domain's held-out rows; a failure in either names the job."""
+    entries, _, gm_path = small_corpus
+    original = pipeline.transform_rff
+    calls = []
+
+    def failing(kernel_map, x):
+        calls.append(x.shape)
+        if len(calls) == failing_call:
+            raise NonFiniteError("planted feature failure")
+        return original(kernel_map, x)
+
+    monkeypatch.setattr(pipeline, "transform_rff", failing)
+    with pytest.raises(PipelineError) as excinfo:
+        run_strategy(corpus_config(entries, gm_path, "K", **FAST))
+    assert str(excinfo.value) == "planted feature failure [strategy=K, scope=global]"
 
 
 def test_classwise_fit_uses_the_draws_its_classifiers_train_on(small_corpus, monkeypatch):
@@ -700,8 +794,14 @@ def test_built_feature_rows_serve_only_their_own_indices(small_corpus):
     domain.build_features(domain.test_indices, lambda raw: 2.0 * raw)
     for picked in (domain.test_indices, domain.test_indices[::-2]):
         assert_array_equal(domain.rows(picked), 2.0 * domain.table.vectors[picked])
-    with pytest.raises(LeakageError, match="not among the built feature rows"):
-        domain.rows(domain.train_indices[:1])
+    # Below, between and above the built indices; the last is one past every
+    # built index, where the binary search lands past the end.
+    above = domain.train_indices[-1:]
+    assert above[0] > domain.test_indices.max()
+    between = np.setdiff1d(np.arange(domain.test_indices[0], domain.test_indices[-1]), domain.test_indices)
+    for picked in (domain.train_indices[:1], between[:1], above):
+        with pytest.raises(LeakageError, match="not among the built feature rows"):
+            domain.rows(picked)
 
 
 @pytest.mark.filterwarnings("error")
