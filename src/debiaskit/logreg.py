@@ -29,8 +29,9 @@ but cannot change what counts as converged.
 
 A training set is validated, augmented, centred, scaled and squared once
 (``_prepare``), into a read-only design that no fit copies or writes.
-Cross-validation prepares each fold once; every C on the fold's path reuses
-that design and warm-starts from the previous grid value's solution.
+Cross-validation (``cv_select_c``) prepares each fold once; every C of the
+ascending grid reuses that design and warm-starts from the previous C's
+solution, and only one fold's design is alive at a time.
 
 A fit stops when the gradient test passes: the gradient infinity-norm is at
 most 1e-6 times max(1, ||w||_inf / C). At the optimum the data gradient
@@ -348,10 +349,15 @@ def predict_scores(model: ClassifierModel, x: np.ndarray) -> np.ndarray:
 def stratified_folds(
     y: np.ndarray, n_folds: int, seed: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Deterministic stratified K-fold (train_idx, val_idx) pairs.
+    """Deterministic stratified K-fold (train_idx, val_idx) pairs, each ascending.
 
-    Raises FoldDegenerateError when any fold would miss a class.
+    Each class is permuted (positives first) and split into ``n_folds``
+    near-equal chunks; chunk k of both classes is fold k's validation set.
+    Raises ValueError for fewer than two folds and FoldDegenerateError when
+    any fold would miss a class.
     """
+    if n_folds < 2:
+        raise ValueError(f"need at least 2 folds, got {n_folds}")
     y = np.asarray(y).astype(bool).ravel()
     pos = np.flatnonzero(y)
     neg = np.flatnonzero(~y)
@@ -361,42 +367,11 @@ def stratified_folds(
             f"and {len(neg)} negatives"
         )
     rng = np.random.default_rng(seed)
-    pos = rng.permutation(pos)
-    neg = rng.permutation(neg)
-    pos_chunks = np.array_split(pos, n_folds)
-    neg_chunks = np.array_split(neg, n_folds)
-    folds = []
-    for k in range(n_folds):
-        val = np.sort(np.concatenate([pos_chunks[k], neg_chunks[k]]))
-        train = np.sort(
-            np.concatenate(
-                [c for i, c in enumerate(pos_chunks) if i != k]
-                + [c for i, c in enumerate(neg_chunks) if i != k]
-            )
-        )
-        folds.append((train, val))
-    return folds
-
-
-def _fold_path(
-    x: np.ndarray, y: np.ndarray, train_idx: np.ndarray, val_idx: np.ndarray, grid: list[float]
-) -> list[float]:
-    """Validation ROC-AUC at each C of the ascending ``grid`` on one fold.
-
-    The training rows are prepared once, and each fit warm-starts from the
-    previous C's solution on that design. The design lives only as long as
-    the fold, so no two folds' designs are held at once.
-    """
-    x_train, y_train = x[train_idx], y[train_idx]
-    x_val, y_val = x[val_idx], y[val_idx]
-    design = _prepare(x_train, y_train)
-    warm = None
-    scores = []
-    for c_value in grid:
-        model = train_logreg(x_train, y_train, c_value, warm_start=warm, _design=design)
-        warm = np.concatenate([model.weights, [model.intercept]])
-        scores.append(roc_auc(predict_scores(model, x_val), y_val))
-    return scores
+    fold_of = np.empty(y.size, dtype=np.intp)
+    for members in (pos, neg):
+        for k, chunk in enumerate(np.array_split(rng.permutation(members), n_folds)):
+            fold_of[chunk] = k
+    return [(np.flatnonzero(fold_of != k), np.flatnonzero(fold_of == k)) for k in range(n_folds)]
 
 
 def cv_select_c(
@@ -409,21 +384,30 @@ def cv_select_c(
     """Pick C maximising mean validation ROC-AUC over stratified folds.
 
     Ties go to the smaller C. Returns (selected C, mean AUC per grid value).
-    Each fold is prepared once and its fits warm-start along the ascending
-    grid; the caller retrains the final model from scratch at the selected C.
+    Each fold's training rows are prepared once, and its fits run up the
+    ascending grid, each warm-started from the previous C's solution on the
+    same fold (the first from zero). A fold's rows and design are released
+    before the next fold is prepared, so only one fold's design is alive at a
+    time. The caller retrains the final model from scratch at the selected C.
     """
+    ordered = sorted(grid)
+    if not ordered:
+        raise ValueError("the C grid is empty")
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(y).astype(bool).ravel()
-    ordered = sorted(grid)
-    fold_scores = np.array(
-        [
-            _fold_path(x, y, train_idx, val_idx, ordered)
-            for train_idx, val_idx in stratified_folds(y, n_folds, seed)
-        ]
-    )
-    means = fold_scores.mean(axis=0)
-    best = 0
-    for j in range(1, len(ordered)):
-        if means[j] > means[best]:  # strict: ties keep the smaller C
-            best = j
-    return ordered[best], {c: float(m) for c, m in zip(ordered, means)}
+    folds = stratified_folds(y, n_folds, seed)
+    scores = np.empty((len(folds), len(ordered)))
+    for k, (train_idx, val_idx) in enumerate(folds):
+        x_train, y_train = x[train_idx], y[train_idx]
+        x_val, y_val = x[val_idx], y[val_idx]
+        design = _prepare(x_train, y_train)
+        warm = None
+        for j, c_value in enumerate(ordered):
+            # A module lookup, so a wrapper patched onto logreg.train_logreg sees every fit.
+            model = train_logreg(x_train, y_train, c_value, warm_start=warm, _design=design)
+            warm = np.append(model.weights, model.intercept)
+            scores[k, j] = roc_auc(predict_scores(model, x_val), y_val)
+        del x_train, y_train, x_val, y_val, design
+    means = scores.mean(axis=0)
+    # argmax takes the first maximum: ties go to the smaller C.
+    return ordered[int(np.argmax(means))], {c: float(m) for c, m in zip(ordered, means)}

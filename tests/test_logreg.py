@@ -8,6 +8,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from debiaskit import logreg
 from debiaskit.data import NEG, POS, pool_frames
@@ -194,6 +196,9 @@ def test_invalid_c_rejected():
     for bad in (0.0, -1.0, float("nan"), float("inf"), 1e-310, math.nextafter(MIN_C, 0.0)):
         with pytest.raises(ValueError):
             train_logreg(x, y, c_value=bad)
+    # An empty grid is refused before any fold is drawn: these folds cannot be.
+    with pytest.raises(ValueError, match="grid is empty"):
+        cv_select_c(x, y, seed=0, grid=(), n_folds=len(y))
 
 
 def test_the_smallest_c_has_a_finite_regulariser_and_trains():
@@ -263,7 +268,8 @@ def test_cv_selects_the_reference_c_on_a_stock_problem(monkeypatch):
 
 def test_cv_fits_equal_a_chain_of_standalone_fits(monkeypatch):
     # Each fold is prepared once and shared along the C grid; every fit must
-    # be the one a standalone, warm-started train_logreg on the fold gives.
+    # be the one a standalone, warm-started train_logreg on the fold gives,
+    # and the curve must be the per-C mean of the chain's validation AUCs.
     x, y = make_shifted(240, 12, seed=21)
     grid, n_folds = (1e-4, 1e-2, 1.0, 1e2), 4
     fits = []
@@ -274,13 +280,14 @@ def test_cv_fits_equal_a_chain_of_standalone_fits(monkeypatch):
         return model
 
     monkeypatch.setattr(logreg, "train_logreg", recording)
-    cv_select_c(x, y, seed=9, grid=grid, n_folds=n_folds)
+    selected, curve = cv_select_c(x, y, seed=9, grid=grid, n_folds=n_folds)
     monkeypatch.undo()
     assert len(fits) == n_folds * len(grid)
     fits = iter(fits)
-    for train_idx, _ in stratified_folds(y, n_folds, seed=9):
+    aucs = np.empty((n_folds, len(grid)))
+    for k, (train_idx, val_idx) in enumerate(stratified_folds(y, n_folds, seed=9)):
         warm = None
-        for c_value in grid:
+        for j, c_value in enumerate(grid):
             alone = train_logreg(x[train_idx], y[train_idx], c_value, warm_start=warm)
             shared = next(fits)
             assert shared.c_value == c_value
@@ -288,6 +295,11 @@ def test_cv_fits_equal_a_chain_of_standalone_fits(monkeypatch):
             assert np.float64(shared.intercept).tobytes() == np.float64(alone.intercept).tobytes()
             assert (shared.n_iter, shared.converged) == (alone.n_iter, alone.converged)
             warm = np.append(alone.weights, alone.intercept)
+            aucs[k, j] = roc_auc(predict_scores(alone, x[val_idx]), y[val_idx])
+    means = aucs.mean(axis=0)
+    assert list(curve) == list(grid)
+    assert np.array(list(curve.values())).tobytes() == means.tobytes()
+    assert selected == grid[list(means).index(means.max())]  # the first maximum
 
 
 def test_prepared_design_is_read_only(monkeypatch):
@@ -329,6 +341,25 @@ def test_prepared_design_holds_16_bytes_per_entry():
     bound = 16 * n * (dim + 1) + 8 * (n + dim)
     assert held <= bound
     assert peak <= bound + 2**18
+
+
+def test_cv_holds_one_fold_design_at_a_time():
+    # One fold's row slices and design are alive at a time, plus the
+    # solver's temporaries: 5.21 MiB here. Preparing the next fold before
+    # the previous one is released holds a second design (8.27 MiB); the
+    # bound sits half a design above the one-fold peak.
+    n, dim, n_folds = 1000, 255, 5
+    n_train = n - n // n_folds
+    design = 16 * n_train * (dim + 1)
+    one_fold = 8 * n * dim + design + 2**18
+    x, y = make_shifted(n, dim, seed=25)
+    tracemalloc.start()
+    try:
+        cv_select_c(x, y, seed=0, grid=(0.1, 1.0), n_folds=n_folds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= one_fold + design // 2
 
 
 def test_float32_copy_is_an_exact_power_of_two_scaling():
@@ -486,10 +517,50 @@ def test_folds_deterministic_per_seed():
     )
 
 
+def chunked_folds(y, n_folds, seed):
+    """The fold construction stratified_folds replaced, kept as the reference:
+    each fold concatenates and sorts its class chunks."""
+    y = np.asarray(y).astype(bool).ravel()
+    rng = np.random.default_rng(seed)
+    pos_chunks = np.array_split(rng.permutation(np.flatnonzero(y)), n_folds)
+    neg_chunks = np.array_split(rng.permutation(np.flatnonzero(~y)), n_folds)
+    folds = []
+    for k in range(n_folds):
+        val = np.sort(np.concatenate([pos_chunks[k], neg_chunks[k]]))
+        train = np.sort(
+            np.concatenate(
+                [c for i, c in enumerate(pos_chunks) if i != k]
+                + [c for i, c in enumerate(neg_chunks) if i != k]
+            )
+        )
+        folds.append((train, val))
+    return folds
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_folds_equal_the_chunk_and_sort_reference(data):
+    n_folds = data.draw(st.integers(2, 6), label="n_folds")
+    n_pos = data.draw(st.integers(n_folds, 40), label="n_pos")
+    n_neg = data.draw(st.integers(n_folds, 40), label="n_neg")
+    y = np.array(data.draw(st.permutations([True] * n_pos + [False] * n_neg), label="y"))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    folds = stratified_folds(y, n_folds, seed)
+    reference = chunked_folds(y, n_folds, seed)
+    assert len(folds) == len(reference)
+    for pair, ref_pair in zip(folds, reference):
+        for got, want in zip(pair, ref_pair):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
 def test_too_few_members_for_folds():
     y = np.array([True] * 3 + [False] * 20)
     with pytest.raises(FoldDegenerateError):
         stratified_folds(y, n_folds=5, seed=0)
+    for bad in (1, 0, -1):
+        with pytest.raises(ValueError, match="at least 2 folds"):
+            stratified_folds(y, n_folds=bad, seed=0)
 
 
 # --- C selection ----------------------------------------------------------
@@ -542,3 +613,6 @@ def test_cv_degenerate_folds_propagate():
     y = np.array([True] * 3 + [False] * 5)
     with pytest.raises(FoldDegenerateError):
         cv_select_c(x, y, seed=0, n_folds=5)
+    for bad in (1, 0, -1):
+        with pytest.raises(ValueError, match="at least 2 folds"):
+            cv_select_c(x, y, seed=0, n_folds=bad)
