@@ -113,12 +113,13 @@ class ExperimentConfig:
         return out
 
 
-def read_json(path: str, what: str):
+def read_json(path: str, what: str, object_pairs_hook=None):
     """The parsed content of a JSON file; an unreadable or malformed file is
-    a ValidationError naming ``what`` it was meant to be."""
+    a ValidationError naming ``what`` it was meant to be. ``object_pairs_hook``
+    builds each JSON object, as in ``json.load``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=object_pairs_hook)
     except OSError as exc:
         raise ValidationError(f"cannot open {what} {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:

@@ -34,11 +34,12 @@ import io
 import json
 import struct
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import write_json
+from .config import read_json, write_json
 from .errors import (
     EmptyClassError,
     FormatError,
@@ -458,34 +459,26 @@ class GenreMap:
     rules: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(set(self.targets)) != len(self.targets):
+        # Each genre that maps into the targets, and its target: a rule wins
+        # over a target's own name.
+        canonical = dict(zip(self.targets, self.targets))
+        if len(canonical) != len(self.targets):
             raise ValidationError("genre map targets must be unique")
         for src, dst in self.rules.items():
-            if dst not in self.targets:
+            if dst not in canonical:
                 raise ValidationError(f"rule target {dst!r} (for {src!r}) not in targets")
+        object.__setattr__(self, "_canonical", {**canonical, **self.rules})
 
 
 def load_genre_map(path: str) -> GenreMap:
     def reject_duplicates(pairs):
-        keys = [k for k, _ in pairs]
-        if len(set(keys)) != len(keys):
-            dupes = sorted({k for k in keys if keys.count(k) > 1})
+        counts = Counter(k for k, _ in pairs)
+        if len(counts) != len(pairs):
+            dupes = sorted(k for k, n in counts.items() if n > 1)
             raise ValidationError(f"duplicate rule keys {dupes} in {path}")
         return dict(pairs)
 
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle, object_pairs_hook=reject_duplicates)
-    except OSError as exc:
-        raise IoError(f"cannot open {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON ({exc.msg})", path=path) from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8 ({exc.reason})", path=path) from exc
-    except RecursionError as exc:
-        raise ParseError("JSON nested too deeply", path=path) from exc
-    except ValueError as exc:  # an integer too long to convert
-        raise ParseError(str(exc), path=path) from exc
+    obj = read_json(path, "genre map", reject_duplicates)
     if not isinstance(obj, dict) or "targets" not in obj:
         raise ValidationError(f"{path}: genre map must be an object with a targets list")
     targets = obj["targets"]
@@ -511,10 +504,8 @@ def reduce_genres(genres: tuple[str, ...] | list[str], genre_map: GenreMap) -> s
     the first original label verbatim; an empty list gives "unknown".
     """
     for genre in genres:
-        if genre in genre_map.rules:
-            return genre_map.rules[genre]
-        if genre in genre_map.targets:
-            return genre
+        if genre in genre_map._canonical:
+            return genre_map._canonical[genre]
     if genres:
         return genres[0]
     return UNKNOWN_GENRE

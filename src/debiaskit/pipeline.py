@@ -136,7 +136,7 @@ class DomainData:
         self.guard = guard
         self._features: np.ndarray | None = None
         self.train_indices = manifest.indices(TRAIN)
-        self.test_indices = manifest.indices(TEST)
+        self.test_indices = guard.test_indices[name]
 
     def build_features(self, indices: np.ndarray, featurize) -> None:
         """Map the rows at ``indices`` through ``featurize`` once; from now on
@@ -146,6 +146,9 @@ class DomainData:
         indices = np.asarray(indices, dtype=np.intp)
         raw = self.rows(indices)
         self._built = indices
+        # Each clip's row among the built rows, or -1 for a clip not built.
+        self._position = np.full(self.table.n_rows, -1, dtype=np.intp)
+        self._position[indices] = np.arange(indices.size)
         self._features = featurize(raw)
         self._features.setflags(write=False)
 
@@ -159,12 +162,10 @@ class DomainData:
             # A read of every built row, as the global bias fit makes, is
             # served without a copy: the copy would double peak memory.
             return self._features
-        # Built indices ascend (Manifest.indices is flatnonzero order): binary search.
-        positions = np.searchsorted(self._built, indices)
-        found = positions < self._built.size
-        found[found] = self._built[positions[found]] == indices[found]
-        if not found.all():
-            missing = np.sort(indices[~found])
+        positions = self._position[indices]
+        unbuilt = positions < 0
+        if unbuilt.any():
+            missing = np.sort(indices[unbuilt])
             raise LeakageError(
                 f"rows of {self.name!r} read during phase {self.guard.phase!r} are "
                 f"not among the built feature rows: indices {missing[:5].tolist()}"
@@ -227,7 +228,8 @@ def load_corpus(config: ExperimentConfig) -> Corpus:
             f"datasets {entry_a.name!r} and {entry_b.name!r} differ in embedding width: "
             f"{table_a.dim} against {table_b.dim}"
         )
-    universe = tuple(sorted({c for _, _, manifest in loaded for c in manifest.classes}))
+    labelled = {c for _, _, manifest in loaded for c in manifest.classes}
+    universe = tuple(sorted(labelled))
     manifests = []
     for entry, table, manifest in loaded:
         if max(table.vectors.max(), -table.vectors.min()) > MAX_EMBEDDING_VALUE:
@@ -242,7 +244,7 @@ def load_corpus(config: ExperimentConfig) -> Corpus:
     classes = config.classes if config.classes is not None else universe
     if not classes:
         raise ValidationError(f"manifests {entry_a.manifest} and {entry_b.manifest} label no class")
-    missing = [c for c in classes if c not in universe]
+    missing = [c for c in classes if c not in labelled]
     if missing:
         raise ValidationError(f"requested classes not present in any manifest: {missing}")
     if config.genre_map is not None:

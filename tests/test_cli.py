@@ -6,6 +6,7 @@ import json
 import math
 import random
 import shutil
+import struct
 import subprocess
 import sys
 import time
@@ -296,11 +297,17 @@ def test_malformed_input_ends_in_one_line_json_error(cli_corpus, capsys, command
     assert payload["error"] == "ValidationError"
 
 
+def rewrite_records(entry, edit):
+    """Rewrite each record of ``entry``'s manifest as ``edit`` returns it;
+    ``edit`` gets the record and its 0-based line index."""
+    path = Path(entry.manifest)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps(edit(r, i)) + "\n" for i, r in enumerate(records)))
+
+
 def strip_labels(entries):
     for entry in entries:
-        path = Path(entry.manifest)
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        path.write_text("".join(json.dumps({**r, "labels": {}}) + "\n" for r in records))
+        rewrite_records(entry, lambda r, i: {**r, "labels": {}})
 
 
 def drop_last_column(entry):
@@ -330,6 +337,89 @@ def test_datasets_of_different_widths_end_in_one_line_json_error(cli_corpus, cap
     assert f"'synthA' and 'synthB' differ in embedding width: {width} against {width - 1}" in (
         payload["message"]
     )
+
+
+def drop_last_record(entry):
+    path = Path(entry.manifest)
+    path.write_text("".join(line + "\n" for line in path.read_text().splitlines()[:-1]))
+
+
+def rename_header_columns(entry):
+    path = Path(entry.embeddings)
+    lines = path.read_bytes().split(b"\r\n")
+    lines[0] = lines[0].replace(b",e", b",x")
+    path.write_bytes(b"\r\n".join(lines))
+
+
+def cut_before_last_row(entry):
+    """Cut an EMB1 file where its last row starts."""
+    path = Path(entry.embeddings)
+    blob = path.read_bytes()
+    _, _, n_rows, dim = struct.unpack_from("<4sIII", blob, 0)
+    offset = 16
+    for _ in range(n_rows - 1):
+        (id_len,) = struct.unpack_from("<I", blob, offset)
+        offset += 4 + id_len + 4 + 4 * dim
+    path.write_bytes(blob[:offset])
+    return n_rows - 1
+
+
+@pytest.mark.parametrize(
+    "fmt, corrupt, extras, error, message",
+    [
+        ("csv", drop_last_record, {}, "ValidationError", "embeddings and manifest disagree on clips"),
+        (
+            "csv",
+            lambda e: rewrite_records(e, lambda r, i: {**r, "dataset": "synthC"}),
+            {},
+            "ValidationError",
+            "holds no records for dataset 'synthA'",
+        ),
+        (
+            "csv",
+            None,
+            {"classes": ["class0", "class9"]},
+            "ValidationError",
+            "requested classes not present in any manifest: ['class9']",
+        ),
+        ("csv", lambda e: Path(e.embeddings).write_bytes(b""), {}, "FormatError", "empty CSV file"),
+        ("csv", rename_header_columns, {}, "FormatError", "malformed header"),
+        (
+            "binary",
+            lambda e: Path(e.embeddings).write_bytes(Path(e.embeddings).read_bytes()[:10]),
+            {},
+            "FormatError",
+            "truncated header",
+        ),
+        ("binary", cut_before_last_row, {}, "FormatError", "truncated at row {row}"),
+        (
+            "csv",
+            lambda e: rewrite_records(e, lambda r, i: {**r, "labels": []} if i == 2 else r),
+            {},
+            "ValidationError",
+            "line 3: labels must be an object",
+        ),
+    ],
+    ids=[
+        "clips-disagree",
+        "dataset-without-records",
+        "absent-class",
+        "empty-csv",
+        "malformed-csv-header",
+        "emb1-shorter-than-header",
+        "emb1-cut-between-rows",
+        "labels-not-an-object",
+    ],
+)
+def test_corpus_assembly_faults_end_in_one_line_json_error(
+    tmp_path, capsys, fmt, corrupt, extras, error, message
+):
+    entries, _, _ = write_corpus(tmp_path, CLI_SPEC, fmt=fmt)
+    row = corrupt(entries[0]) if corrupt is not None else None
+    assert main(["run", "--config", write_config(tmp_path, entries, **extras)]) == 1
+    payload, _ = read_stderr_error(capsys)
+    assert payload["error"] == error
+    assert message.format(row=row) in payload["message"]
 
 
 @pytest.mark.parametrize("command", ["synth", "run", "matrix", "report"])

@@ -573,6 +573,21 @@ def test_multi_direction_global_run_uses_a_genre_subspace(small_corpus):
         assert all(v >= 0.0 for v in entry.class_corr.values())
 
 
+@pytest.mark.parametrize("scope", ["global", "classwise"])
+def test_no_genre_map_reads_each_observed_genre_as_its_own_target(small_corpus, scope):
+    # The synth's genres.json lists exactly the genres its records carry, so
+    # leaving the map out must change nothing a multi-direction run reports.
+    entries, _, gm_path = small_corpus
+    config = corpus_config(entries, gm_path, "mLDA", scope=scope, **FAST)
+    without = replace(config, genre_map=None)
+    assert load_domains(without)[3] == load_domains(config)[3] == GenreMap(("genre0", "genre1"))
+    with_map = run_strategy(config).report
+    without_map = run_strategy(without).report
+    assert without_map.cells == with_map.cells
+    assert without_map.correlations == with_map.correlations
+    assert without_map.bias_fit_notes == with_map.bias_fit_notes
+
+
 def test_kernel_strategy_reports_kernelized_space(small_corpus):
     entries, _, gm_path = small_corpus
     config = corpus_config(entries, gm_path, "K", dprime_factor=2, **FAST)
@@ -791,17 +806,19 @@ def test_built_feature_rows_serve_only_their_own_indices(small_corpus):
     entries, _, gm_path = small_corpus
     domain, _, _, _, guard = load_domains(corpus_config(entries, gm_path, "K"))
     guard.enter(PHASE_EVALUATE)
-    domain.build_features(domain.test_indices, lambda raw: 2.0 * raw)
-    for picked in (domain.test_indices, domain.test_indices[::-2]):
-        assert_array_equal(domain.rows(picked), 2.0 * domain.table.vectors[picked])
-    # Below, between and above the built indices; the last is one past every
-    # built index, where the binary search lands past the end.
+    held_out = domain.test_indices
+    # Below, between and above the built indices.
     above = domain.train_indices[-1:]
-    assert above[0] > domain.test_indices.max()
-    between = np.setdiff1d(np.arange(domain.test_indices[0], domain.test_indices[-1]), domain.test_indices)
-    for picked in (domain.train_indices[:1], between[:1], above):
-        with pytest.raises(LeakageError, match="not among the built feature rows"):
-            domain.rows(picked)
+    assert above[0] > held_out.max()
+    between = np.setdiff1d(np.arange(held_out[0], held_out[-1]), held_out)
+    # Built in ascending order or shuffled, the rows are served in any read order.
+    for built in (held_out, np.random.default_rng(5).permutation(held_out)):
+        domain.build_features(built, lambda raw: 2.0 * raw)
+        for picked in (built, built[::-2], held_out, held_out[::-2]):
+            assert_array_equal(domain.rows(picked), 2.0 * domain.table.vectors[picked])
+        for picked in (domain.train_indices[:1], between[:1], above):
+            with pytest.raises(LeakageError, match="not among the built feature rows"):
+                domain.rows(picked)
 
 
 @pytest.mark.filterwarnings("error")
