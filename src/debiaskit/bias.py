@@ -4,7 +4,8 @@ The direction between two sample groups is the regularised two-class linear
 discriminant: LU-solve (S_w + lambda I) w = mu_a - mu_b with S_w the unweighted
 average of the two per-group covariance matrices (1/N normalisation) and
 lambda = shrinkage * trace(S_w) / D, then normalise to unit length with the
-first nonzero component positive.
+first nonzero component positive. At shrinkage 0 the scatter can be singular
+(a coordinate constant over both groups), and the fit is refused.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .errors import (
     DegenerateMeansError,
     DimensionMismatchError,
     NonFiniteError,
+    RankDeficientError,
     ZeroVectorError,
 )
 
@@ -74,7 +76,8 @@ def fit_lda_direction(
     """Two-class discriminant direction from group a toward group b's complement.
 
     Raises DegenerateMeansError when the group means coincide (relative to
-    their scale) and DimensionMismatchError when dimensions differ.
+    their scale), DimensionMismatchError when dimensions differ and
+    RankDeficientError when the solve fails or gives a non-finite vector.
     """
     x_a = _validate_group(x_a, "x_a")
     x_b = _validate_group(x_b, "x_b")
@@ -104,7 +107,15 @@ def fit_lda_direction(
     else:
         lam = shrinkage * trace / dim
         scatter[np.diag_indices(dim)] += lam
-        raw = np.linalg.solve(scatter, delta)
+        try:
+            raw = np.linalg.solve(scatter, delta)
+        except np.linalg.LinAlgError:
+            raw = None
+        if raw is None or not np.isfinite(raw).all():
+            raise RankDeficientError(
+                f"the within-group scatter is singular at shrinkage {shrinkage!r}, so no"
+                " discriminant direction solves it; shrinkage > 0 avoids this"
+            )
         norm = float(np.linalg.norm(raw))
         if norm == 0.0:
             raise DegenerateMeansError("discriminant solve returned the zero vector")

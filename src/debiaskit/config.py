@@ -113,17 +113,42 @@ class ExperimentConfig:
         return out
 
 
+def lone_surrogate(obj) -> str | None:
+    """A string in the parsed JSON value ``obj`` that is not valid Unicode,
+    or None. ``json`` decodes an unpaired escape such as ``\\ud800``
+    to a lone UTF-16 surrogate, which no UTF-8 text can hold."""
+    pending = [obj]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            try:
+                item.encode("utf-8")
+            except UnicodeEncodeError:
+                return item
+        elif isinstance(item, dict):
+            pending.extend(item)
+            pending.extend(item.values())
+        elif isinstance(item, list):
+            pending.extend(item)
+    return None
+
+
 def read_json(path: str, what: str, object_pairs_hook=None):
-    """The parsed content of a JSON file; an unreadable or malformed file is
-    a ValidationError naming ``what`` it was meant to be. ``object_pairs_hook``
-    builds each JSON object, as in ``json.load``."""
+    """The parsed content of a JSON file; an unreadable or malformed file, or
+    one holding a string that is not valid Unicode, is a ValidationError
+    naming ``what`` it was meant to be. ``object_pairs_hook`` builds each
+    JSON object, as in ``json.load``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle, object_pairs_hook=object_pairs_hook)
+            obj = json.load(handle, object_pairs_hook=object_pairs_hook)
     except OSError as exc:
         raise ValidationError(f"cannot open {what} {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{what} is not valid JSON: {exc}", path=path) from exc
+    bad = lone_surrogate(obj)
+    if bad is not None:
+        raise ValidationError(f"{what} holds a lone UTF-16 surrogate in {bad!r}", path=path)
+    return obj
 
 
 def write_json(path: str, obj, *, indent: int | None = None) -> None:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import read_json, write_json
+from .config import lone_surrogate, read_json, write_json
 from .errors import (
     EmptyClassError,
     FormatError,
@@ -405,6 +405,10 @@ def _record(line: str, line_no: int, path: str) -> tuple:
         raise ParseError(str(exc), line=line_no, path=path) from exc
     if not isinstance(obj, dict):
         raise ParseError("record is not a JSON object", line=line_no, path=path)
+    # The line is valid UTF-8, so only a \u escape can hold a lone surrogate.
+    bad = lone_surrogate(obj) if "\\u" in line else None
+    if bad is not None:
+        raise ParseError(f"lone UTF-16 surrogate in {bad!r}", line=line_no, path=path)
     for key in ("clip_id", "dataset", "split", "genres", "labels"):
         if key not in obj:
             raise ValidationError(f"missing field {key!r}", line=line_no, path=path)

@@ -134,12 +134,21 @@ def fit_rff(
     seed: int,
     x_sample: np.ndarray | None = None,
 ) -> KernelMap:
-    """Draw a frozen feature map. ``gamma`` may be "median" (needs ``x_sample``)."""
+    """Draw a frozen feature map. ``gamma`` may be "median" (needs ``x_sample``).
+
+    A map past MAX_MAP_VALUES, or whose D' x D' scatter or feature rows of
+    ``x_sample`` would pass MAX_FEATURE_VALUES, is refused before any draw."""
     if dim < 1 or dprime < 1:
         raise ValidationError("dim and dprime must be >= 1")
     if dprime * dim > MAX_MAP_VALUES:
         raise ValidationError(
             f"a {dprime} x {dim} feature map exceeds {MAX_MAP_VALUES} values; lower dprime_factor"
+        )
+    n_rows = 0 if x_sample is None else len(x_sample)
+    if max(dprime, n_rows) * dprime > MAX_FEATURE_VALUES:
+        raise ValidationError(
+            f"{dprime} random features over {n_rows} training rows exceed {MAX_FEATURE_VALUES}"
+            " values in the scatter or the feature rows; lower dprime_factor"
         )
     if gamma == "median":
         if x_sample is None:

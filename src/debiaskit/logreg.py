@@ -90,12 +90,9 @@ class ClassifierModel:
 
     weights: np.ndarray
     intercept: float
-    c_value: float
     converged: bool
     n_iter: int
     grad_norm: float
-    initial_loss: float
-    final_loss: float
 
     def __post_init__(self):
         weights = np.ascontiguousarray(self.weights, dtype=np.float64)
@@ -220,11 +217,10 @@ def _data_hessian_product(
 
 def _newton(
     design: _Design, reg: np.ndarray, theta: np.ndarray
-) -> tuple[np.ndarray, float, float, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Truncated Newton from ``theta``, a private copy, on the prepared
-    ``design``, which it only reads. Returns (theta, initial loss, loss,
-    gradient, iterations) in uncentred coordinates; the stopping rule is the
-    module docstring's."""
+    ``design``, which it only reads. Returns (theta, gradient, iterations) in
+    uncentred coordinates; the stopping rule is the module docstring's."""
     xa, mean, signs = design.xa, design.mean, design.signs
     theta[-1] += theta[:-1] @ mean
 
@@ -234,7 +230,7 @@ def _newton(
         return out
 
     margins = signs * (xa @ theta)
-    loss = initial_loss = _loss(margins, theta, reg)
+    loss = _loss(margins, theta, reg)
     p = _sigmoid(-margins)
     grad = _gradient(xa, signs, p, theta, reg)
     start_norm = float(np.sqrt(grad @ grad))
@@ -296,7 +292,7 @@ def _newton(
         theta, margins, loss, p, grad = cand, cand_margins, cand_loss, cand_p, cand_grad
         n_iter += 1
     theta[-1] -= theta[:-1] @ mean
-    return theta, initial_loss, loss, uncentred(grad), n_iter
+    return theta, uncentred(grad), n_iter
 
 
 def train_logreg(
@@ -323,16 +319,13 @@ def train_logreg(
         if start.shape != (n_params,):
             raise DimensionMismatchError("warm start has wrong shape")
     reg = _regulariser(n_params, c_value)
-    theta, initial_loss, final_loss, grad, n_iter = _newton(design, reg, start)
+    theta, grad, n_iter = _newton(design, reg, start)
     return ClassifierModel(
         weights=theta[:-1],
         intercept=float(theta[-1]),
-        c_value=float(c_value),
         converged=_converged(grad, theta, reg),
         n_iter=n_iter,
         grad_norm=float(np.abs(grad).max()),
-        initial_loss=initial_loss,
-        final_loss=final_loss,
     )
 
 

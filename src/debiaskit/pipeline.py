@@ -82,7 +82,7 @@ from .guard import (
     PHASE_TRAIN,
     SplitGuard,
 )
-from .kernel import MAX_FEATURE_VALUES, MAX_MAP_VALUES, fit_rff, fit_standardizer, transform_rff
+from .kernel import fit_rff, fit_standardizer, transform_rff
 from .logreg import cv_select_c, predict_scores, train_logreg
 from .metrics import roc_auc
 from .projection import DebiasOperator, projector_from_direction, projector_from_subspace
@@ -121,14 +121,9 @@ class DomainData:
         name: str,
         table: EmbeddingTable,
         manifest: Manifest,
-        genres: tuple[str, ...],
+        genres: np.ndarray,
         guard: SplitGuard,
     ):
-        if len(manifest.clip_ids) != table.n_rows:
-            raise ValidationError(
-                f"dataset {name!r}: {table.n_rows} embedding rows but "
-                f"{len(manifest.clip_ids)} manifest records"
-            )
         self.name = name
         self.table = table
         self.manifest = manifest
@@ -173,12 +168,6 @@ class DomainData:
             )
         return self._features[positions]
 
-    def group_by_genre(self, indices: np.ndarray) -> dict[str, np.ndarray]:
-        buckets: dict[str, list[int]] = {}
-        for i in np.asarray(indices).tolist():
-            buckets.setdefault(self.genres[i], []).append(i)
-        return {g: np.asarray(ix, dtype=np.intp) for g, ix in buckets.items()}
-
 
 def _align(
     name: str, table: EmbeddingTable, manifest: Manifest, universe: tuple[str, ...]
@@ -208,11 +197,12 @@ def _identity_genre_map(manifests: list[Manifest]) -> GenreMap:
 class Corpus:
     """Both datasets' file contents: pooled rows aligned 1:1 with manifest
     records over one label universe, the genre map and each row's reduced
-    genre. Immutable, so one load serves every job of a matrix."""
+    genre, one read-only object array per dataset. Immutable, so one load
+    serves every job of a matrix."""
 
     tables: tuple[EmbeddingTable, EmbeddingTable]
     manifests: tuple[Manifest, Manifest]
-    genres: tuple[tuple[str, ...], tuple[str, ...]]
+    genres: tuple[np.ndarray, np.ndarray]
     classes: tuple[str, ...]
     genre_map: GenreMap
 
@@ -252,8 +242,11 @@ def load_corpus(config: ExperimentConfig) -> Corpus:
     else:
         genre_map = _identity_genre_map(manifests)
     genres = tuple(
-        tuple(reduce_genres(g, genre_map) for g in manifest.genres) for manifest in manifests
+        np.array([reduce_genres(g, genre_map) for g in manifest.genres], dtype=object)
+        for manifest in manifests
     )
+    for reduced in genres:
+        reduced.setflags(write=False)
     tables = tuple(table for _, table, _ in loaded)
     return Corpus(tables, tuple(manifests), genres, classes, genre_map)
 
@@ -331,13 +324,11 @@ def fit_bias(
         if not strategy.multi:
             groups.append((None, idx_a, idx_b))
         else:
-            by_genre_a = domain_a.group_by_genre(idx_a)
-            by_genre_b = domain_b.group_by_genre(idx_b)
             for genre in genre_map.targets:
                 if genre == UNKNOWN_GENRE:
                     continue
-                rows_a = by_genre_a.get(genre, ())
-                rows_b = by_genre_b.get(genre, ())
+                rows_a = idx_a[domain_a.genres[idx_a] == genre]
+                rows_b = idx_b[domain_b.genres[idx_b] == genre]
                 n_a, n_b = len(rows_a), len(rows_b)
                 if min(n_a, n_b) < config.min_genre_samples:
                     skipped.append({"genre": genre, "class": key, "n_a": n_a, "n_b": n_b})
@@ -403,20 +394,13 @@ def _fit_feature_map(config: ExperimentConfig, domains, guard: SplitGuard, rff_s
     training rows; return the raw-rows -> random-features function."""
     guard.enter(PHASE_STANDARDIZE)
     train_stack = np.vstack([d.rows(d.train_indices) for d in domains])
-    n_rows, dim = train_stack.shape
-    dprime = config.dprime_factor * dim
-    # A map past fit_rff's own cap is refused there, before it draws.
-    if dprime * dim <= MAX_MAP_VALUES and max(dprime, n_rows) * dprime > MAX_FEATURE_VALUES:
-        raise ValidationError(
-            f"{dprime} random features over {n_rows} training rows exceed {MAX_FEATURE_VALUES}"
-            " values in the scatter or the feature rows; lower dprime_factor"
-        )
+    dim = train_stack.shape[1]
     standardizer = fit_standardizer(train_stack)
     guard.enter(PHASE_KERNEL)
     standardized_train = standardizer.apply(train_stack)
     kernel_map = fit_rff(
         dim,
-        dprime,
+        config.dprime_factor * dim,
         config.gamma,
         rff_seed,
         x_sample=standardized_train,
@@ -595,9 +579,8 @@ def _genre_histogram(
     for domain in domains:
         histogram[domain.name] = {}
         for class_name in classes:
-            positives = np.flatnonzero(domain.manifest.label_states(class_name) == POS)
-            counts = Counter(domain.genres[i] for i in positives.tolist())
-            histogram[domain.name][class_name] = dict(counts)
+            positives = domain.manifest.label_states(class_name) == POS
+            histogram[domain.name][class_name] = dict(Counter(domain.genres[positives]))
     return histogram
 
 

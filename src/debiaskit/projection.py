@@ -76,12 +76,11 @@ def projector_from_direction(direction: BiasDirection) -> DebiasOperator:
 
 def projector_from_subspace(
     directions: list[BiasDirection] | tuple[BiasDirection, ...],
-    rank_rel_tol: float = DEFAULT_RANK_REL_TOL,
 ) -> DebiasOperator:
     """Removal of the column space of the stacked direction matrix.
 
     The stacked D x G matrix must be full column rank: the smallest singular
-    value must be at least ``rank_rel_tol`` times the largest, otherwise a
+    value must be at least DEFAULT_RANK_REL_TOL times the largest, otherwise a
     RankDeficientError reports all singular values and the offending
     near-parallel input pairs.
     """
@@ -96,7 +95,7 @@ def projector_from_subspace(
             f"{stacked.shape[1]} directions cannot be independent in {stacked.shape[0]} dims"
         )
     left, sv, _ = np.linalg.svd(stacked, full_matrices=False)
-    if sv[-1] < rank_rel_tol * sv[0]:
+    if sv[-1] < DEFAULT_RANK_REL_TOL * sv[0]:
         pairs = []
         for i in range(len(directions)):
             for j in range(i + 1, len(directions)):

@@ -16,6 +16,7 @@ from debiaskit.bias import (
 from debiaskit.errors import (
     DegenerateMeansError,
     DimensionMismatchError,
+    RankDeficientError,
     ZeroVectorError,
 )
 
@@ -169,6 +170,19 @@ def test_zero_scatter_falls_back_to_mean_difference():
     x_b = np.tile([0.0, 0.0, 0.0], (5, 1))
     fitted = fit_lda_direction(x_a, x_b)
     np.testing.assert_allclose(fitted.vector, [1.0, 0.0, 0.0], atol=1e-12)
+
+
+def test_singular_scatter_at_zero_shrinkage_is_refused():
+    # A coordinate constant over both groups leaves a zero row and column in
+    # the scatter; without shrinkage nothing regularises the solve.
+    rng = np.random.default_rng(11)
+    x_a = rng.standard_normal((20, 4))
+    x_b = rng.standard_normal((20, 4)) + 1.0
+    x_a[:, 0] = x_b[:, 0] = 0.0
+    with pytest.raises(RankDeficientError, match=r"singular at shrinkage 0\.0.*shrinkage > 0"):
+        fit_lda_direction(x_a, x_b, shrinkage=0.0)
+    fitted = fit_lda_direction(x_a, x_b, shrinkage=1e-2)
+    assert np.isfinite(fitted.vector).all() and fitted.vector[0] == 0.0
 
 
 def test_negative_shrinkage_rejected():

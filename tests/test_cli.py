@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import SMALL_SPEC, write_corpus
-from debiaskit import cli, pipeline
+from debiaskit import cli, kernel
 from debiaskit.cli import main
 from debiaskit.config import load_config
 from debiaskit.data import MAX_CLASSES, EmbeddingTable, load_embeddings, save_embeddings
@@ -737,12 +737,20 @@ def test_feature_width_past_the_scatter_bound_is_refused_before_any_draw(
     cli_corpus, capsys, monkeypatch
 ):
     # Within the map cap (dprime * dim), but the dprime x dprime discriminant
-    # scatter would exceed MAX_FEATURE_VALUES: refused before fit_rff runs.
+    # scatter would exceed MAX_FEATURE_VALUES: fit_rff refuses it before it
+    # draws the map's frequencies.
     corpus_dir, entries = cli_corpus
     dprime_factor = math.isqrt(MAX_FEATURE_VALUES) // CLI_SPEC.dim + 1
     assert dprime_factor * CLI_SPEC.dim**2 <= MAX_MAP_VALUES
     draws = []
-    monkeypatch.setattr(pipeline, "fit_rff", lambda *args, **kwargs: draws.append(args))
+    default_rng = np.random.default_rng
+
+    def spying_rng(*args, **kwargs):
+        if sys._getframe(1).f_code is kernel.fit_rff.__code__:
+            draws.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", spying_rng)
     config_path = write_config(corpus_dir, entries, strategy="KLDA", dprime_factor=dprime_factor)
     assert main(["run", "--config", config_path]) == 1
     payload, _ = read_stderr_error(capsys)
@@ -814,6 +822,82 @@ def test_numbers_past_the_float_range_end_in_one_line_json_error(
     assert time.perf_counter() - start < 5.0
     payload, _ = read_stderr_error(capsys)
     assert payload == {"error": error, "message": message.format(clip=clip)}
+
+
+def test_a_singular_scatter_at_zero_shrinkage_ends_in_one_line_json_error(cli_corpus, capsys):
+    # Column e0 is 0.0 in every row of both datasets, so the discriminant
+    # scatter has a zero row and column; shrinkage 0 leaves it singular.
+    corpus_dir, entries = cli_corpus
+    for entry in entries:
+        path = Path(entry.embeddings)
+        header, *rows = path.read_text().splitlines()
+        rows = [",".join([*row.split(",")[:2], "0.0", *row.split(",")[3:]]) for row in rows]
+        path.write_text("\n".join([header, *rows]) + "\n")
+    config_path = write_config(corpus_dir, entries, strategy="LDA", shrinkage=0, c_grid=[1.0])
+    assert main(["run", "--config", config_path]) == 1
+    payload, _ = read_stderr_error(capsys)
+    assert payload == {
+        "error": "PipelineError",
+        "message": "the within-group scatter is singular at shrinkage 0.0, so no discriminant"
+        " direction solves it; shrinkage > 0 avoids this [strategy=LDA, scope=global]",
+    }
+
+
+LONE_SURROGATE = "\ud800"  # json.loads accepts it; UTF-8 cannot encode it
+
+
+def rename_dataset(config_path, entries):
+    """Append a lone surrogate to the first dataset's name, in the config and
+    in each of its manifest records."""
+    config = json.loads(Path(config_path).read_text())
+    config["datasets"][0]["name"] += LONE_SURROGATE
+    Path(config_path).write_text(json.dumps(config))
+    rewrite_records(entries[0], lambda r, i: {**r, "dataset": r["dataset"] + LONE_SURROGATE})
+
+
+def add_class_on_first_record(config_path, entries):
+    def edit(record, i):
+        labels = {**record["labels"], "class" + LONE_SURROGATE: "pos"} if i == 0 else record["labels"]
+        return {**record, "labels": labels}
+
+    rewrite_records(entries[0], edit)
+
+
+def rename_reported_class(config_path, entries):
+    """Run, then rename class0 in the written report.json."""
+    assert main(["run", "--config", config_path]) == 0
+    path = Path(config_path).parent / "results" / "report.json"
+    path.write_text(path.read_text().replace('"class0"', '"class0\\ud800"'))
+
+
+@pytest.mark.parametrize(
+    "command, edit, error, message",
+    [
+        (command, add_class_on_first_record, "ParseError", "line 1: lone UTF-16 surrogate")
+        for command in ("run", "matrix")
+    ]
+    + [
+        (command, rename_dataset, "ValidationError", "config holds a lone UTF-16 surrogate")
+        for command in ("run", "matrix")
+    ]
+    + [("report", rename_reported_class, "ValidationError", "report holds a lone UTF-16 surrogate")],
+    ids=["manifest-class-run", "manifest-class-matrix", "dataset-run", "dataset-matrix", "report"],
+)
+def test_a_lone_surrogate_ends_in_one_line_json_error(
+    cli_corpus, capsys, command, edit, error, message
+):
+    corpus_dir, entries = cli_corpus
+    config_path = write_config(corpus_dir, entries, output_dir="results")
+    edit(config_path, entries)
+    capsys.readouterr()
+    if command == "report":
+        argv = ["report", "--in", str(corpus_dir / "results")]
+    else:
+        argv = [command, "--config", config_path]
+    assert main(argv) == 1
+    payload, _ = read_stderr_error(capsys)
+    assert payload["error"] == error
+    assert message in payload["message"] and "\\ud800'" in payload["message"]
 
 
 def test_a_pooled_value_at_the_float32_bound_runs(cli_corpus, capsys):

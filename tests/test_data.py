@@ -577,6 +577,9 @@ DEEP = "[" * 100_000 + "]" * 100_000
         # Python refuses to convert an integer of more than 4300 digits.
         ("long.jsonl", ('{"clip_id": ' + "1" * 5000 + "}\n").encode(), "manifest", ParseError),
         ("long.json", ('{"targets": ' + "1" * 5000 + "}").encode(), "genre_map", ValidationError),
+        # An unpaired surrogate escape parses, but no UTF-8 text can hold it.
+        ("lone.jsonl", b'{"clip_id": "a\\ud800"}\n', "manifest", ParseError),
+        ("lone.json", b'{"targets": ["a"], "rules": {"\\udc00": "a"}}', "genre_map", ValidationError),
     ],
     ids=[
         "manifest-utf8",
@@ -588,6 +591,8 @@ DEEP = "[" * 100_000 + "]" * 100_000
         "binary-header",
         "manifest-long-int",
         "genre-map-long-int",
+        "manifest-lone-surrogate",
+        "genre-map-lone-surrogate",
     ],
 )
 def test_unreadable_file_ends_in_a_package_error(tmp_path, name, content, fmt, error):
@@ -600,6 +605,20 @@ def test_unreadable_file_ends_in_a_package_error(tmp_path, name, content, fmt, e
             load_genre_map(str(path))
         else:
             load_embeddings(str(path), fmt)
+
+
+def test_a_surrogate_pair_escape_reads_as_its_character(tmp_path):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(
+        '{"clip_id": "a", "dataset": "d", "split": "train", "genres": ["\\ud83c\\udfb5"],'
+        ' "labels": {"\\ud83c\\udfb5": "pos"}}\n'
+    )
+    loaded = load_manifest(str(manifest))
+    assert loaded.classes == ("\U0001f3b5",) and loaded.genres.tolist() == [("\U0001f3b5",)]
+    genre_map = tmp_path / "g.json"
+    genre_map.write_text('{"targets": ["\\ud83c\\udfb5"]}')
+    assert load_genre_map(str(genre_map)).targets == ("\U0001f3b5",)
+
 
 # --- frame pooling --------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Standardization and the random Fourier feature approximation of the RBF kernel."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
@@ -12,6 +14,7 @@ from debiaskit.errors import (
     ValidationError,
 )
 from debiaskit.kernel import (
+    MAX_FEATURE_VALUES,
     MAX_MAP_VALUES,
     MEDIAN_SAMPLE_CAP,
     KernelMap,
@@ -194,6 +197,17 @@ def test_oversized_map_is_refused_before_drawing():
         fit_rff(512, 10**30 * 512, 1.0, seed=0)
     with pytest.raises(ValidationError, match="feature map exceeds"):
         fit_rff(2, MAX_MAP_VALUES // 2 + 1, 1.0, seed=0)
+    # Within the map cap, but past the cap on the D' x D' scatter, or on the
+    # feature rows of the sample; a broadcast sample takes no memory.
+    side = math.isqrt(MAX_FEATURE_VALUES)
+    with pytest.raises(ValidationError, match=f"{side + 1} random features over 0 training rows"):
+        fit_rff(1, side + 1, 1.0, seed=0)
+    rows = np.broadcast_to(np.zeros(1), (MAX_FEATURE_VALUES // 2 + 1, 1))
+    with pytest.raises(ValidationError, match=f"exceed {MAX_FEATURE_VALUES} values"):
+        fit_rff(1, 2, 1.0, seed=0, x_sample=rows)
+    # At the caps themselves the map is drawn.
+    assert fit_rff(1, side, 1.0, seed=0).dprime == side
+    assert fit_rff(1, 2, 1.0, seed=0, x_sample=rows[1:]).dprime == 2
 
 
 def test_median_request_requires_sample():

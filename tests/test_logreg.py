@@ -82,13 +82,15 @@ def reference_fit(x, y, c_value, *, warm_start=None):
     return ClassifierModel(
         weights=result.x[:-1],
         intercept=float(result.x[-1]),
-        c_value=c_value,
         converged=bool(np.abs(grad).max() <= GRAD_TOL),
         n_iter=int(result.nit),
         grad_norm=float(np.abs(grad).max()),
-        initial_loss=float(loss_grad(start)[0]),
-        final_loss=float(result.fun),
     )
+
+
+def loss_at(weights, intercept, x, y, c_value):
+    """The objective at a point, as the solver's own loss computes it."""
+    return logreg_objective(weights, intercept, x, y, c_value)[0]
 
 
 # --- objective ------------------------------------------------------------
@@ -167,8 +169,10 @@ def test_final_loss_never_exceeds_initial():
         y = rng.random(50) > 0.4
         if y.all() or not y.any():
             y[0] = ~y[0]
-        model = train_logreg(x, y, c_value=10.0 ** rng.integers(-3, 3))
-        assert model.final_loss <= model.initial_loss + 1e-12
+        c_value = 10.0 ** rng.integers(-3, 3)
+        model = train_logreg(x, y, c_value)
+        initial = loss_at(np.zeros(6), 0.0, x, y, c_value)
+        assert loss_at(model.weights, model.intercept, x, y, c_value) <= initial + 1e-12
 
 
 def test_weak_regularisation_fits_separable_data_tighter():
@@ -229,10 +233,10 @@ def test_newton_matches_lbfgs_reference(n, dim, c_value):
     model = train_logreg(x, y, c_value)
     ref = reference_fit(x, y, c_value)
     assert model.converged
-    assert model.final_loss <= ref.final_loss + 1e-9 * abs(ref.final_loss)
-    # The reported loss and gradient describe the returned point.
     loss, grad_w, grad_b = logreg_objective(model.weights, model.intercept, x, y, c_value)
-    assert loss == pytest.approx(model.final_loss, rel=1e-12)
+    ref_loss = loss_at(ref.weights, ref.intercept, x, y, c_value)
+    assert loss <= ref_loss + 1e-9 * abs(ref_loss)
+    # The reported gradient describes the returned point.
     assert max(np.abs(grad_w).max(), abs(grad_b)) == pytest.approx(model.grad_norm, abs=1e-12)
     # Strong convexity bounds the distance between two points by the sum of
     # their gradient norms over the smallest Hessian eigenvalue; both fits
@@ -276,7 +280,7 @@ def test_cv_fits_equal_a_chain_of_standalone_fits(monkeypatch):
 
     def recording(x, y, c_value, **kwargs):
         model = train_logreg(x, y, c_value, **kwargs)
-        fits.append(model)
+        fits.append((c_value, model))
         return model
 
     monkeypatch.setattr(logreg, "train_logreg", recording)
@@ -289,8 +293,8 @@ def test_cv_fits_equal_a_chain_of_standalone_fits(monkeypatch):
         warm = None
         for j, c_value in enumerate(grid):
             alone = train_logreg(x[train_idx], y[train_idx], c_value, warm_start=warm)
-            shared = next(fits)
-            assert shared.c_value == c_value
+            shared_c, shared = next(fits)
+            assert shared_c == c_value
             assert shared.weights.tobytes() == alone.weights.tobytes()
             assert np.float64(shared.intercept).tobytes() == np.float64(alone.intercept).tobytes()
             assert (shared.n_iter, shared.converged) == (alone.n_iter, alone.converged)
@@ -452,7 +456,8 @@ def test_extreme_feature_scales_raise_no_float32_overflow(scale):
     for c_value, warm in starts + [(1.0, np.full(11, 30.0))]:
         model = train_logreg(x * scale, y, c_value, warm_start=warm)
         assert model.converged == (scale < 1.0)
-        assert np.isfinite(model.weights).all() and np.isfinite(model.final_loss)
+        loss = loss_at(model.weights, model.intercept, x * scale, y, c_value)
+        assert np.isfinite(model.weights).all() and np.isfinite(loss)
         assert model.n_iter < logreg.MAX_ITER
 
 
@@ -463,7 +468,8 @@ def test_far_warm_start_reaches_the_cold_start_optimum():
     cold = train_logreg(x, y, 1.0)
     far = train_logreg(x, y, 1.0, warm_start=np.full(11, 30.0))
     assert far.converged
-    assert far.final_loss <= far.initial_loss
+    start_loss = loss_at(np.full(10, 30.0), 30.0, x, y, 1.0)
+    assert loss_at(far.weights, far.intercept, x, y, 1.0) <= start_loss
     np.testing.assert_allclose(far.weights, cold.weights, atol=1e-6)
 
 
@@ -477,7 +483,8 @@ def test_singular_intercept_stops_cg_before_its_step_overflows():
         warnings.simplefilter("error")
         model = train_logreg(x * 1e-20, y, 1e-8, warm_start=np.full(11, 30.0))
     assert model.converged
-    assert model.final_loss == pytest.approx(200 * np.log(2.0), rel=1e-12)
+    loss = loss_at(model.weights, model.intercept, x * 1e-20, y, 1e-8)
+    assert loss == pytest.approx(200 * np.log(2.0), rel=1e-12)
 
 
 def test_iteration_cap_reports_not_converged(monkeypatch):

@@ -839,9 +839,9 @@ def test_stock_klda_classwise_job_fits_all_converge(tmp_path, monkeypatch):
     )
     fits = []
 
-    def recording(*args, **kwargs):
-        model = train_logreg(*args, **kwargs)
-        fits.append(model)
+    def recording(x, y, c_value, **kwargs):
+        model = train_logreg(x, y, c_value, **kwargs)
+        fits.append((c_value, model))
         return model
 
     monkeypatch.setattr(logreg, "train_logreg", recording)
@@ -849,7 +849,7 @@ def test_stock_klda_classwise_job_fits_all_converge(tmp_path, monkeypatch):
     run_strategy(config)
     # 4 classes x 2 domains x (5 folds x 4 C + 1 final fit).
     assert len(fits) == 168
-    assert [f.c_value for f in fits if not f.converged] == []
+    assert [c for c, f in fits if not f.converged] == []
 
 
 @pytest.mark.parametrize("strategy, scope", [("LDA", "classwise"), ("KLDA", "global")])
