@@ -114,40 +114,36 @@ class ExperimentConfig:
 
 
 def lone_surrogate(obj) -> str | None:
-    """A string in the parsed JSON value ``obj`` that is not valid Unicode,
-    or None. ``json`` decodes an unpaired escape such as ``\\ud800``
-    to a lone UTF-16 surrogate, which no UTF-8 text can hold."""
-    pending = [obj]
-    while pending:
-        item = pending.pop()
-        if isinstance(item, str):
-            try:
-                item.encode("utf-8")
-            except UnicodeEncodeError:
-                return item
-        elif isinstance(item, dict):
-            pending.extend(item)
-            pending.extend(item.values())
-        elif isinstance(item, list):
-            pending.extend(item)
+    """The first lone UTF-16 surrogate in the parsed JSON value ``obj``, or
+    None. ``json`` decodes an unpaired escape such as ``\\ud800`` to such a
+    character, which no UTF-8 text can hold: ``obj`` serialised with its
+    strings as they are fails to encode as UTF-8 at the first one. The encoder
+    is called directly, not through ``json.dumps``, so it has as much stack as
+    a ``json.loads`` call that parsed ``obj`` from the same caller, and checks
+    any value that call could parse."""
+    try:
+        json.JSONEncoder(ensure_ascii=False).encode(obj).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return exc.object[exc.start]
     return None
 
 
 def read_json(path: str, what: str, object_pairs_hook=None):
-    """The parsed content of a JSON file; an unreadable or malformed file, or
-    one holding a string that is not valid Unicode, is a ValidationError
-    naming ``what`` it was meant to be. ``object_pairs_hook`` builds each
-    JSON object, as in ``json.load``."""
+    """The parsed content of a JSON file; an unreadable or malformed file, one
+    nested too deeply to parse or to check, or one holding a lone UTF-16
+    surrogate (see ``lone_surrogate``) is a ValidationError naming ``what`` it
+    was meant to be. ``object_pairs_hook`` builds each JSON object, as in
+    ``json.load``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             obj = json.load(handle, object_pairs_hook=object_pairs_hook)
+        bad = lone_surrogate(obj)
     except OSError as exc:
         raise ValidationError(f"cannot open {what} {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{what} is not valid JSON: {exc}", path=path) from exc
-    bad = lone_surrogate(obj)
     if bad is not None:
-        raise ValidationError(f"{what} holds a lone UTF-16 surrogate in {bad!r}", path=path)
+        raise ValidationError(f"{what} holds a lone UTF-16 surrogate {bad!r}", path=path)
     return obj
 
 

@@ -347,14 +347,16 @@ def load_manifest(path: str) -> Manifest:
     """Read a JSON Lines manifest. Only LF ends a record: JSON strings may
     hold other line separators, and the CR of a CRLF is JSON whitespace.
     Each line is decoded and checked as it is read, so the first faulty line
-    is the one reported."""
+    is the one reported. Each class's column is built once the file is read,
+    from every record's labels, which share one copy of each class name and
+    state: a record that omits the class, such as one read before the class
+    first appears, holds "unk" for it."""
     clip_ids: list[str] = []
     datasets: list[str] = []
     splits: list[str] = []
     genre_lists: list[tuple[str, ...]] = []
-    # Each class's column, in the order the classes first appear; the
-    # records read before a class appears hold "unk" for it.
-    states: dict[str, list[str]] = {}
+    label_dicts: list[dict[str, str]] = []
+    classes: dict[str, str] = {}  # each name to its one copy, in first-seen order
     seen_ids: set[tuple[str, str]] = set()
     try:
         with open(path, "rb") as handle:
@@ -375,21 +377,20 @@ def load_manifest(path: str) -> Manifest:
                         path=path,
                     )
                 seen_ids.add((dataset, clip_id))
-                for cls in labels:
-                    if cls not in states:
-                        if len(states) == MAX_CLASSES:
-                            raise ValidationError(
-                                f"more than {MAX_CLASSES} classes", line=line_no, path=path
-                            )
-                        states[cls] = [UNK] * len(clip_ids)
-                for cls, column in states.items():
-                    column.append(_STATES[labels.get(cls, UNK)])
+                label_dicts.append(
+                    {classes.setdefault(c, c): _STATES[s] for c, s in labels.items()}
+                )
+                if len(classes) > MAX_CLASSES:
+                    raise ValidationError(
+                        f"more than {MAX_CLASSES} classes", line=line_no, path=path
+                    )
                 clip_ids.append(clip_id)
                 datasets.append(dataset)
                 splits.append(split)
                 genre_lists.append(genres)
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
+    states = {c: [record.get(c, UNK) for record in label_dicts] for c in classes}
     return Manifest(clip_ids, datasets, splits, genre_lists, states)
 
 
@@ -397,6 +398,8 @@ def _record(line: str, line_no: int, path: str) -> tuple:
     """One manifest line's (clip_id, dataset, split, genres, labels), checked."""
     try:
         obj = json.loads(line)
+        # The line is valid UTF-8, so only a \u escape can hold a lone surrogate.
+        bad = lone_surrogate(obj) if "\\u" in line else None
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON ({exc.msg})", line=line_no, path=path) from exc
     except RecursionError as exc:
@@ -405,10 +408,8 @@ def _record(line: str, line_no: int, path: str) -> tuple:
         raise ParseError(str(exc), line=line_no, path=path) from exc
     if not isinstance(obj, dict):
         raise ParseError("record is not a JSON object", line=line_no, path=path)
-    # The line is valid UTF-8, so only a \u escape can hold a lone surrogate.
-    bad = lone_surrogate(obj) if "\\u" in line else None
     if bad is not None:
-        raise ParseError(f"lone UTF-16 surrogate in {bad!r}", line=line_no, path=path)
+        raise ParseError(f"lone UTF-16 surrogate {bad!r}", line=line_no, path=path)
     for key in ("clip_id", "dataset", "split", "genres", "labels"):
         if key not in obj:
             raise ValidationError(f"missing field {key!r}", line=line_no, path=path)

@@ -870,6 +870,43 @@ def rename_reported_class(config_path, entries):
     path.write_text(path.read_text().replace('"class0"', '"class0\\ud800"'))
 
 
+def rename_reported_class_key(config_path, entries):
+    """Run, then rename class0 only where it keys an object in report.json."""
+    assert main(["run", "--config", config_path]) == 0
+    path = Path(config_path).parent / "results" / "report.json"
+    text = path.read_text()
+    assert '"class0": ' in text
+    path.write_text(text.replace('"class0": ', '"class0\\ud800": '))
+
+
+def add_genre_rule_key(config_path, entries):
+    path = Path(config_path).parent / "genres.json"
+    genre_map = json.loads(path.read_text())
+    genre_map.setdefault("rules", {})["rock" + LONE_SURROGATE] = genre_map["targets"][0]
+    path.write_text(json.dumps(genre_map))
+
+
+def list_class(config_path, entries):
+    """Give the config a classes list whose second entry holds a lone surrogate."""
+    config = json.loads(Path(config_path).read_text())
+    config["classes"] = ["class0", "class1" + LONE_SURROGATE]
+    Path(config_path).write_text(json.dumps(config))
+
+
+def add_genre_on_third_record(config_path, entries):
+    def edit(record, i):
+        genres = record["genres"] + (["rock" + LONE_SURROGATE] if i == 2 else [])
+        return {**record, "genres": genres}
+
+    rewrite_records(entries[1], edit)
+
+
+def write_spec(config_path, entries):
+    """Write a synth spec whose second domain name holds a lone surrogate."""
+    spec = {**CLI_SPEC_JSON, "domain_names": ["synthA", "synthB" + LONE_SURROGATE]}
+    (Path(config_path).parent / "spec.json").write_text(json.dumps(spec))
+
+
 @pytest.mark.parametrize(
     "command, edit, error, message",
     [
@@ -880,8 +917,28 @@ def rename_reported_class(config_path, entries):
         (command, rename_dataset, "ValidationError", "config holds a lone UTF-16 surrogate")
         for command in ("run", "matrix")
     ]
-    + [("report", rename_reported_class, "ValidationError", "report holds a lone UTF-16 surrogate")],
-    ids=["manifest-class-run", "manifest-class-matrix", "dataset-run", "dataset-matrix", "report"],
+    + [
+        ("report", edit, "ValidationError", "report holds a lone UTF-16 surrogate")
+        for edit in (rename_reported_class, rename_reported_class_key)
+    ]
+    + [
+        ("run", add_genre_rule_key, "ValidationError", "genre map holds a lone UTF-16 surrogate"),
+        ("run", list_class, "ValidationError", "config holds a lone UTF-16 surrogate"),
+        ("run", add_genre_on_third_record, "ParseError", "line 3: lone UTF-16 surrogate"),
+        ("synth", write_spec, "ValidationError", "synth spec holds a lone UTF-16 surrogate"),
+    ],
+    ids=[
+        "manifest-class-run",
+        "manifest-class-matrix",
+        "dataset-run",
+        "dataset-matrix",
+        "report",
+        "report-class-key",
+        "genre-map-rule-key",
+        "config-classes-entry",
+        "manifest-genres-entry",
+        "synth-spec-domain-name",
+    ],
 )
 def test_a_lone_surrogate_ends_in_one_line_json_error(
     cli_corpus, capsys, command, edit, error, message
@@ -892,12 +949,55 @@ def test_a_lone_surrogate_ends_in_one_line_json_error(
     capsys.readouterr()
     if command == "report":
         argv = ["report", "--in", str(corpus_dir / "results")]
+    elif command == "synth":
+        argv = ["synth", "--spec", str(corpus_dir / "spec.json"), "--out", str(corpus_dir / "out")]
     else:
         argv = [command, "--config", config_path]
     assert main(argv) == 1
     payload, _ = read_stderr_error(capsys)
     assert payload["error"] == error
     assert message in payload["message"] and "\\ud800'" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "kind, too_deep, refused",
+    [
+        ("config", "config is not valid JSON", "config holds a lone UTF-16 surrogate '\\ud800'"),
+        ("manifest", "line 1: JSON nested too deeply", "line 1: lone UTF-16 surrogate '\\ud800'"),
+    ],
+)
+def test_a_lone_surrogate_at_the_deepest_parsed_nesting_is_named(
+    cli_corpus, capsys, monkeypatch, kind, too_deep, refused
+):
+    # The encoder that finds a lone surrogate recurses once per nesting level,
+    # as the parser does. At the deepest nesting the parser accepts it must
+    # still name the surrogate, not run out of stack.
+    corpus_dir, entries = cli_corpus
+    config_path = write_config(corpus_dir, entries)
+
+    def message(depth):
+        nested = "[" * depth + '"\\ud800"' + "]" * depth
+        if kind == "config":
+            Path(config_path).write_text('{"classes": ' + nested + "}")
+        else:
+            Path(entries[0].manifest).write_text('{"clip_id": ' + nested + "}\n")
+        assert main(["run", "--config", config_path]) == 1
+        payload, _ = read_stderr_error(capsys)
+        return payload["message"]
+
+    # The deepest nesting the parser alone accepts, with the check switched off.
+    with monkeypatch.context() as patch:
+        for reader in ("debiaskit.config", "debiaskit.data"):
+            patch.setattr(f"{reader}.lone_surrogate", lambda obj: None)
+        low, high = 1, sys.getrecursionlimit()
+        assert too_deep not in message(low) and too_deep in message(high)
+        while high - low > 1:
+            mid = (low + high) // 2
+            if too_deep in message(mid):
+                high = mid
+            else:
+                low = mid
+    assert refused in message(low)
 
 
 def test_a_pooled_value_at_the_float32_bound_runs(cli_corpus, capsys):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from debiaskit.data import (
     BINARY_VERSION,
     LABEL_STATES,
+    MAX_CLASSES,
     NEG,
     POS,
     SPLITS,
@@ -384,8 +385,9 @@ def test_manifest_strings_may_hold_unicode_line_separators(tmp_path, separator):
 
 
 def test_manifest_loader_peak_per_record(tmp_path):
-    # Each record goes straight into the columns, so the loader holds far
-    # less than one parsed JSON object per record at its peak.
+    # Each record keeps only its labels, over one copy of each class name and
+    # state, so the loader holds far less than one parsed JSON object per
+    # record at its peak.
     n = 2000
     path = tmp_path / "m.jsonl"
     with open(path, "w", encoding="utf-8") as handle:
@@ -442,6 +444,50 @@ def assert_same_columns(left, right):
         assert getattr(left, name).tolist() == getattr(right, name).tolist(), name
     for cls in left.classes:
         assert left.labels[cls].tolist() == right.labels[cls].tolist(), cls
+
+
+def write_records(path, records):
+    """Write (clip_id, dataset, split, genres, labels) records as a manifest."""
+    keys = ("clip_id", "dataset", "split", "genres", "labels")
+    path.write_text("".join(json.dumps(dict(zip(keys, r))) + "\n" for r in records))
+
+
+def test_manifest_classes_first_seen_on_later_lines_read_unk_before(tmp_path):
+    records = [
+        ("a", "A", TRAIN, (), {}),
+        ("b", "A", TEST, ("rock",), {"k1": POS}),
+        ("c", "A", TRAIN, (), {"k0": NEG, "k1": NEG}),
+        ("d", "B", TEST, (), {"k2": POS, "k0": POS}),
+        ("e", "B", TRAIN, ("jazz",), {"k1": UNK}),
+    ]
+    path = tmp_path / "m.jsonl"
+    write_records(path, records)
+    loaded = load_manifest(str(path))
+    # The classes in the order they first appear, as the records built one by one.
+    assert_same_columns(loaded, manifest_of(records, ("k1", "k0", "k2")))
+    assert loaded.labels["k1"].tolist() == [UNK, POS, NEG, UNK, UNK]
+    assert loaded.labels["k0"].tolist() == [UNK, UNK, NEG, POS, UNK]
+    assert loaded.labels["k2"].tolist() == [UNK, UNK, UNK, POS, UNK]
+
+
+def test_manifest_past_max_classes_is_refused_on_the_line_that_brings_one_more(tmp_path):
+    # Line 1 brings all but two of the bound's classes, line 2 only known ones,
+    # line 3 the last two and line 4 one known and one past the bound.
+    names = [f"k{i}" for i in range(MAX_CLASSES + 1)]
+    labels = [
+        dict.fromkeys(names[:-3], NEG),
+        {names[0]: POS},
+        dict.fromkeys(names[-3:-1], POS),
+        dict.fromkeys([names[1], names[-1]], POS),
+    ]
+    records = [(f"c{i}", "A", TRAIN, (), states) for i, states in enumerate(labels)]
+    path = tmp_path / "m.jsonl"
+    write_records(path, records[:3])
+    assert len(load_manifest(str(path)).classes) == MAX_CLASSES
+    write_records(path, records)
+    with pytest.raises(ValidationError, match=f"more than {MAX_CLASSES} classes") as excinfo:
+        load_manifest(str(path))
+    assert excinfo.value.line == 4
 
 
 def test_manifest_save_load_round_trip(tmp_path):
