@@ -96,7 +96,7 @@ class EmbeddingTable:
             raise ValidationError("clip_ids, frames and vectors disagree on row count")
         if vectors.size and not np.isfinite(vectors).all():
             bad = int(np.where(~np.isfinite(vectors).all(axis=1))[0][0])
-            raise NonFiniteError("non-finite embedding value", row=bad)
+            raise NonFiniteError(f"row {bad}: non-finite embedding value")
         keys = list(zip(self.clip_ids, frames.tolist()))
         if len(set(keys)) != len(keys):
             raise ValidationError("(clip_id, frame_index) pairs must be unique")

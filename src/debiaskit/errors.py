@@ -2,6 +2,8 @@
 
 Everything derives from DebiasKitError so callers can catch the package's
 failures with one except clause while still matching specific conditions.
+An error is its type and its message: the message names the file and line,
+the row, or the job, class and cell, and no attribute repeats them.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ class _InputError(DebiasKitError):
     """An input problem, located by file path and line when known."""
 
     def __init__(self, message: str, *, line: int | None = None, path: str | None = None):
-        self.line = line
-        self.path = path
         prefix = ""
         if path is not None:
             prefix += f"{path}:"
@@ -42,12 +42,6 @@ class FormatError(DebiasKitError):
 
 class NonFiniteError(DebiasKitError):
     """NaN or infinity where finite values are required."""
-
-    def __init__(self, message: str, *, row: int | None = None):
-        self.row = row
-        if row is not None:
-            message = f"row {row}: {message}"
-        super().__init__(message)
 
 
 class IoError(DebiasKitError):
@@ -75,11 +69,6 @@ class ZeroVectorError(DebiasKitError):
 
 class RankDeficientError(DebiasKitError):
     """Stacked directions do not span the requested rank."""
-
-    def __init__(self, message: str, *, singular_values=None, correlated_pairs=None):
-        self.singular_values = singular_values
-        self.correlated_pairs = correlated_pairs
-        super().__init__(message)
 
 
 class InvalidGammaError(DebiasKitError):
@@ -121,10 +110,6 @@ class PipelineError(DebiasKitError):
     """Module error propagated out of the pipeline with run context."""
 
     def __init__(self, message: str, *, strategy=None, scope=None, class_name=None, cell=None):
-        self.strategy = strategy
-        self.scope = scope
-        self.class_name = class_name
-        self.cell = cell
         bits = [
             f"{k}={v}"
             for k, v in (

@@ -2,11 +2,13 @@
 
 Every read of embedding rows inside the pipeline goes through a guard that
 knows which clip indices belong to the held-out split and which phase the
-pipeline is in. Touching held-out rows during any fitting phase (pooling
-statistics, bias estimation, kernel fitting, model selection, training)
-raises immediately; only the scoring phase may read them. The guard counts
-the reads, rows and held-out rows per phase, so a run can prove after the
-fact that isolation held.
+pipeline is in. The pipeline enters the fitting phases standardize, kernel
+(kernel-space strategies only), bias and train (model selection and final
+fits), then evaluate. Touching held-out rows during any fitting phase raises
+immediately; only the scoring phase may read them. Pooling runs before any
+guard exists, so ``pool`` is only the phase a guard starts in. The guard
+counts the reads, rows and held-out rows per phase, so a run can prove after
+the fact that isolation held.
 """
 
 from __future__ import annotations

@@ -36,14 +36,11 @@ import numpy as np
 
 from .bias import bias_correlation, fit_lda_direction, subspace_correlation
 
-# Config parsing lives in .config. DatasetEntry, ExperimentConfig and
-# config_from_dict stay importable from here: the acceptance suite and the
-# test fixtures import them from this module.
-from .config import (
+# The acceptance suite imports config_from_dict from this module.
+from .config import (  # noqa: F401
     BASELINE,
     SCOPES,
     STRATEGIES,
-    DatasetEntry,
     ExperimentConfig,
     config_from_dict,
     effective_scope,

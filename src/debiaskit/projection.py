@@ -107,8 +107,6 @@ def projector_from_subspace(
                     pairs.append((i, j, cosine))
         raise RankDeficientError(
             f"stacked directions are rank deficient: singular values {sv.tolist()}; "
-            f"near-parallel input pairs (i, j, |cos|): {pairs}",
-            singular_values=sv,
-            correlated_pairs=pairs,
+            f"near-parallel input pairs (i, j, |cos|): {pairs}"
         )
     return DebiasOperator(left, sv)

@@ -12,7 +12,7 @@ model/bias correlation matches within CORRELATION_ATOL: the float32 Hessian
 products make the correlations' last bits depend on the BLAS build.
 Otherwise it lists each mismatch and exits 1.
 
-The stock matrix takes about 20 s, so this script is not a pytest module.
+The stock matrix takes about 25 s, so this script is not a pytest module.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from debiaskit.config import DatasetEntry, ExperimentConfig
 from debiaskit.data import save_embeddings, save_genre_map, save_manifest
-from debiaskit.pipeline import DatasetEntry, ExperimentConfig
 from debiaskit.synth import BiasSpec, SynthSpec, generate_biased_corpus, synth_genre_map
 
 # Small, fast corpus with a strong planted direction — used wherever a test

@@ -139,7 +139,7 @@ def test_loader_rejects_nan(tmp_path, fmt, body):
         )
     with pytest.raises(NonFiniteError) as excinfo:
         load_embeddings(str(path), fmt)
-    assert excinfo.value.row == 1
+    assert str(excinfo.value).startswith("row 1: ")
 
 
 def test_csv_rejects_unparsable_float(tmp_path):
@@ -165,7 +165,7 @@ def test_csv_rejects_unparsable_field_naming_its_line(tmp_path, body, line):
     path.write_text("clip_id,frame,e0\n" + body, newline="")
     with pytest.raises(ParseError) as excinfo:
         load_embeddings(str(path), "csv")
-    assert excinfo.value.line == line
+    assert str(excinfo.value).startswith(f"{path}:line {line}: ")
 
 
 def test_csv_values_parse_as_python_floats(tmp_path):
@@ -411,11 +411,11 @@ def test_manifest_reports_its_first_faulty_line(tmp_path):
     path.write_bytes(b"\n".join(lines) + b"\n")
     with pytest.raises(ValidationError, match="missing field") as excinfo:
         load_manifest(str(path))
-    assert excinfo.value.line == 2
+    assert str(excinfo.value).startswith(f"{path}:line 2: ")
     path.write_bytes(b"\n".join(lines[:1] + lines[2:]) + b"\n")
     with pytest.raises(ParseError, match="UTF-8") as excinfo:
         load_manifest(str(path))
-    assert excinfo.value.line == 2
+    assert str(excinfo.value).startswith(f"{path}:line 2: ")
 
 
 def test_manifest_bad_label_state_rejected(tmp_path):
@@ -487,7 +487,7 @@ def test_manifest_past_max_classes_is_refused_on_the_line_that_brings_one_more(t
     write_records(path, records)
     with pytest.raises(ValidationError, match=f"more than {MAX_CLASSES} classes") as excinfo:
         load_manifest(str(path))
-    assert excinfo.value.line == 4
+    assert str(excinfo.value).startswith(f"{path}:line 4: ")
 
 
 def test_manifest_save_load_round_trip(tmp_path):

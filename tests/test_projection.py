@@ -1,5 +1,7 @@
 """Projection operators: identities, subspace construction, rank guarding."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -117,8 +119,9 @@ def test_duplicate_direction_rank_deficient():
     w = direction([1.0, 0.0, 0.0])
     with pytest.raises(RankDeficientError) as excinfo:
         projector_from_subspace([w, w])
-    assert excinfo.value.singular_values is not None
-    assert len(excinfo.value.singular_values) == 2
+    singular_values = re.search(r"singular values \[([^]]*)\]", str(excinfo.value))
+    assert singular_values is not None
+    assert len(singular_values.group(1).split(", ")) == 2
 
 
 def test_rank_error_reports_correlated_pair():
@@ -127,8 +130,7 @@ def test_rank_error_reports_correlated_pair():
     other = unit(np.array([0.9, -0.1, 0.2, 0.3]))
     with pytest.raises(RankDeficientError) as excinfo:
         projector_from_subspace([direction(base), direction(other), direction(nearly)])
-    reported = [(i, j) for i, j, _ in (excinfo.value.correlated_pairs or [])]
-    assert (0, 2) in reported
+    assert "near-parallel input pairs (i, j, |cos|): [(0, 2, " in str(excinfo.value)
 
 
 def test_random_correlated_subspaces_up_to_eight():
