@@ -6,10 +6,25 @@ average of the two per-group covariance matrices (1/N normalisation) and
 lambda = shrinkage * trace(S_w) / D, then normalise to unit length with the
 first nonzero component positive. At shrinkage 0 the scatter can be singular
 (a coordinate constant over both groups), and the fit is refused.
+
+How the scatter is formed depends only on the input shape, and is chosen for
+the smaller transient. When group a has at least as many rows as features,
+each group's covariance is taken in turn (``np.cov``) and added into the
+scatter in place; while group b's is taken, the fit holds b's centred copy
+plus two D x D matrices, n_b D + 2 D^2 values. When group a has fewer rows
+than features, as random-feature groups narrower than their kernel width
+do, both groups' centred rows are written into one block z, each group
+weighted by sqrt(0.5 / n_g), and S_w = z'z is one symmetric product; the fit
+then holds (n_a + n_b) D + D^2 values, which is smaller exactly when
+n_a < D. The block is freed before the solve. Either way the LU solve copies
+the scatter, so two D x D matrices are the floor. The two layouts agree to
+rounding, but the block sums in another order, so its direction is not
+bit-identical to the per-group one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +79,20 @@ def _sign_fix(vector: np.ndarray) -> np.ndarray:
     return vector
 
 
+def _stacked_scatter(
+    x_a: np.ndarray, mu_a: np.ndarray, x_b: np.ndarray, mu_b: np.ndarray
+) -> np.ndarray:
+    """The average of the two groups' covariances as z'z, where z stacks
+    each group's centred rows weighted by sqrt(0.5 / n_g); z is freed on
+    return."""
+    n_a = x_a.shape[0]
+    z = np.empty((n_a + x_b.shape[0], x_a.shape[1]))
+    for rows, x, mu in ((z[:n_a], x_a, mu_a), (z[n_a:], x_b, mu_b)):
+        np.subtract(x, mu, out=rows)
+        rows *= math.sqrt(0.5 / x.shape[0])
+    return z.T @ z
+
+
 def fit_lda_direction(
     x_a: np.ndarray,
     x_b: np.ndarray,
@@ -74,6 +103,13 @@ def fit_lda_direction(
     genre: str | None = None,
 ) -> BiasDirection:
     """Two-class discriminant direction from group a toward group b's complement.
+
+    With fewer rows in x_a than features the scatter is one product of both
+    groups' stacked, weighted centred rows, and the block is freed before
+    the solve; otherwise it is the sum of the two ``np.cov`` matrices, built
+    in place. Each is the layout with the smaller transient for its shape
+    (module docstring). The LU solve's own copy of the scatter sets a floor
+    of 2 D x D matrices.
 
     Raises DegenerateMeansError when the group means coincide (relative to
     their scale), DimensionMismatchError when dimensions differ and
@@ -94,11 +130,14 @@ def fit_lda_direction(
     if norm_delta < 1e-12 * (np.linalg.norm(mu_a) + np.linalg.norm(mu_b) + 1.0):
         raise DegenerateMeansError("group means coincide; no direction to fit")
     dim = x_a.shape[1]
-    # Built in place and shifted on its diagonal, the scatter is the only
-    # D x D array the fit keeps; each covariance is freed once it is added.
-    scatter = np.cov(x_a, rowvar=False, bias=True).reshape(dim, dim)
-    scatter += np.cov(x_b, rowvar=False, bias=True).reshape(dim, dim)
-    scatter *= 0.5
+    if x_a.shape[0] < dim:
+        scatter = _stacked_scatter(x_a, mu_a, x_b, mu_b)
+    else:
+        # Built in place and shifted on its diagonal, the scatter is the only
+        # D x D array the fit keeps; each covariance is freed once it is added.
+        scatter = np.cov(x_a, rowvar=False, bias=True).reshape(dim, dim)
+        scatter += np.cov(x_b, rowvar=False, bias=True).reshape(dim, dim)
+        scatter *= 0.5
     trace = float(np.trace(scatter))
     if trace <= 0.0:
         # All points identical within each group: the shrinkage-dominated

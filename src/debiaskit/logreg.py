@@ -100,10 +100,11 @@ class ClassifierModel:
         object.__setattr__(self, "weights", weights)
 
 
-def _augmented(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The design [x, 1] (the intercept is its last parameter) and the
-    labels as +-1, after the input checks."""
-    x = np.asarray(x, dtype=np.float64)
+def _checked(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The features in float64 and C order and the labels as +-1, after the
+    input checks. In C order the column means sum row by row, whatever
+    layout the caller passed."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(y).ravel()
     if x.ndim != 2:
         raise DimensionMismatchError("features must be 2-d")
@@ -116,10 +117,7 @@ def _augmented(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     signs = np.where(np.asarray(y, dtype=bool), 1.0, -1.0)
     if signs.max() == signs.min():
         raise SingleClassError("training needs both classes present")
-    xa = np.empty((x.shape[0], x.shape[1] + 1))
-    xa[:, :-1] = x
-    xa[:, -1] = 1.0
-    return xa, signs
+    return x, signs
 
 
 def _regulariser(n_params: int, c_value: float) -> np.ndarray:
@@ -155,9 +153,11 @@ class _Design:
 
 def _prepare(x: np.ndarray, y: np.ndarray) -> _Design:
     """Check, augment, centre, scale and square a training set, once per set."""
-    xa, signs = _augmented(x, y)
-    mean = xa[:, :-1].mean(axis=0)
-    xa[:, :-1] -= mean
+    x, signs = _checked(x, y)
+    mean = x.mean(axis=0)
+    xa = np.empty((x.shape[0], x.shape[1] + 1))
+    np.subtract(x, mean, out=xa[:, :-1])
+    xa[:, -1] = 1.0
     exponent = math.frexp(max(xa.max(), -xa.min()))[1]
     xa32 = np.empty(xa.shape, dtype=np.float32)
     np.multiply(xa, math.ldexp(1.0, -exponent), out=xa32, casting="same_kind")
@@ -187,7 +187,8 @@ def logreg_objective(
     weights: np.ndarray, intercept: float, x: np.ndarray, y: np.ndarray, c_value: float
 ) -> tuple[float, np.ndarray, float]:
     """Loss, weight gradient and intercept gradient at the given point."""
-    xa, signs = _augmented(x, y)
+    x, signs = _checked(x, y)
+    xa = np.column_stack([x, np.ones(x.shape[0])])
     reg = _regulariser(xa.shape[1], c_value)
     theta = np.append(np.asarray(weights, dtype=np.float64), float(intercept))
     margins = signs * (xa @ theta)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from debiaskit.bias import (
+    _stacked_scatter,
     bias_correlation,
     fit_lda_direction,
     subspace_correlation,
@@ -101,7 +102,42 @@ def test_in_place_scatter_is_bit_identical(n_a, n_b, dim, shrinkage):
     x_a = rng.standard_normal((n_a, dim)) * rng.uniform(0.1, 3.0, dim) + 0.2
     x_b = rng.standard_normal((n_b, dim)) @ (rng.standard_normal((dim, dim)) / np.sqrt(dim))
     fitted = fit_lda_direction(x_a, x_b, shrinkage=shrinkage)
-    assert fitted.vector.tobytes() == out_of_place_direction(x_a, x_b, shrinkage).tobytes()
+    expected = out_of_place_direction(x_a, x_b, shrinkage)
+    if n_a < dim:
+        # The stacked block sums the scatter in another order.
+        np.testing.assert_allclose(fitted.vector, expected, rtol=0, atol=1e-12)
+    else:
+        assert fitted.vector.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n_a, n_b, dim",
+    [(63, 80, 64), (64, 80, 64), (65, 80, 64), (40, 300, 128), (200, 50, 96)],
+)
+def test_stacked_and_per_group_scatters_agree(n_a, n_b, dim):
+    rng = np.random.default_rng(n_a + dim)
+    mixing = rng.standard_normal((dim, dim)) / np.sqrt(dim)
+    x_a = rng.standard_normal((n_a, dim)) @ mixing + 0.3
+    x_b = rng.standard_normal((n_b, dim)) * rng.uniform(0.1, 3.0, dim)
+    per_group = 0.5 * (np.cov(x_a, rowvar=False, bias=True) + np.cov(x_b, rowvar=False, bias=True))
+    stacked = _stacked_scatter(x_a, x_a.mean(axis=0), x_b, x_b.mean(axis=0))
+    np.testing.assert_allclose(stacked, per_group, rtol=0, atol=1e-12 * np.abs(per_group).max())
+    # The fit takes the stacked block only when x_a has fewer rows than
+    # features, and either way gives the per-group direction.
+    fitted = fit_lda_direction(x_a, x_b)
+    np.testing.assert_allclose(
+        fitted.vector, out_of_place_direction(x_a, x_b, 1e-2), rtol=0, atol=1e-12
+    )
+
+
+def traced_peak(x_a, x_b):
+    tracemalloc.start()
+    try:
+        fit_lda_direction(x_a, x_b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def test_fit_holds_at_most_three_dense_matrices():
@@ -111,13 +147,14 @@ def test_fit_holds_at_most_three_dense_matrices():
     rng = np.random.default_rng(5)
     x_a = rng.standard_normal((600, dim)) + 0.1
     x_b = rng.standard_normal((600, dim))
-    tracemalloc.start()
-    try:
-        fit_lda_direction(x_a, x_b)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * dim * dim * 8
+    assert traced_peak(x_a, x_b) < 3 * dim * dim * 8
+    # Wider than either group, as random features are: the stacked block
+    # plus one D x D matrix, where the per-group covariances held one
+    # group's centred copy plus two D x D matrices (87.5 MiB here).
+    dim, n = 2048, 1500
+    x_a = rng.standard_normal((n, dim)) + 0.1
+    x_b = rng.standard_normal((n, dim))
+    assert traced_peak(x_a, x_b) < (2 * n * dim + dim * dim) * 8 + 2 * 2**20
 
 
 def test_isotropic_scatter_gives_mean_difference():

@@ -376,6 +376,28 @@ def test_float32_copy_is_an_exact_power_of_two_scaling():
         np.testing.assert_array_equal(rebuilt, design.xa.astype(np.float32).astype(np.float64))
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "float32", "column view"])
+def test_centred_design_equals_copying_then_centring(layout):
+    # The design is written as x - mean in one pass. It must hold the bytes
+    # of the two-pass build (copy x into [x, 1], then centre the copy's
+    # feature columns) for any layout the caller passes.
+    x, y = make_shifted(90, 12, seed=28)
+    x = {
+        "C": x,
+        "F": np.asfortranarray(x),
+        "float32": x.astype(np.float32),
+        "column view": x[:, ::2],
+    }[layout]
+    reference = np.empty((x.shape[0], x.shape[1] + 1))
+    reference[:, :-1] = x
+    reference[:, -1] = 1.0
+    mean = reference[:, :-1].mean(axis=0)
+    reference[:, :-1] -= mean
+    design = logreg._prepare(x, y)
+    assert design.mean.tobytes() == mean.tobytes()
+    assert design.xa.tobytes() == reference.tobytes()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("size", [1e-300, 1.0, 1e300])
 def test_float32_hessian_product_matches_float64_at_any_direction_size(size):
