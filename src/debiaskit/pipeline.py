@@ -615,9 +615,11 @@ def run_matrix(
     """Run each (strategy, scope) plus the shared baseline; render the grid.
 
     The baseline is always computed (deltas need it) and computed once. The
-    corpus is loaded once and shared; each run gets its own domains, split
-    guard and master seed derived from the base seed. A failing run aborts
-    the matrix after writing a partial-results manifest.
+    corpus is loaded once and shared; each run gets its own domains and
+    split guard. Every run uses the base config's seed, so all jobs share
+    subsamples, CV folds and (kernel jobs) the random-feature map, and each
+    job equals ``run_strategy`` at its strategy and scope. A failing run
+    aborts the matrix after writing a partial-results manifest.
     """
     if not strategies or not scopes:
         raise ValidationError("strategies and scopes must be non-empty")
@@ -629,12 +631,7 @@ def run_matrix(
     audits: dict[str, dict] = {}
     corpus = None
     for strategy, scope in jobs:
-        run_config = replace(
-            base_config,
-            strategy=strategy,
-            scope=scope,
-            seed=derive_seed(base_config.seed, f"run:{strategy}:{scope}"),
-        )
+        run_config = replace(base_config, strategy=strategy, scope=scope)
         try:
             if corpus is None:
                 corpus = load_corpus(base_config)

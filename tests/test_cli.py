@@ -643,6 +643,27 @@ def test_matrix_reports_are_byte_identical_across_corpus_directories(tmp_path, c
     assert recorded["genre_map"] == "genres.json"
 
 
+def test_a_matrix_job_is_byte_for_byte_its_run(cli_corpus, capsys):
+    """Every matrix job runs at the config's seed, so `run` at a job's
+    strategy and scope writes that job's report and audit."""
+    corpus_dir, entries = cli_corpus
+    matrix_config = write_config(corpus_dir, entries, output_dir="grid")
+    argv = ["matrix", "--config", matrix_config, "--strategies", "LDA,KLDA"]
+    assert main(argv + ["--scopes", "global,classwise"]) == 0
+    grid = corpus_dir / "grid"
+    audits = json.loads((grid / "audit.json").read_text())["runs"]
+    for strategy, scope in (("KLDA", "classwise"), ("none", "global")):
+        alone = corpus_dir / f"alone_{strategy}_{scope}"
+        run_config = write_config(
+            corpus_dir, entries, strategy=strategy, scope=scope, output_dir=alone.name
+        )
+        assert main(["run", "--config", run_config]) == 0
+        job_report = grid / f"report_{strategy}_{scope}.json"
+        assert (alone / "report.json").read_bytes() == job_report.read_bytes()
+        assert json.loads((alone / "audit.json").read_text()) == audits[f"{strategy}:{scope}"]
+    assert capsys.readouterr().err == ""
+
+
 def test_matrix_strategies_default_to_every_strategy_but_the_baseline():
     args = cli._build_parser().parse_args(["matrix", "--config", "config.json"])
     assert args.strategies == "LDA,mLDA,K,KLDA,mKLDA"

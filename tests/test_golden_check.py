@@ -18,7 +18,7 @@ def golden():
 
 
 def test_committed_values_pin_the_stock_hashes_and_every_entry(golden):
-    assert golden["table1_csv_sha256"].startswith("f3ac59bcbee49aa4")
+    assert golden["table1_csv_sha256"].startswith("616a37b452a8bd42")
     assert golden["audit_json_sha256"].startswith("b260194d4c1d7565")
     # Ten jobs: the baseline, K, and four removal strategies at two scopes.
     assert len(golden["cells"]) == 4 * 10

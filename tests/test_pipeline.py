@@ -820,8 +820,8 @@ def test_built_feature_rows_serve_only_their_own_indices(small_corpus):
 
 @pytest.mark.filterwarnings("error")
 def test_stock_klda_classwise_job_fits_all_converge(tmp_path, monkeypatch):
-    """On the stock corpus, the README matrix's class-wise KLDA job at the
-    four smallest C values. One warm-started CV fit, on a 900 x 256 fold at
+    """On the stock corpus, a class-wise KLDA job at the four smallest C
+    values. At this seed one warm-started CV fit, on a 900 x 256 fold at
     C = 1e-5, had a full step whose Armijo decrease the loss could not
     resolve; judged by the loss, the line search gave up on it and left
     the fit stalled above its gradient tolerance."""
@@ -831,7 +831,7 @@ def test_stock_klda_classwise_job_fits_all_converge(tmp_path, monkeypatch):
         gm_path,
         "KLDA",
         scope="classwise",
-        seed=derive_seed(20240901, "run:KLDA:classwise"),
+        seed=4092178733601228524,
         c_grid=(1e-8, 1e-7, 1e-6, 1e-5),
     )
     fits = []
@@ -934,19 +934,14 @@ def test_matrix_runs_baseline_plus_requested_and_writes_outputs(small_corpus, tm
         "none:global",
         "LDA:global",
     }
+    # Every job runs at the base config's seed: its config is the base config
+    # at the job's strategy and scope, and every job records the same seeds.
     # A job's fingerprint covers its config and seeds, and none of its outcome.
     for (strategy, scope), report in result.reports.items():
-        seed = derive_seed(config.seed, f"run:{strategy}:{scope}")
-        job = replace(config, strategy=strategy, scope=scope, seed=seed).to_dict()
+        job = replace(config, strategy=strategy, scope=scope).to_dict()
         assert report.config == job
-        assert report.fingerprint == config_fingerprint(job, derive_run_seeds(seed))
-    # Each run is seeded independently from the master seed.
-    assert result.reports[("none", "global")].config["seed"] == derive_seed(
-        config.seed, "run:none:global"
-    )
-    assert result.reports[("LDA", "global")].config["seed"] == derive_seed(
-        config.seed, "run:LDA:global"
-    )
+        assert report.seeds == config.run_seeds()
+        assert report.fingerprint == config_fingerprint(job, config.run_seeds())
     for name in (
         "report_none_global.json",
         "report_LDA_global.json",
@@ -1015,19 +1010,93 @@ def test_matrix_loads_the_corpus_once_and_guards_each_run_afresh(
 
     monkeypatch.setattr(pipeline, "load_embeddings", counting_load)
     config = corpus_config(entries, gm_path, "none", **FAST)
-    result = run_matrix(config, ["LDA"], ["global"])
+    result = run_matrix(config, ["LDA", "KLDA"], ["global", "classwise"])
     assert sorted(loaded) == sorted(e.embeddings for e in entries)
+    assert len(result.jobs) == 5
     for strategy, scope in result.jobs:
-        alone = run_strategy(
-            replace(
-                config,
-                strategy=strategy,
-                scope=scope,
-                seed=derive_seed(config.seed, f"run:{strategy}:{scope}"),
-            )
-        )
+        alone = run_strategy(replace(config, strategy=strategy, scope=scope))
         assert result.audits[f"{strategy}:{scope}"] == alone.audit
         assert result.reports[(strategy, scope)] == alone.report
+
+
+def test_matrix_jobs_share_subsamples_folds_and_the_feature_map(small_corpus, monkeypatch):
+    """Every job of a matrix runs at the config's seed, so a delta compares
+    models trained on the same draws: every job takes the same balanced
+    subsamples and CV fold seeds, the kernel jobs share one random-feature
+    map and its feature rows, and each baseline's diagnostic direction is
+    the one its projecting counterpart removes."""
+    entries, _, gm_path = small_corpus
+    # What each recorded function was called with or returned, per job.
+    kept = {
+        "balanced_subsample": lambda args, out: (args[2:], out[0].tobytes(), out[1].tobytes()),
+        "cv_select_c": lambda args, out: args[2:],
+        "fit_rff": lambda args, out: (out.frequencies.tobytes(), out.phases.tobytes(), out.gamma),
+        "transform_rff": lambda args, out: out.tobytes(),
+        "fit_bias": lambda args, out: out,
+    }
+    drawn: dict[tuple[str, str], dict[str, list]] = {}
+    job = []
+
+    def tracking(config, **kwargs):
+        job[:] = [(config.strategy, config.scope)]
+        drawn[job[0]] = {name: [] for name in kept}
+        return run_strategy(config, **kwargs)
+
+    def recording(name, original):
+        def wrapper(*args, **kwargs):
+            out = original(*args, **kwargs)
+            drawn[job[0]][name].append(kept[name](args, out))
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "run_strategy", tracking)
+    for name in kept:
+        monkeypatch.setattr(pipeline, name, recording(name, getattr(pipeline, name)))
+    config = corpus_config(entries, gm_path, "none", **FAST)
+    result = run_matrix(config, ["LDA", "mLDA", "K", "KLDA", "mKLDA"], ["global", "classwise"])
+    assert list(drawn) == list(result.jobs) and len(drawn) == 10
+
+    baseline = drawn[("none", "global")]
+    # 3 classes x (positives, negatives); 3 classes x 2 training datasets.
+    assert len(baseline["balanced_subsample"]) == 6 and len(baseline["cv_select_c"]) == 6
+    for draws in drawn.values():
+        assert draws["balanced_subsample"] == baseline["balanced_subsample"]
+        assert draws["cv_select_c"] == baseline["cv_select_c"]
+    kernel_jobs = [j for j in result.jobs if pipeline.STRATEGIES[j[0]].kernelized]
+    assert len(kernel_jobs) == 5
+    k_draws = drawn[("K", "global")]
+    # One map; each dataset's training rows, then its held-out rows.
+    assert len(k_draws["fit_rff"]) == 1 and len(k_draws["transform_rff"]) == 4
+    for kernel_job in kernel_jobs:
+        assert drawn[kernel_job]["fit_rff"] == k_draws["fit_rff"]
+        assert drawn[kernel_job]["transform_rff"] == k_draws["transform_rff"]
+    for reference_job, removing_job in (
+        (("none", "global"), ("LDA", "global")),
+        (("K", "global"), ("KLDA", "global")),
+    ):
+        (reference,) = drawn[reference_job]["fit_bias"]
+        (removed,) = drawn[removing_job]["fit_bias"]
+        assert reference.global_reference.tobytes() == removed.global_reference.tobytes()
+
+
+def test_stock_classwise_multi_direction_rows_equal_single_direction_rows(tmp_path):
+    """On the stock corpus each class's positives sit in one genre, so a
+    class-wise multi-direction fit skips the other genre pair and removes
+    the same single direction as the single-direction fit. With every job at
+    the config's seed, class-wise mLDA and mKLDA give exactly the per-class
+    AUCs of class-wise LDA and KLDA."""
+    entries, _, gm_path = write_corpus(tmp_path, default_spec())
+    config = corpus_config(entries, gm_path, "none", seed=20240901, c_grid=(1.0,))
+    result = run_matrix(config, ["LDA", "mLDA", "KLDA", "mKLDA"], ["classwise"])
+
+    def class_aucs(strategy):
+        cells = result.reports[(strategy, "classwise")].cells
+        return {(c.train, c.test): c.class_auc for c in cells}
+
+    for single, multi in (("LDA", "mLDA"), ("KLDA", "mKLDA")):
+        assert len(class_aucs(multi)) == 4
+        assert class_aucs(multi) == class_aucs(single)
 
 
 def _align_seconds(n_clips):
