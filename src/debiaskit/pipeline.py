@@ -20,14 +20,14 @@ Strategies: "none" (baseline), "LDA" (single-direction removal), "mLDA"
 (per-genre subspace removal), "K" (random-feature space, no removal),
 "KLDA"/"mKLDA" (removal inside the random-feature space). Scopes: "global"
 (one correction for all classes) or "classwise" (one per class, fitted on
-the balanced positives that class's classifier trains on). The scope is
-meaningless for "none"/"K" and is ignored with a warning.
+the balanced positives that class's classifier trains on). "none" and "K"
+fit no correction and run at "global" whatever the scope setting, which the
+config records as written.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -411,12 +411,6 @@ def run_strategy(config: ExperimentConfig, *, corpus: Corpus | None = None) -> R
     classes and genre map."""
     strategy = config.strategy
     scope = config.effective_scope()
-    if scope != config.scope:
-        warnings.warn(
-            f"scope {config.scope!r} is ignored for strategy {strategy!r} (no bias fit)",
-            UserWarning,
-            stacklevel=2,
-        )
     seeds = config.run_seeds()
     domain_a, domain_b, classes, genre_map, guard = load_domains(config, corpus)
     domains = (domain_a, domain_b)
@@ -615,11 +609,12 @@ def run_matrix(
     """Run each (strategy, scope) plus the shared baseline; render the grid.
 
     The baseline is always computed (deltas need it) and computed once. The
-    corpus is loaded once and shared; each run gets its own domains and
-    split guard. Every run uses the base config's seed, so all jobs share
-    subsamples, CV folds and (kernel jobs) the random-feature map, and each
-    job equals ``run_strategy`` at its strategy and scope. A failing run
-    aborts the matrix after writing a partial-results manifest.
+    corpus is loaded once, before any job, and shared; each run gets its own
+    domains and split guard. Every run uses the base config's seed, so all
+    jobs share subsamples, CV folds and (kernel jobs) the random-feature map,
+    and each job equals ``run_strategy`` at its strategy and scope. A corpus
+    that fails to load raises its error and writes no partial-results
+    manifest; a failing run aborts the matrix after writing one.
     """
     if not strategies or not scopes:
         raise ValidationError("strategies and scopes must be non-empty")
@@ -627,14 +622,12 @@ def run_matrix(
     out_dir = base_config.output_dir
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+    corpus = load_corpus(base_config)
     reports: dict[tuple[str, str], ExperimentReport] = {}
     audits: dict[str, dict] = {}
-    corpus = None
     for strategy, scope in jobs:
         run_config = replace(base_config, strategy=strategy, scope=scope)
         try:
-            if corpus is None:
-                corpus = load_corpus(base_config)
             result = run_strategy(run_config, corpus=corpus)
         except DebiasKitError as exc:
             if out_dir is not None:

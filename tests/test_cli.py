@@ -175,15 +175,25 @@ def test_run_prints_table_and_writes_outputs(cli_corpus, capsys):
 
 
 @pytest.mark.parametrize("strategy", ["none", "K"])
-def test_run_warns_once_about_an_ignored_scope(cli_corpus, capsys, strategy):
+def test_run_at_an_ignored_scope_is_silent_and_runs_global(cli_corpus, capsys, strategy):
+    # A scope-free strategy records the scope as written and runs at
+    # "global", like every setting a job does not read: no stderr output.
     corpus_dir, entries = cli_corpus
-    config_path = write_config(corpus_dir, entries, strategy=strategy, scope="classwise")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["run", "--config", config_path]) == 0
-    assert [str(w.message) for w in caught] == [
-        f"scope 'classwise' is ignored for strategy {strategy!r} (no bias fit)"
-    ]
+    cells = {}
+    for scope in ("classwise", "global"):
+        config_path = write_config(
+            corpus_dir, entries, strategy=strategy, scope=scope, output_dir=scope
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", config_path]) == 0
+        assert caught == []
+        assert capsys.readouterr().err == ""
+        report = load_report(str(corpus_dir / scope / "report.json"))
+        assert report.config["scope"] == scope
+        cells[scope] = report.cells
+    assert {cell.scope for cell in cells["classwise"]} == {"global"}
+    assert cells["classwise"] == cells["global"]
 
 
 # A report whose one cell has no "train" field.

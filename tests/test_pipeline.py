@@ -4,6 +4,7 @@ independent re-implementation of the training recipe."""
 
 import json
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -316,11 +317,16 @@ def test_a_run_report_reads_back_from_disk_unchanged(small_corpus, tmp_path):
     assert loaded == result.report
 
 
-def test_run_warns_when_scope_is_ignored(small_corpus):
+def test_run_is_silent_when_scope_is_ignored(small_corpus):
+    # The scope is recorded and not read, like every such setting: no warning.
     entries, _, gm_path = small_corpus
     config = corpus_config(entries, gm_path, "none", scope="classwise", **FAST)
-    with pytest.warns(UserWarning, match="ignored"):
-        run_strategy(config)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_strategy(config).report
+    assert caught == []
+    assert {cell.scope for cell in report.cells} == {"global"}
+    assert list(report.bias_fit_notes) == ["none:global"]
 
 
 def test_scope_free_run_is_identical_under_either_scope_setting(small_corpus):
@@ -328,8 +334,7 @@ def test_scope_free_run_is_identical_under_either_scope_setting(small_corpus):
     config_g = corpus_config(entries, gm_path, "none", scope="global", **FAST)
     config_c = corpus_config(entries, gm_path, "none", scope="classwise", **FAST)
     report_g = run_strategy(config_g).report
-    with pytest.warns(UserWarning):
-        report_c = run_strategy(config_c).report
+    report_c = run_strategy(config_c).report
     for cell_g, cell_c in zip(report_g.cells, report_c.cells):
         assert cell_g == cell_c
     for corr_g, corr_c in zip(report_g.correlations, report_c.correlations):
@@ -995,6 +1000,21 @@ def test_matrix_failure_writes_partial_results_manifest(small_corpus, tmp_path):
     assert manifest["pending"] == []
     assert (out_dir / "report_none_global.json").exists()
     assert not (out_dir / "report.json").exists()
+
+
+def test_matrix_over_a_corpus_that_fails_to_load_writes_no_manifest(tmp_path):
+    # A corpus that fails to load is no job's failure: its error is raised
+    # before any job runs, and no partial-results manifest names a job.
+    entries, _, gm_path = write_corpus(tmp_path / "corpus", SMALL_SPEC)
+    manifest_path = Path(entries[0].manifest)
+    lines = manifest_path.read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "split": "bogus"})
+    manifest_path.write_text("".join(line + "\n" for line in lines))
+    out_dir = tmp_path / "unloadable"
+    config = corpus_config(entries, gm_path, "none", output_dir=str(out_dir), **FAST)
+    with pytest.raises(ValidationError, match="bogus"):
+        run_matrix(config, ["LDA"], ["global"])
+    assert not (out_dir / "partial_results.json").exists()
 
 
 def test_matrix_loads_the_corpus_once_and_guards_each_run_afresh(
