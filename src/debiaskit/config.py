@@ -12,14 +12,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
 
 from .bias import DEFAULT_SHRINKAGE
 from .errors import ValidationError
 from .kernel import DEFAULT_DPRIME_FACTOR
 from .logreg import DEFAULT_C_GRID, DEFAULT_FOLDS, MIN_C
-from .seeding import RUN_PURPOSES, derive_run_seeds
 
 
 class Strategy(NamedTuple):
@@ -57,8 +56,8 @@ class DatasetEntry:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run's settings. The JSON config's keys are these field names,
-    except that JSON ``seeds`` fills ``seeds_override`` and ``base_dir`` is
-    never read from JSON."""
+    except ``base_dir``, which is never read from JSON. ``seed`` alone sets a
+    run's randomness: every per-purpose seed is derived from it."""
 
     datasets: tuple[DatasetEntry, DatasetEntry]
     strategy: str
@@ -72,17 +71,11 @@ class ExperimentConfig:
     c_grid: tuple[float, ...] = DEFAULT_C_GRID
     cv_folds: int = DEFAULT_FOLDS
     min_genre_samples: int = 5
-    seeds_override: dict[str, int] = field(default_factory=dict)
     output_dir: str | None = None
     base_dir: str | None = None  # where relative paths resolve; reports record paths from here
 
     def effective_scope(self) -> str:
         return effective_scope(self.strategy, self.scope)
-
-    def run_seeds(self) -> dict[str, int]:
-        seeds = derive_run_seeds(self.seed)
-        seeds.update(self.seeds_override)
-        return seeds
 
     def to_dict(self) -> dict:
         """Science-relevant resolved fields, as JSON types. Input paths are
@@ -105,7 +98,7 @@ class ExperimentConfig:
                 }
             if isinstance(value, tuple):
                 return [json_value(v) for v in value]
-            return dict(value) if isinstance(value, dict) else value
+            return value
 
         out = {f.name: json_value(getattr(self, f.name)) for f in fields(self)}
         del out["output_dir"], out["base_dir"]
@@ -203,12 +196,12 @@ def config_from_dict(obj: dict, base_dir: str | None = None) -> ExperimentConfig
     Only the fields the object holds are passed on, so every default is the
     dataclass's."""
     _typed(obj, dict, "config", "a JSON object")
-    keys = {f.name for f in fields(ExperimentConfig)} - {"seeds_override", "base_dir"}
-    unknown = sorted(set(obj) - keys - {"seeds"})
+    keys = {f.name for f in fields(ExperimentConfig)} - {"base_dir"}
+    unknown = sorted(set(obj) - keys)
     if unknown:
         raise ValidationError(f"unknown config fields: {unknown}")
     for f in fields(ExperimentConfig):
-        if f.default is MISSING and f.default_factory is MISSING and f.name not in obj:
+        if f.default is MISSING and f.name not in obj:
             raise ValidationError(f"config is missing required field {f.name!r}")
 
     def resolve(p, name: str) -> str | None:
@@ -258,12 +251,6 @@ def config_from_dict(obj: dict, base_dir: str | None = None) -> ExperimentConfig
         c_grid = kwargs["c_grid"] = tuple(_number(float, c, "c_grid entry", MIN_C) for c in raw_grid)
         if not c_grid:
             raise ValidationError("c_grid must be a non-empty list of positive numbers")
-    if "seeds" in obj:
-        overrides = kwargs["seeds_override"] = {}
-        for purpose, value in _typed(obj["seeds"], dict, "seeds", "an object").items():
-            if purpose not in RUN_PURPOSES:
-                raise ValidationError(f"unknown seed purpose {purpose!r}")
-            overrides[purpose] = _number(int, value, f"seed {purpose!r}", 0)
     if obj.get("classes") is not None:
         classes = kwargs["classes"] = tuple(
             _typed(c, str, "classes entry", "a string")

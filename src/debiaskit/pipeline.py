@@ -97,7 +97,7 @@ from .report import (  # noqa: F401
     save_report,
     save_table,
 )
-from .seeding import derive_seed
+from .seeding import derive_run_seeds, derive_seed
 
 # The largest pooled value a run takes: the largest a binary embedding file holds.
 MAX_EMBEDDING_VALUE = float(np.finfo(np.float32).max)
@@ -411,7 +411,7 @@ def run_strategy(config: ExperimentConfig, *, corpus: Corpus | None = None) -> R
     classes and genre map."""
     strategy = config.strategy
     scope = config.effective_scope()
-    seeds = config.run_seeds()
+    seeds = derive_run_seeds(config.seed)
     domain_a, domain_b, classes, genre_map, guard = load_domains(config, corpus)
     domains = (domain_a, domain_b)
     kernelized = STRATEGIES[strategy].kernelized

@@ -148,15 +148,33 @@ def build_report(
 ) -> ExperimentReport:
     """Assemble and validate a report, the one way every report is made.
 
-    Each cell needs an AUC in [0, 1] for every class and a key of its own.
-    Every mean is recomputed in ``classes`` order: a cell's over all classes,
-    a correlation entry's mean |correlation| over the classes it holds. The
-    fingerprint is recomputed from ``config`` and ``seeds``.
+    The dataset names and the classes must be distinct. Each cell and
+    correlation entry must name only ``datasets``, a strategy of the strategy
+    table and a scope of ``SCOPES``; an entry's space is "original" or
+    "kernelized". Each cell needs an AUC in [0, 1] for every class and a key
+    of its own. Every mean is recomputed in ``classes`` order: a cell's over
+    all classes, a correlation entry's mean |correlation| over the classes it
+    holds. The fingerprint is recomputed from ``config`` and ``seeds``.
     """
     if not classes:
         raise ValidationError("a report needs at least one class")
+    if len(set(datasets)) != len(datasets):
+        raise ValidationError(f"dataset names must be distinct, got {list(datasets)}")
+    if len(set(classes)) != len(classes):
+        raise ValidationError(f"classes must be distinct, got {list(classes)}")
+
+    def check_names(what: str, domains: tuple[str, ...], strategy: str, scope: str) -> None:
+        stray = [d for d in domains if d not in datasets]
+        if stray:
+            raise ValidationError(f"{what} names datasets {stray} not in {list(datasets)}")
+        if strategy not in STRATEGIES:
+            raise ValidationError(f"{what} has unknown strategy {strategy!r}")
+        if scope not in SCOPES:
+            raise ValidationError(f"{what} has unknown scope {scope!r}")
+
     recomputed = []
     for cell in cells:
+        check_names(f"cell {cell.key()}", (cell.train, cell.test), cell.strategy, cell.scope)
         missing = [c for c in classes if c not in cell.class_auc]
         if missing:
             raise ValidationError(f"cell {cell.key()} is missing classes {missing}")
@@ -169,9 +187,13 @@ def build_report(
         raise ValidationError("duplicate cell keys in report")
     entries = []
     for entry in correlations:
+        what = f"correlation entry {entry.domain}:{entry.strategy}/{entry.scope}/{entry.space}"
+        check_names(what, (entry.domain,), entry.strategy, entry.scope)
+        if entry.space not in ("original", "kernelized"):
+            raise ValidationError(f"{what} has unknown space {entry.space!r}")
         held = [abs(entry.class_corr[c]) for c in classes if c in entry.class_corr]
         if not held:
-            raise ValidationError(f"correlation entry {entry.domain}:{entry.space} holds no class")
+            raise ValidationError(f"{what} holds no class")
         mean = sum(held) / len(held)
         entries.append(replace(entry, class_corr=dict(entry.class_corr), mean_abs_corr=mean))
     return ExperimentReport(

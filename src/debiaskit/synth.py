@@ -166,6 +166,13 @@ def _validate(
         raise ValidationError("seed must be >= 0")
     if len(spec.domain_names) != 2 or spec.domain_names[0] == spec.domain_names[1]:
         raise ValidationError("exactly two distinct domain names are required")
+    for name in spec.domain_names:
+        # Each name becomes a file name under the output directory.
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise ValidationError(
+                f"domain name {name!r} must be a plain file name: not empty, '.' or '..', "
+                "and without '/', '\\' or NUL"
+            )
     genre_names = spec.genre_names()
     for entry in spec.bias:
         if not 0 <= entry.magnitude < math.inf:

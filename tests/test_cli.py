@@ -157,6 +157,17 @@ def test_synth_rejects_invalid_spec(tmp_path, capsys):
     assert payload["message"]
 
 
+def test_synth_writes_nothing_outside_its_output_directory(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**CLI_SPEC_JSON, "domain_names": ["../escaped", "B"]}))
+    out_dir = tmp_path / "corpus" / "out"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out_dir)]) == 1
+    payload, _ = read_stderr_error(capsys)
+    assert payload["error"] == "ValidationError"
+    assert "'../escaped'" in payload["message"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["spec.json"]
+
+
 # --- run -------------------------------------------------------------------
 
 
@@ -244,6 +255,11 @@ def edit_first_cell(**fields):
     return {**REPORT, "cells": [{**REPORT["cells"][0], **fields}] + REPORT["cells"][1:]}
 
 
+def edit_correlation(**fields):
+    """A correlation entry that holds the report's class, edited by ``fields``."""
+    return {**CORRELATION_WITHOUT_CLASSES, "class_corr": {"class0": 0.5}, **fields}
+
+
 @pytest.mark.parametrize(
     "command, extras",
     [
@@ -285,6 +301,15 @@ def edit_first_cell(**fields):
         ("report", edit_first_cell(class_auc={"class0": True})),
         ("report", {**REPORT, "seeds": {"master": "x"}}),
         ("report", {**REPORT, "correlations": [CORRELATION_WITHOUT_CLASSES]}),
+        # Reports that no run can write: each would render wrongly.
+        ("report", {**REPORT, "datasets": ["synthA", "synthA"]}),
+        ("report", {**REPORT, "classes": ["class0", "class0"]}),
+        ("report", edit_first_cell(train="synthC")),
+        ("report", edit_first_cell(test="synthC")),
+        ("report", {**REPORT, "correlations": [edit_correlation(domain="synthC")]}),
+        ("report", edit_first_cell(strategy="bogus")),
+        ("report", edit_first_cell(scope="sideways")),
+        ("report", {**REPORT, "correlations": [edit_correlation(space="sideways")]}),
     ],
 )
 def test_malformed_input_ends_in_one_line_json_error(cli_corpus, capsys, command, extras):

@@ -69,7 +69,7 @@ def test_any_json_object_parses_or_raises_a_package_error(small_corpus, data):
     }
     obj = data.draw(config_objects(valid))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")
         try:
             config = config_from_dict(obj)
         except DebiasKitError:

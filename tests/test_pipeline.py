@@ -164,7 +164,8 @@ def test_config_rejects_missing_referenced_files(small_corpus):
         ({"c_grid": [1.0, -1.0]}, "c_grid"),
         ({"cv_folds": 1}, "cv_folds"),
         ({"min_genre_samples": 1}, "min_genre_samples"),
-        ({"seeds": {"weights": 3}}, "unknown seed purpose"),
+        # No setting overrides the seeds derived from "seed".
+        ({"seeds": {"weights": 3}}, r"unknown config fields: \['seeds'\]"),
         ({"classes": []}, "classes"),
         ({"classes": ["a", "a"]}, "classes"),
         # Numbers must be JSON numbers of the setting's kind, and finite.
@@ -183,8 +184,8 @@ def test_config_rejects_missing_referenced_files(small_corpus):
         ({"gamma": float("nan")}, "gamma must be finite"),
         ({"c_grid": [1.0, "10"]}, "c_grid entry must be a number"),
         ({"c_grid": [10**400]}, "c_grid entry is out of range"),
-        ({"seeds": {"rff": 1.5}}, "seed 'rff' must be an integer"),
-        ({"seeds": {"rff": -1}}, "seed 'rff' must be >= 0"),
+        ({"seeds": {"rff": 7}}, r"unknown config fields: \['seeds'\]"),
+        ({"seeds": {}}, r"unknown config fields: \['seeds'\]"),
         ({"classes": [0]}, "classes entry must be a string"),
         ({"seeds_override": {"rff": 1}}, "unknown config fields"),
         ({"base_dir": "."}, "unknown config fields"),
@@ -230,36 +231,23 @@ def test_config_requires_exactly_two_datasets(small_corpus):
         config_from_dict(payload)
 
 
-def test_seed_overrides_take_precedence(small_corpus):
-    entries, _, gm_path = small_corpus
-    payload = config_payload(entries, gm_path, seeds={"rff": 7})
-    config = config_from_dict(payload)
-    seeds = config.run_seeds()
-    assert seeds["rff"] == 7
-    assert seeds["sampling"] == derive_seed(31, "sampling")
-    assert seeds["cv"] == derive_seed(31, "cv")
-
-
 def test_config_dict_excludes_output_dir(small_corpus):
     entries, _, gm_path = small_corpus
     config = corpus_config(entries, gm_path, "none", output_dir="/tmp/somewhere")
     as_dict = config.to_dict()
     assert "output_dir" not in as_dict
     moved = replace(config, output_dir="/tmp/elsewhere")
-    seeds = config.run_seeds()
+    seeds = derive_run_seeds(config.seed)
     assert config_fingerprint(as_dict, seeds) == config_fingerprint(moved.to_dict(), seeds)
 
 
 def test_config_dict_holds_json_types(small_corpus):
     entries, _, gm_path = small_corpus
     config = corpus_config(entries, gm_path, "LDA", classes=("class0", "class1"))
-    config = replace(config, seeds_override={"rff": 3})
     as_dict = config.to_dict()
     assert as_dict == json.loads(json.dumps(as_dict))
     assert isinstance(as_dict["datasets"], list) and isinstance(as_dict["c_grid"], list)
     assert as_dict["classes"] == ["class0", "class1"]
-    assert as_dict["seeds_override"] == {"rff": 3}
-    assert as_dict["seeds_override"] is not config.seeds_override
 
 
 # --- baseline run ----------------------------------------------------------
@@ -426,7 +414,7 @@ def _fit_both_scopes(tmp_path, strategy):
         if scope == "global":
             pools = {None: (domain_a.train_indices, domain_b.train_indices)}
         else:
-            seed = derive_seed(config.run_seeds()["sampling"], f"subsample:class0:{POS}")
+            seed = derive_seed(derive_run_seeds(config.seed)["sampling"], f"subsample:class0:{POS}")
             pools = {
                 "class0": balanced_subsample(domain_a.manifest, domain_b.manifest, "class0", POS, seed)
             }
@@ -522,7 +510,7 @@ def test_skipped_genre_pairs_follow_the_target_order(small_corpus, monkeypatch):
     guard.enter(PHASE_BIAS)
     genre1_b = [i for i in domain_b.train_indices.tolist() if domain_b.genres[i] == "genre1"]
     trimmed_b = np.setdiff1d(domain_b.train_indices, genre1_b[4:])
-    seed = derive_seed(config.run_seeds()["sampling"], f"subsample:class1:{POS}")
+    seed = derive_seed(derive_run_seeds(config.seed)["sampling"], f"subsample:class1:{POS}")
     pools = {
         None: (domain_a.train_indices, trimmed_b),
         "class1": balanced_subsample(domain_a.manifest, domain_b.manifest, "class1", POS, seed),
@@ -945,8 +933,8 @@ def test_matrix_runs_baseline_plus_requested_and_writes_outputs(small_corpus, tm
     for (strategy, scope), report in result.reports.items():
         job = replace(config, strategy=strategy, scope=scope).to_dict()
         assert report.config == job
-        assert report.seeds == config.run_seeds()
-        assert report.fingerprint == config_fingerprint(job, config.run_seeds())
+        assert report.seeds == derive_run_seeds(config.seed)
+        assert report.fingerprint == config_fingerprint(job, derive_run_seeds(config.seed))
     for name in (
         "report_none_global.json",
         "report_LDA_global.json",

@@ -407,6 +407,14 @@ def test_dimension_too_small_for_orthogonal_construction():
         {"genre_mix": ((1.0, -0.5), (1.0, 1.0))},
         {"genre_mix_b": ((1.0, 1.0),)},
         {"predominant_only_classes": (5,)},
+        # Each domain name becomes a file name under the output directory.
+        {"domain_names": ("A", "")},
+        {"domain_names": ("A", ".")},
+        {"domain_names": ("A", "..")},
+        {"domain_names": ("A", "../escaped")},
+        {"domain_names": ("A", "a/b")},
+        {"domain_names": ("A", "a\\b")},
+        {"domain_names": ("A", "a\0b")},
     ],
 )
 def test_invalid_specs_rejected(kwargs):
