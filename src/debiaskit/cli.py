@@ -83,12 +83,7 @@ def _cmd_synth(args) -> int:
         save_embeddings(tables[domain], emb_path, args.format)
         save_manifest(manifests[domain], man_path)
         dataset_entries.append(
-            {
-                "name": domain,
-                "embeddings": f"{domain}.{suffix}",
-                "manifest": f"{domain}.jsonl",
-                "format": args.format,
-            }
+            {"name": domain, "embeddings": f"{domain}.{suffix}", "manifest": f"{domain}.jsonl"}
         )
     genre_path = os.path.join(args.out, "genres.json")
     save_genre_map(synth_genre_map(spec), genre_path)

@@ -1,6 +1,6 @@
 """Experiment configuration: the strategy registry and the JSON config file.
 
-A config names the two datasets (embedding file, manifest, format), one
+A config names the two datasets (embedding file, manifest), one
 strategy and scope, the kernel and classifier settings and a master seed.
 ``ExperimentConfig`` declares every field and its default once. Parsing
 checks the type and range of each field the JSON holds, so a malformed config
@@ -50,7 +50,6 @@ class DatasetEntry:
     name: str
     embeddings: str
     manifest: str
-    fmt: str  # "csv" | "binary"
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,6 @@ class ExperimentConfig:
                     "name": value.name,
                     "embeddings": recorded(value.embeddings),
                     "manifest": recorded(value.manifest),
-                    "format": value.fmt,
                 }
             if isinstance(value, tuple):
                 return [json_value(v) for v in value]
@@ -215,7 +213,7 @@ def config_from_dict(obj: dict, base_dir: str | None = None) -> ExperimentConfig
     entries = []
     for raw in raw_datasets:
         _typed(raw, dict, "a dataset entry", "an object")
-        unknown = sorted(set(raw) - {"name", "embeddings", "manifest", "format"})
+        unknown = sorted(set(raw) - {"name", "embeddings", "manifest"})
         if unknown:
             raise ValidationError(f"unknown dataset entry fields: {unknown}")
         for key in ("name", "embeddings", "manifest"):
@@ -223,10 +221,7 @@ def config_from_dict(obj: dict, base_dir: str | None = None) -> ExperimentConfig
                 raise ValidationError(f"dataset entry needs a string field {key!r}")
         emb = resolve(raw["embeddings"], "embeddings")
         man = resolve(raw["manifest"], "manifest")
-        fmt = raw.get("format", "csv" if emb.endswith(".csv") else "binary")
-        if fmt not in ("csv", "binary"):
-            raise ValidationError(f"unknown embedding format {fmt!r}")
-        entries.append(DatasetEntry(raw["name"], emb, man, fmt))
+        entries.append(DatasetEntry(raw["name"], emb, man))
     if entries[0].name == entries[1].name:
         raise ValidationError("dataset names must be distinct")
 

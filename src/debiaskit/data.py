@@ -113,14 +113,15 @@ class EmbeddingTable:
         return self.vectors.shape[0]
 
 
-def load_embeddings(path: str, fmt: str) -> EmbeddingTable:
-    """Read an embedding table from ``path`` in format ``fmt`` ("csv" | "binary")."""
-    if fmt == "csv":
-        table = _load_csv(path)
-    elif fmt == "binary":
-        table = _load_binary(path)
-    else:
-        raise ValidationError(f"unknown embedding format {fmt!r}")
+def load_embeddings(path: str) -> EmbeddingTable:
+    """Read an embedding table from ``path``: the binary format when the file
+    starts with ``MAGIC``, CSV otherwise."""
+    try:
+        with open(path, "rb") as handle:
+            binary = handle.read(len(MAGIC)) == MAGIC
+    except OSError as exc:
+        raise IoError(f"cannot open {path}: {exc}") from exc
+    table = _load_binary(path) if binary else _load_csv(path)
     if table.n_rows < 1:
         raise ValidationError("embedding file holds no rows", path=path)
     return table
@@ -220,9 +221,7 @@ def _load_binary(path: str) -> EmbeddingTable:
         raise IoError(f"cannot open {path}: {exc}") from exc
     if len(blob) < _HEADER.size:
         raise FormatError(f"{path}: truncated header")
-    magic, version, n_rows, dim = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
+    _, version, n_rows, dim = _HEADER.unpack_from(blob, 0)
     if version != BINARY_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     if dim < 1:

@@ -83,8 +83,9 @@ from .kernel import fit_rff, fit_standardizer, transform_rff
 from .logreg import cv_select_c, predict_scores, train_logreg
 from .metrics import roc_auc
 from .projection import DebiasOperator, projector_from_direction, projector_from_subspace
-# perfbench/tracing.py wraps build_report, merge_reports and config_fingerprint
-# by name on this module, so all three stay imported here.
+# perfbench/tracing.py wraps build_report and merge_reports by name on this
+# module. config_fingerprint is imported only so its lookup resolves: that
+# span never records, as build_report calls report's own binding.
 from .report import (  # noqa: F401
     Cell,
     CorrelationEntry,
@@ -206,7 +207,7 @@ class Corpus:
 
 def load_corpus(config: ExperimentConfig) -> Corpus:
     loaded = [
-        (entry, pool_frames(load_embeddings(entry.embeddings, entry.fmt)), load_manifest(entry.manifest))
+        (entry, pool_frames(load_embeddings(entry.embeddings)), load_manifest(entry.manifest))
         for entry in config.datasets
     ]
     (entry_a, table_a, _), (entry_b, table_b, _) = loaded

@@ -150,7 +150,8 @@ def build_report(
 
     The dataset names and the classes must be distinct. Each cell and
     correlation entry must name only ``datasets``, a strategy of the strategy
-    table and a scope of ``SCOPES``; an entry's space is "original" or
+    table and a scope of ``SCOPES`` that a run of that strategy writes (see
+    ``effective_scope``); an entry's space is "original" or
     "kernelized". Each cell needs an AUC in [0, 1] for every class and a key
     of its own. Every mean is recomputed in ``classes`` order: a cell's over
     all classes, a correlation entry's mean |correlation| over the classes it
@@ -171,6 +172,8 @@ def build_report(
             raise ValidationError(f"{what} has unknown strategy {strategy!r}")
         if scope not in SCOPES:
             raise ValidationError(f"{what} has unknown scope {scope!r}")
+        if scope != effective_scope(strategy, scope):
+            raise ValidationError(f"{what} has scope {scope!r}, but {strategy} runs only globally")
 
     recomputed = []
     for cell in cells:

@@ -32,7 +32,7 @@ def write_corpus(directory, spec, fmt="csv"):
         man = directory / f"{name}.jsonl"
         save_embeddings(tables[name], str(emb), fmt)
         save_manifest(manifests[name], str(man))
-        entries.append(DatasetEntry(name, str(emb), str(man), fmt))
+        entries.append(DatasetEntry(name, str(emb), str(man)))
     gm_path = directory / "genres.json"
     save_genre_map(synth_genre_map(spec), str(gm_path))
     return tuple(entries), truth, str(gm_path)

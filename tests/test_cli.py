@@ -117,8 +117,9 @@ def test_synth_binary_format(tmp_path):
     assert main(["synth", "--spec", str(spec_path), "--out", str(out_dir), "--format", "binary"]) == 0
     assert (out_dir / "synthA.emb").exists()
     assert not (out_dir / "synthA.csv").exists()
+    assert (out_dir / "synthA.emb").read_bytes()[:4] == b"EMB1"
     config = load_config(str(out_dir / "config.json"))
-    assert config.datasets[0].fmt == "binary"
+    assert load_embeddings(config.datasets[0].embeddings).n_rows > 0
 
 
 # The README quick-start corpus, pinned by value: comparing two runs of the
@@ -310,6 +311,12 @@ def edit_correlation(**fields):
         ("report", edit_first_cell(strategy="bogus")),
         ("report", edit_first_cell(scope="sideways")),
         ("report", {**REPORT, "correlations": [edit_correlation(space="sideways")]}),
+        # A strategy that removes nothing runs only at "global".
+        (
+            "report",
+            {**REPORT, "cells": REPORT["cells"] + [{**c, "scope": "classwise"} for c in REPORT["cells"]]},
+        ),
+        ("report", {**REPORT, "correlations": [edit_correlation(strategy="K", scope="classwise")]}),
     ],
 )
 def test_malformed_input_ends_in_one_line_json_error(cli_corpus, capsys, command, extras):
@@ -330,6 +337,31 @@ def test_malformed_input_ends_in_one_line_json_error(cli_corpus, capsys, command
     assert main(argv) == 1
     payload, _ = read_stderr_error(capsys)
     assert payload["error"] == "ValidationError"
+
+
+def test_a_dataset_entry_naming_its_format_is_refused(cli_corpus, capsys):
+    # The loader reads the format from the file's first bytes.
+    corpus_dir, entries = cli_corpus
+    config_path = write_config(corpus_dir, entries, entry={"format": "csv"})
+    assert main(["run", "--config", config_path]) == 1
+    payload, _ = read_stderr_error(capsys)
+    assert payload == {"error": "ValidationError", "message": "unknown dataset entry fields: ['format']"}
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"", b"EMB", b"EMB1\x01", b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR", b"hello, world\n"],
+    ids=["empty", "short-magic", "magic-alone", "png", "text"],
+)
+def test_an_embedding_file_in_neither_format_ends_in_one_json_line_naming_it(
+    cli_corpus, capsys, content
+):
+    corpus_dir, entries = cli_corpus
+    Path(entries[0].embeddings).write_bytes(content)
+    assert main(["run", "--config", write_config(corpus_dir, entries)]) == 1
+    payload, _ = read_stderr_error(capsys)
+    assert payload["error"] == "FormatError"
+    assert payload["message"].startswith(f"{entries[0].embeddings}: ")
 
 
 def rewrite_records(entry, edit):
@@ -550,7 +582,7 @@ def shuffle_rows(path, rng, header=1, end=b"\n"):
 
 
 def shuffle_binary_rows(path, rng):
-    table = load_embeddings(str(path), "binary")
+    table = load_embeddings(str(path))
     rows = list(range(table.n_rows))
     rng.shuffle(rows)
     shuffled = EmbeddingTable(

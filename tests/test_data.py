@@ -79,7 +79,7 @@ def test_loading_rowless_file_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("clip_id,frame,e0\n")
     with pytest.raises(ValidationError, match="no rows"):
-        load_embeddings(str(path), "csv")
+        load_embeddings(str(path))
 
 
 # --- CSV format -----------------------------------------------------------
@@ -90,7 +90,7 @@ def test_csv_round_trip_preserves_values(tmp_path):
     table = random_table(rng)
     path = str(tmp_path / "t.csv")
     save_embeddings(table, path, "csv")
-    loaded = load_embeddings(path, "csv")
+    loaded = load_embeddings(path)
     assert loaded.clip_ids == table.clip_ids
     np.testing.assert_array_equal(loaded.vectors, table.vectors)
     np.testing.assert_array_equal(loaded.frames, table.frames)
@@ -100,21 +100,21 @@ def test_csv_rejects_wrong_width(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("clip_id,frame,e0,e1,e2\nc0,0,1.0,2.0,3.0,4.0\n")
     with pytest.raises(FormatError, match="line 2"):
-        load_embeddings(str(path), "csv")
+        load_embeddings(str(path))
 
 
 def test_csv_wrong_width_after_a_blank_line_names_its_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("clip_id,frame,e0,e1,e2\nc0,0,1.0,2.0,3.0\n\nc1,0,1.0,2.0\n")
     with pytest.raises(FormatError, match="line 4 "):
-        load_embeddings(str(path), "csv")
+        load_embeddings(str(path))
 
 
 def test_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,frame,e0\nc0,0,1.0\n")
     with pytest.raises(FormatError):
-        load_embeddings(str(path), "csv")
+        load_embeddings(str(path))
 
 
 @pytest.mark.parametrize(
@@ -138,7 +138,7 @@ def test_loader_rejects_nan(tmp_path, fmt, body):
             + b"".join(struct.pack("<I", len(c)) + c + struct.pack("<If", 0, v) for c, v in rows)
         )
     with pytest.raises(NonFiniteError) as excinfo:
-        load_embeddings(str(path), fmt)
+        load_embeddings(str(path))
     assert str(excinfo.value).startswith("row 1: ")
 
 
@@ -146,7 +146,7 @@ def test_csv_rejects_unparsable_float(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("clip_id,frame,e0\nc0,0,abc\n")
     with pytest.raises(ParseError):
-        load_embeddings(str(path), "csv")
+        load_embeddings(str(path))
 
 
 @pytest.mark.parametrize(
@@ -164,7 +164,7 @@ def test_csv_rejects_unparsable_field_naming_its_line(tmp_path, body, line):
     path = tmp_path / "bad.csv"
     path.write_text("clip_id,frame,e0\n" + body, newline="")
     with pytest.raises(ParseError) as excinfo:
-        load_embeddings(str(path), "csv")
+        load_embeddings(str(path))
     assert str(excinfo.value).startswith(f"{path}:line {line}: ")
 
 
@@ -173,7 +173,7 @@ def test_csv_values_parse_as_python_floats(tmp_path):
     path = tmp_path / "t.csv"
     header = "clip_id,frame," + ",".join(f"e{i}" for i in range(len(texts)))
     path.write_text(f"{header}\nc0,1_0,{','.join(texts)}\n", encoding="utf-8")
-    table = load_embeddings(str(path), "csv")
+    table = load_embeddings(str(path))
     expected = np.array([[float(t) for t in texts]])
     assert table.vectors.tobytes() == expected.tobytes()
     assert table.frames.tolist() == [10]
@@ -210,7 +210,7 @@ def test_csv_writer_matches_the_reference_bytes_and_round_trips(tmp_path, seed):
     save_embeddings(table, str(tmp_path / "new.csv"), "csv")
     reference_save_csv(table, str(tmp_path / "ref.csv"))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    loaded = load_embeddings(str(tmp_path / "new.csv"), "csv")
+    loaded = load_embeddings(str(tmp_path / "new.csv"))
     assert loaded.clip_ids == table.clip_ids
     np.testing.assert_array_equal(loaded.frames, table.frames)
     np.testing.assert_array_equal(loaded.vectors, vectors)
@@ -233,7 +233,7 @@ def test_csv_loader_peaks_below_three_times_its_array(tmp_path):
     table = random_table(np.random.default_rng(3), n=2000, dim=64)
     path = str(tmp_path / "t.csv")
     save_embeddings(table, path, "csv")
-    peak = traced_peak(lambda: load_embeddings(path, "csv"))
+    peak = traced_peak(lambda: load_embeddings(path))
     assert peak < 3 * table.vectors.nbytes
 
 
@@ -251,7 +251,7 @@ def test_binary_round_trip_bit_identical(tmp_path):
     table = f32_table(rng)
     p1, p2 = str(tmp_path / "a.emb"), str(tmp_path / "b.emb")
     save_embeddings(table, p1, "binary")
-    loaded = load_embeddings(p1, "binary")
+    loaded = load_embeddings(p1)
     assert loaded.vectors.tobytes() == table.vectors.tobytes()
     assert loaded.clip_ids == table.clip_ids
     save_embeddings(loaded, p2, "binary")
@@ -269,7 +269,7 @@ def test_binary_small_header_round_trip(tmp_path):
     table = make_table(["x", "y"], [0, 0], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     path = str(tmp_path / "t.emb")
     save_embeddings(table, path, "binary")
-    loaded = load_embeddings(path, "binary")
+    loaded = load_embeddings(path)
     assert loaded.n_rows == 2 and loaded.dim == 3
 
 
@@ -287,10 +287,24 @@ def test_binary_size_formula(tmp_path):
 
 
 def test_binary_rejects_bad_magic(tmp_path):
+    # A file without the magic is read as CSV, whose header check refuses it.
     path = tmp_path / "bad.emb"
     path.write_bytes(b"XXXX" + b"\x00" * 12)
-    with pytest.raises(FormatError, match="magic"):
-        load_embeddings(str(path), "binary")
+    with pytest.raises(FormatError) as excinfo:
+        load_embeddings(str(path))
+    assert str(excinfo.value).startswith(f"{path}: header must start")
+
+
+@pytest.mark.parametrize("fmt, misnamed", [("binary", "t.csv"), ("csv", "t.emb")])
+def test_the_format_is_read_from_the_file_not_its_name(tmp_path, fmt, misnamed):
+    table = f32_table(np.random.default_rng(6))
+    named = str(tmp_path / ("t.emb" if fmt == "binary" else "t.csv"))
+    save_embeddings(table, named, fmt)
+    save_embeddings(table, str(tmp_path / misnamed), fmt)
+    for loaded in (load_embeddings(named), load_embeddings(str(tmp_path / misnamed))):
+        assert loaded.clip_ids == table.clip_ids
+        np.testing.assert_array_equal(loaded.frames, table.frames)
+        assert loaded.vectors.tobytes() == table.vectors.tobytes()
 
 
 def test_binary_rejects_truncation(tmp_path):
@@ -300,7 +314,7 @@ def test_binary_rejects_truncation(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-3])
     with pytest.raises(FormatError):
-        load_embeddings(str(path), "binary")
+        load_embeddings(str(path))
 
 
 def test_refuses_to_write_empty_table(tmp_path):
@@ -650,7 +664,7 @@ def test_unreadable_file_ends_in_a_package_error(tmp_path, name, content, fmt, e
         elif fmt == "genre_map":
             load_genre_map(str(path))
         else:
-            load_embeddings(str(path), fmt)
+            load_embeddings(str(path))
 
 
 def test_a_surrogate_pair_escape_reads_as_its_character(tmp_path):
@@ -982,6 +996,4 @@ def emb1_files(draw):
 @settings(max_examples=400, deadline=None)
 @given(content=emb1_files())
 def test_any_emb1_file_parses_or_raises_a_package_error(fuzz_dir, content):
-    parses_or_raises_a_package_error(
-        lambda path: load_embeddings(path, "binary"), fuzz_dir / "e.emb", content
-    )
+    parses_or_raises_a_package_error(load_embeddings, fuzz_dir / "e.emb", content)

@@ -91,7 +91,6 @@ def test_load_config_resolves_relative_paths(small_corpus, tmp_path):
     assert config.datasets[0].embeddings == str(corpus_dir / "synthA.csv")
     assert config.datasets[1].manifest == str(corpus_dir / "synthB.jsonl")
     assert config.genre_map == str(corpus_dir / "genres.json")
-    assert config.datasets[0].fmt == "csv"  # inferred from the suffix
     assert config.strategy == "LDA"
     assert config.scope == "classwise"
     assert config.seed == 99
@@ -103,8 +102,8 @@ def test_load_config_infers_binary_format(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(payload))
     config = load_config(str(config_path))
-    assert config.datasets[0].fmt == "binary"
     assert config.datasets[0].embeddings.endswith(".emb")
+    assert load_embeddings(config.datasets[0].embeddings).n_rows > 0  # read as binary
 
 
 def test_load_config_missing_file_is_error(tmp_path):
@@ -346,7 +345,7 @@ def test_independent_reimplementation_matches_pipeline_cell(small_corpus):
     tables = {}
     manifests = {}
     for entry in entries:
-        table = pool_frames(load_embeddings(entry.embeddings, entry.fmt))
+        table = pool_frames(load_embeddings(entry.embeddings))
         manifest = load_manifest(entry.manifest)
         row_of = {
             c: i
@@ -1012,9 +1011,9 @@ def test_matrix_loads_the_corpus_once_and_guards_each_run_afresh(
     loaded = []
     original = pipeline.load_embeddings
 
-    def counting_load(path, fmt):
+    def counting_load(path):
         loaded.append(path)
-        return original(path, fmt)
+        return original(path)
 
     monkeypatch.setattr(pipeline, "load_embeddings", counting_load)
     config = corpus_config(entries, gm_path, "none", **FAST)

@@ -580,6 +580,7 @@ def random_reports(draw):
         (train, test, strategy, scope)
         for strategy in STRATEGIES
         for scope in SCOPES
+        if scope == effective_scope(strategy, scope)  # the only scopes a run writes
         for train, test in ((a, a), (b, b), (b, a), (a, b))
     ]
     # With the whole baseline, with none of it, or with a random part of it.

@@ -320,13 +320,11 @@ def test_ideal_debias_closes_transfer_gap(tmp_path):
     projector = np.eye(spec.dim) - span @ span.T
     projected_entries = []
     for entry in entries:
-        table = load_embeddings(entry.embeddings, entry.fmt)
+        table = load_embeddings(entry.embeddings)
         cleaned = type(table)(table.clip_ids, table.frames, table.vectors @ projector)
         emb = projected_dir / Path(entry.embeddings).name
-        save_embeddings(cleaned, str(emb), entry.fmt)
-        projected_entries.append(
-            type(entry)(entry.name, str(emb), entry.manifest, entry.fmt)
-        )
+        save_embeddings(cleaned, str(emb), "csv")
+        projected_entries.append(type(entry)(entry.name, str(emb), entry.manifest))
 
     kwargs = {"c_grid": (0.01, 1.0, 100.0), "cv_folds": 3, "seed": 20240901}
 
