@@ -96,10 +96,17 @@ class EmbeddingTable:
             raise ValidationError("clip_ids, frames and vectors disagree on row count")
         if vectors.size and not np.isfinite(vectors).all():
             bad = int(np.where(~np.isfinite(vectors).all(axis=1))[0][0])
-            raise NonFiniteError(f"row {bad}: non-finite embedding value")
+            raise NonFiniteError(
+                f"row {bad}: clip {self.clip_ids[bad]!r}: non-finite embedding value"
+            )
         keys = list(zip(self.clip_ids, frames.tolist()))
         if len(set(keys)) != len(keys):
-            raise ValidationError("(clip_id, frame_index) pairs must be unique")
+            counts = Counter(keys)
+            clip_id, frame = next(key for key in keys if counts[key] > 1)
+            raise ValidationError(
+                f"clip {clip_id!r} holds frame {frame} twice: "
+                "(clip_id, frame_index) pairs must be unique"
+            )
         object.__setattr__(self, "clip_ids", tuple(self.clip_ids))
         object.__setattr__(self, "frames", _freeze(frames))
         object.__setattr__(self, "vectors", _freeze(vectors))
@@ -121,7 +128,10 @@ def load_embeddings(path: str) -> EmbeddingTable:
             binary = handle.read(len(MAGIC)) == MAGIC
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
-    table = _load_binary(path) if binary else _load_csv(path)
+    try:
+        table = _load_binary(path) if binary else _load_csv(path)
+    except (NonFiniteError, ValidationError) as exc:  # the table's own checks
+        raise type(exc)(f"{path}: {exc}") from exc
     if table.n_rows < 1:
         raise ValidationError("embedding file holds no rows", path=path)
     return table
@@ -236,8 +246,12 @@ def _load_binary(path: str) -> EmbeddingTable:
         )
     ids: list[str] = []
     frames: list[int] = []
-    vectors = np.empty((n_rows, dim), dtype=np.float64)
+    # The rows' float32 values go, as bytes, into one float32 table that is
+    # widened once when every row is read: no float64 table exists meanwhile.
+    narrow = np.empty(n_rows * dim, dtype="<f4")
     vec_bytes = 4 * dim
+    dest = memoryview(narrow.view(np.uint8))
+    source = memoryview(blob)
     for row in range(n_rows):
         if offset + 4 > len(blob):
             raise FormatError(f"{path}: truncated at row {row}")
@@ -253,10 +267,15 @@ def _load_binary(path: str) -> EmbeddingTable:
         (frame,) = _U32.unpack_from(blob, offset)
         offset += 4
         frames.append(frame)
-        vectors[row] = np.frombuffer(blob, dtype="<f4", count=dim, offset=offset)
+        dest[row * vec_bytes : (row + 1) * vec_bytes] = source[offset : offset + vec_bytes]
         offset += vec_bytes
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
+    # The file's bytes go before the float64 table is made.
+    source.release()
+    dest.release()
+    del blob
+    vectors = narrow.reshape(n_rows, dim).astype(np.float64)
     return EmbeddingTable(tuple(ids), np.asarray(frames), vectors)
 
 
@@ -521,13 +540,30 @@ def reduce_genres(genres: tuple[str, ...] | list[str], genre_map: GenreMap) -> s
 def pool_frames(table: EmbeddingTable) -> EmbeddingTable:
     """Mean-pool frames per clip, each clip at frame 0. Clips come out in
     code-point order of their ids, and a clip's frames are summed in
-    frame-index order, so the order of the rows does not change the result."""
-    ids, index = np.unique(np.array(table.clip_ids, dtype=object), return_inverse=True)
-    order = np.lexsort((table.frames, index))
-    sums = np.zeros((ids.size, table.dim), dtype=np.float64)
-    np.add.at(sums, index[order], table.vectors[order])
-    sums /= np.bincount(index, minlength=ids.size)[:, None]
-    return EmbeddingTable(tuple(ids.tolist()), np.zeros(ids.size, dtype=np.int64), sums)
+    frame-index order, so the order of the rows does not change the result.
+
+    The rows are sorted once by (clip id, frame index). Each clip's frames
+    are then summed rank by rank: frame rank 0 of every clip, then rank 1 of
+    the clips that have one, and so on. Rank 0 is added to zeros as
+    ``x + 0.0``, which IEEE addition makes the bits of ``0.0 + x``: a -0.0
+    pools to +0.0."""
+    keys = list(zip(table.clip_ids, table.frames.tolist()))
+    order = sorted(range(table.n_rows), key=keys.__getitem__)
+    ids = np.array([keys[row][0] for row in order], dtype=object)
+    order = np.array(order, dtype=np.intp)
+    first = np.ones(ids.size, dtype=bool)  # the rows that start a clip's run
+    first[1:] = ids[1:] != ids[:-1]
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, ids.size))
+    most = counts.max(initial=0)
+    sums = table.vectors[order[starts]]
+    sums += 0.0
+    for rank in range(1, most):
+        clips = np.flatnonzero(counts > rank)
+        sums[clips] += table.vectors[order[starts[clips] + rank]]
+    if most > 1:  # x / 1 is x, so one-frame clips need no division
+        sums /= counts[:, None]
+    return EmbeddingTable(tuple(ids[starts].tolist()), np.zeros(starts.size, dtype=np.int64), sums)
 
 
 # --- balanced subsampling -------------------------------------------------

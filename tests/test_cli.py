@@ -364,6 +364,28 @@ def test_an_embedding_file_in_neither_format_ends_in_one_json_line_naming_it(
     assert payload["message"].startswith(f"{entries[0].embeddings}: ")
 
 
+@pytest.mark.parametrize("fault, error", [("repeat", "ValidationError"), ("nan", "NonFiniteError")])
+def test_a_repeated_or_non_finite_embedding_row_ends_in_one_json_line_naming_file_and_clip(
+    cli_corpus, capsys, fault, error
+):
+    corpus_dir, entries = cli_corpus
+    path = Path(entries[0].embeddings)
+    header, first, *rest = path.read_bytes().split(b"\r\n")
+    fields = first.split(b",")
+    if fault == "repeat":
+        rows = [first, first, *rest]
+    else:
+        rows = [b",".join(fields[:2] + [b"nan"] + fields[3:]), *rest]
+    path.write_bytes(b"\r\n".join([header, *rows]))
+    assert main(["run", "--config", write_config(corpus_dir, entries)]) == 1
+    payload, _ = read_stderr_error(capsys)
+    assert payload["error"] == error
+    assert payload["message"].startswith(f"{path}: ")
+    assert f"clip {fields[0].decode()!r}" in payload["message"]
+    if fault == "repeat":
+        assert f"frame {int(fields[1])} twice" in payload["message"]
+
+
 def rewrite_records(entry, edit):
     """Rewrite each record of ``entry``'s manifest as ``edit`` returns it;
     ``edit`` gets the record and its 0-based line index."""

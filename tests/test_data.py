@@ -139,7 +139,26 @@ def test_loader_rejects_nan(tmp_path, fmt, body):
         )
     with pytest.raises(NonFiniteError) as excinfo:
         load_embeddings(str(path))
-    assert str(excinfo.value).startswith("row 1: ")
+    assert str(excinfo.value) == f"{path}: row 1: clip 'c1': non-finite embedding value"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+def test_a_repeated_clip_frame_pair_names_its_file_clip_and_frame(tmp_path, fmt):
+    table = make_table(["a", "b", "c"], [0, 3, 0], [[1.0], [2.0], [3.0]])
+    path = tmp_path / "dup"
+    save_embeddings(table, str(path), fmt)
+    # Append the row ("b", 3) again, by hand in each format.
+    if fmt == "csv":
+        path.write_bytes(path.read_bytes() + b"b,3,4.0\r\n")
+    else:
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 8, 4)
+        path.write_bytes(bytes(blob) + struct.pack("<I", 1) + b"b" + struct.pack("<If", 3, 4.0))
+    with pytest.raises(ValidationError) as excinfo:
+        load_embeddings(str(path))
+    assert str(excinfo.value) == (
+        f"{path}: clip 'b' holds frame 3 twice: (clip_id, frame_index) pairs must be unique"
+    )
 
 
 def test_csv_rejects_unparsable_float(tmp_path):
@@ -315,6 +334,62 @@ def test_binary_rejects_truncation(tmp_path):
     path.write_bytes(blob[:-3])
     with pytest.raises(FormatError):
         load_embeddings(str(path))
+
+
+def reference_load_binary(blob):
+    """The row-by-row reader: a float64 table allocated first, each row's
+    float32 values widened into it by its own ``np.frombuffer``."""
+    _, _, n_rows, dim = struct.unpack_from("<4sIII", blob, 0)
+    offset = 16
+    ids, frames = [], []
+    vectors = np.empty((n_rows, dim), dtype=np.float64)
+    for row in range(n_rows):
+        (id_len,) = struct.unpack_from("<I", blob, offset)
+        ids.append(blob[offset + 4 : offset + 4 + id_len].decode("utf-8"))
+        offset += 4 + id_len
+        frames.append(struct.unpack_from("<I", blob, offset)[0])
+        vectors[row] = np.frombuffer(blob, dtype="<f4", count=dim, offset=offset + 4)
+        offset += 4 + 4 * dim
+    return tuple(ids), np.asarray(frames, dtype=np.int64), vectors
+
+
+F32_EDGES = np.array(
+    [
+        -0.0,
+        0.0,
+        np.finfo(np.float32).smallest_subnormal,
+        -np.finfo(np.float32).smallest_subnormal,
+        np.finfo(np.float32).smallest_normal * 0.5,  # a subnormal
+        np.finfo(np.float32).smallest_normal,
+        np.finfo(np.float32).max,
+        -np.finfo(np.float32).max,
+    ],
+    dtype=np.float32,
+)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_binary_reader_matches_the_row_by_row_reader_byte_for_byte(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n, dim = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+    alphabet = ["a", "Z", "0", ",", "\u00e9", "\u4e2d", "\U0001f3b5", " "]
+    ids = ["".join(rng.choice(alphabet, size=int(rng.integers(0, 9)))) for _ in range(n)]
+    frames = rng.choice(2**32, size=n, replace=False)
+    values = rng.standard_normal((n, dim)).astype(np.float32)
+    edge = rng.random((n, dim)) < 0.3
+    values[edge] = rng.choice(F32_EDGES, size=int(edge.sum()))
+    blob = struct.pack("<4sIII", b"EMB1", BINARY_VERSION, n, dim) + b"".join(
+        struct.pack("<I", len(c.encode())) + c.encode() + struct.pack("<I", f) + v.astype("<f4").tobytes()
+        for c, f, v in zip(ids, frames.tolist(), values)
+    )
+    path = tmp_path / "t.emb"
+    path.write_bytes(blob)
+    loaded = load_embeddings(str(path))
+    ref_ids, ref_frames, ref_vectors = reference_load_binary(blob)
+    assert loaded.clip_ids == ref_ids
+    assert loaded.frames.tobytes() == ref_frames.tobytes()
+    assert loaded.vectors.dtype == np.float64
+    assert loaded.vectors.tobytes() == ref_vectors.tobytes()
 
 
 def test_refuses_to_write_empty_table(tmp_path):
@@ -770,6 +845,45 @@ def test_pool_matches_first_appearance_pooling_and_ignores_row_order(table, data
     )
     assert shuffled.clip_ids == pooled.clip_ids
     assert shuffled.vectors.tobytes() == pooled.vectors.tobytes()
+
+
+def reference_pool(table):
+    """The object-array pooling: ``np.unique`` ids, a ``lexsort`` by (clip,
+    frame), and one ``np.add.at`` of every row into zeros."""
+    ids, index = np.unique(np.array(table.clip_ids, dtype=object), return_inverse=True)
+    order = np.lexsort((table.frames, index))
+    sums = np.zeros((ids.size, table.dim), dtype=np.float64)
+    np.add.at(sums, index[order], table.vectors[order])
+    sums /= np.bincount(index, minlength=ids.size)[:, None]
+    return tuple(ids.tolist()), sums
+
+
+def shuffled_table(rng, frame_counts, dim):
+    """Clips ``c0, c1, ...`` with the given frame counts at distinct random
+    frame indices, rows shuffled, a fifth of the values -0.0."""
+    ids, frames = [], []
+    for clip, count in enumerate(frame_counts):
+        ids += [f"c{clip}\u00e9" if clip % 3 else f"c{clip}"] * count
+        frames += rng.choice(10**6, size=count, replace=False).tolist()
+    vectors = rng.standard_normal((len(ids), dim)) * 10.0 ** rng.integers(-300, 300, size=(len(ids), 1))
+    vectors[rng.random(vectors.shape) < 0.2] = -0.0
+    rows = rng.permutation(len(ids))
+    return make_table([ids[i] for i in rows], np.asarray(frames)[rows], vectors[rows])
+
+
+@pytest.mark.parametrize(
+    "frame_counts",
+    [[1] * 300, [1, 2, 50] * 4, [50, 1, 2, 1, 50]],
+    ids=["one-frame", "1-2-50-frames", "50-1-2-1-50-frames"],
+)
+@pytest.mark.parametrize("seed", range(5))
+def test_pool_matches_the_scatter_add_pooling_byte_for_byte(frame_counts, seed):
+    table = shuffled_table(np.random.default_rng(seed), frame_counts, dim=6)
+    pooled = pool_frames(table)
+    ids, sums = reference_pool(table)
+    assert pooled.clip_ids == ids
+    assert pooled.frames.tobytes() == np.zeros(len(ids), dtype=np.int64).tobytes()
+    assert pooled.vectors.tobytes() == sums.tobytes()
 
 
 # --- balanced subsampling -------------------------------------------------
