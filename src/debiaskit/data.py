@@ -35,6 +35,7 @@ import json
 import struct
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,6 +121,16 @@ class EmbeddingTable:
         return self.vectors.shape[0]
 
 
+@contextmanager
+def located(path: str):
+    """Name ``path`` at the start of the message of a table check that fails
+    in the block: a table built from the file's rows, or pooled from them."""
+    try:
+        yield
+    except (NonFiniteError, ValidationError) as exc:  # the table's own checks
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def load_embeddings(path: str) -> EmbeddingTable:
     """Read an embedding table from ``path``: the binary format when the file
     starts with ``MAGIC``, CSV otherwise."""
@@ -128,10 +139,8 @@ def load_embeddings(path: str) -> EmbeddingTable:
             binary = handle.read(len(MAGIC)) == MAGIC
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
-    try:
+    with located(path):
         table = _load_binary(path) if binary else _load_csv(path)
-    except (NonFiniteError, ValidationError) as exc:  # the table's own checks
-        raise type(exc)(f"{path}: {exc}") from exc
     if table.n_rows < 1:
         raise ValidationError("embedding file holds no rows", path=path)
     return table
@@ -558,9 +567,12 @@ def pool_frames(table: EmbeddingTable) -> EmbeddingTable:
     most = counts.max(initial=0)
     sums = table.vectors[order[starts]]
     sums += 0.0
-    for rank in range(1, most):
-        clips = np.flatnonzero(counts > rank)
-        sums[clips] += table.vectors[order[starts[clips] + rank]]
+    # Finite frames can sum past the float64 range; the pooled table refuses
+    # the infinity, so numpy's overflow warning would only repeat it.
+    with np.errstate(over="ignore"):
+        for rank in range(1, most):
+            clips = np.flatnonzero(counts > rank)
+            sums[clips] += table.vectors[order[starts[clips] + rank]]
     if most > 1:  # x / 1 is x, so one-frame clips need no division
         sums /= counts[:, None]
     return EmbeddingTable(tuple(ids[starts].tolist()), np.zeros(starts.size, dtype=np.int64), sums)

@@ -20,12 +20,11 @@ class _InputError(DebiasKitError):
     """An input problem, located by file path and line when known."""
 
     def __init__(self, message: str, *, line: int | None = None, path: str | None = None):
-        prefix = ""
-        if path is not None:
-            prefix += f"{path}:"
         if line is not None:
-            prefix += f"line {line}: "
-        super().__init__(prefix + message)
+            message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}:{message}" if line is not None else f"{path}: {message}"
+        super().__init__(message)
 
 
 class ParseError(_InputError):

@@ -6,8 +6,9 @@ guard, so held-out rows provably never feed any fitted statistic.
 Original-space strategies gather rows straight from the pooled table. Kernel
 strategies build each domain's random-feature rows once per phase: the
 training rows in the kernel phase, the held-out rows on entering evaluate.
-A fitted operator, global or per class, is applied to each gathered training
-or test set, so no projected copy of the rows is kept.
+A fitted operator, global or per class, projects each gathered training or
+test set in place, so no projected copy of the rows is kept; only a read of
+every built feature row, which is served without a copy, is copied first.
 
 The train phase fits, per class and training domain, one logistic regression
 on that class's balanced, debiased training rows. Its C comes from
@@ -59,6 +60,7 @@ from .data import (
     load_embeddings,
     load_genre_map,
     load_manifest,
+    located,
     pool_frames,
     reduce_genres,
 )
@@ -205,9 +207,18 @@ class Corpus:
     genre_map: GenreMap
 
 
+def _pooled(path: str) -> EmbeddingTable:
+    """The table in the embedding file at ``path``, one mean-pooled row per
+    clip; a clip whose frames sum past the float64 range is refused with
+    the path."""
+    table = load_embeddings(path)
+    with located(path):
+        return pool_frames(table)
+
+
 def load_corpus(config: ExperimentConfig) -> Corpus:
     loaded = [
-        (entry, pool_frames(load_embeddings(entry.embeddings)), load_manifest(entry.manifest))
+        (entry, _pooled(entry.embeddings), load_manifest(entry.manifest))
         for entry in config.datasets
     ]
     (entry_a, table_a, _), (entry_b, table_b, _) = loaded
@@ -452,8 +463,12 @@ def run_strategy(config: ExperimentConfig, *, corpus: Corpus | None = None) -> R
         bias_fit = fit_bias(config, domain_a, domain_b, genre_map, pools)
 
     def debiased(class_name: str, x: np.ndarray) -> np.ndarray:
+        """``x`` projected in place, or into a copy when ``x`` is the
+        read-only built feature rows that :meth:`DomainData.rows` serves."""
         op = bias_fit.operators.get(class_name, bias_fit.operators.get(None))
-        return x if op is None else op.apply(x)
+        if op is None:
+            return x
+        return op.apply_in_place(x) if x.flags.writeable else op.apply(x)
 
     # Per-class training sets and models per training domain.
     guard.enter(PHASE_TRAIN)

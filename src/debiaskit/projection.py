@@ -2,8 +2,11 @@
 
 A debias operator holds an orthonormal basis B (D x r) of the subspace to
 remove and applies x -> x - B (B^T x) without ever materialising the D x D
-projector. Multi-direction removal takes the column space of the stacked
-direction matrix via a reduced SVD.
+projector. It projects a block of rows in place: the coefficients x B are
+taken once over the whole block, then each panel of ``_PANEL_ROWS`` rows
+has its share of (x B) B^T subtracted, so besides the coefficients only one
+panel is allocated. Multi-direction removal takes the column space of the
+stacked direction matrix via a reduced SVD.
 """
 
 from __future__ import annotations
@@ -21,6 +24,11 @@ from .errors import (
 
 DEFAULT_RANK_REL_TOL = 1e-6
 _ORTHONORMALITY_TOL = 1e-8
+# Rows per panel of an in-place projection. The coefficients are never taken
+# per panel: a row's product with the basis depends on its position in the
+# block, so only the whole-block product keeps the bits of the plain
+# ``rows - (rows @ B) @ B.T``.
+_PANEL_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -50,18 +58,27 @@ class DebiasOperator:
         return self.basis.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Project rows of ``x`` onto the orthogonal complement of the basis."""
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        rows = x[None, :] if single else x
+        """Project rows of ``x`` onto the orthogonal complement of the basis,
+        in a copy of ``x``."""
+        x = np.array(x, dtype=np.float64)
+        self.apply_in_place(x[None, :] if x.ndim == 1 else x)
+        return x
+
+    def apply_in_place(self, rows: np.ndarray) -> np.ndarray:
+        """Write the projection of each row of the writable float64 block
+        ``rows`` over that row, and return ``rows``. At rank 1 every value
+        has the bits of the plain ``rows - (rows @ B) @ B.T``; at higher
+        ranks a panel's product may differ from the whole block's in its
+        last bits."""
         if rows.shape[1] != self.dim:
             raise DimensionMismatchError(
                 f"operator dimension {self.dim} does not match features {rows.shape[1]}"
             )
-        # rows - (rows B) B^T, the difference written over the product.
-        out = (rows @ self.basis) @ self.basis.T
-        np.subtract(rows, out, out=out)
-        return out[0] if single else out
+        coeff = rows @ self.basis
+        for start in range(0, rows.shape[0], _PANEL_ROWS):
+            stop = start + _PANEL_ROWS
+            rows[start:stop] -= coeff[start:stop] @ self.basis.T
+        return rows
 
 
 def projector_from_direction(direction: BiasDirection) -> DebiasOperator:

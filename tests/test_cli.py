@@ -934,6 +934,27 @@ def test_numbers_past_the_float_range_end_in_one_line_json_error(
     assert payload == {"error": error, "message": message.format(clip=clip)}
 
 
+def test_frames_that_sum_past_the_float_range_end_in_one_located_json_error(
+    cli_corpus, capsys
+):
+    # Two finite frames of 1e308 for one clip overflow when they are pooled.
+    corpus_dir, entries = cli_corpus
+    path = Path(entries[0].embeddings)
+    header, first, *rest = path.read_text().splitlines()
+    clip = first.split(",")[0]
+    width = len(header.split(",")) - 2
+    frames = [",".join([clip, str(frame), *["1e308"] * width]) for frame in (0, 1)]
+    path.write_text("\n".join([header, *frames, *rest]) + "\n")
+    config_path = write_config(corpus_dir, entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", config_path]) == 1
+    payload, _ = read_stderr_error(capsys)
+    assert payload["error"] == "NonFiniteError"
+    assert payload["message"].startswith(f"{path.resolve()}: "), payload["message"]
+    assert f"clip {clip!r}: non-finite embedding value" in payload["message"]
+
+
 def test_a_singular_scatter_at_zero_shrinkage_ends_in_one_line_json_error(cli_corpus, capsys):
     # Column e0 is 0.0 in every row of both datasets, so the discriminant
     # scatter has a zero row and column; shrinkage 0 leaves it singular.

@@ -82,6 +82,17 @@ def test_loading_rowless_file_rejected(tmp_path):
         load_embeddings(str(path))
 
 
+def test_a_message_located_by_path_alone_has_a_space_after_the_path(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("clip_id,frame,e0\n")
+    with pytest.raises(ValidationError) as excinfo:
+        load_embeddings(str(path))
+    assert str(excinfo.value) == f"{path}: embedding file holds no rows"
+    # A located line keeps its form: the path, a colon, then the line.
+    assert str(ParseError("bad", path="m.jsonl", line=3)) == "m.jsonl:line 3: bad"
+    assert str(ParseError("bad", line=3)) == "line 3: bad"
+
+
 # --- CSV format -----------------------------------------------------------
 
 

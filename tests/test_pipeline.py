@@ -810,6 +810,32 @@ def test_built_feature_rows_serve_only_their_own_indices(small_corpus):
                 domain.rows(picked)
 
 
+def test_projecting_in_place_leaves_the_built_feature_rows_unchanged(small_corpus, monkeypatch):
+    """Every SMALL_SPEC class labels every held-out row, so a KLDA job's
+    held-out reads are served the built feature rows themselves; projecting
+    such a read must not write over them."""
+    entries, _, gm_path = small_corpus
+    built, served = [], []
+    build, rows = pipeline.DomainData.build_features, pipeline.DomainData.rows
+
+    def recording_build(self, indices, featurize):
+        build(self, indices, featurize)
+        built.append((self._features, self._features.tobytes()))
+
+    def recording_rows(self, indices):
+        out = rows(self, indices)
+        served.append((self.guard.phase, out is self._features))
+        return out
+
+    monkeypatch.setattr(pipeline.DomainData, "build_features", recording_build)
+    monkeypatch.setattr(pipeline.DomainData, "rows", recording_rows)
+    result = run_strategy(corpus_config(entries, gm_path, "KLDA", **FAST))
+    assert None in result.bias_fit.operators
+    assert len(built) == 4 and (PHASE_EVALUATE, True) in served
+    for features, before in built:
+        assert features.tobytes() == before
+
+
 @pytest.mark.filterwarnings("error")
 def test_stock_klda_classwise_job_fits_all_converge(tmp_path, monkeypatch):
     """On the stock corpus, a class-wise KLDA job at the four smallest C

@@ -1,6 +1,7 @@
 """Projection operators: identities, subspace construction, rank guarding."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from debiaskit.bias import BiasDirection
 from debiaskit.errors import DimensionMismatchError, RankDeficientError
 from debiaskit.projection import (
+    _PANEL_ROWS,
     DebiasOperator,
     projector_from_direction,
     projector_from_subspace,
@@ -185,10 +187,14 @@ def test_apply_rejects_wrong_width():
         op.apply(np.zeros((2, 4)))
 
 
-@pytest.mark.parametrize("shape", [(30, 7), (7,)])
+# Rank 3 at width 7; rank 1 on blocks taller than one panel at odd widths,
+# where every panel's outer product keeps the whole block's bits.
+@pytest.mark.parametrize("shape", [(30, 7), (7,), (1000, 513), (1500, 2049)])
 def test_apply_matches_the_plain_expression_bit_for_bit(shape):
     rng = np.random.default_rng(8)
-    op = projector_from_subspace([direction(rng.standard_normal(7)) for _ in range(3)])
+    rank = 3 if shape[-1] == 7 else 1
+    assert rank == 3 or shape[0] > _PANEL_ROWS
+    op = projector_from_subspace([direction(rng.standard_normal(shape[-1])) for _ in range(rank)])
     x = rng.standard_normal(shape) * 5.0
     before = x.copy()
     rows = np.atleast_2d(before)
@@ -197,6 +203,32 @@ def test_apply_matches_the_plain_expression_bit_for_bit(shape):
     assert out.shape == x.shape
     assert out.tobytes() == plain.tobytes()
     assert x.tobytes() == before.tobytes()
+
+
+def test_in_place_projection_writes_into_its_block():
+    rng = np.random.default_rng(9)
+    op = projector_from_subspace([direction(rng.standard_normal(6)) for _ in range(2)])
+    x = rng.standard_normal((700, 6))
+    expected = op.apply(x)
+    assert op.apply_in_place(x) is x
+    assert x.tobytes() == expected.tobytes()
+    with pytest.raises(DimensionMismatchError):
+        op.apply_in_place(np.zeros((2, 5)))
+
+
+def test_in_place_projection_allocates_one_panel_and_the_coefficients():
+    # Projecting a copy allocated the block's size again (23.4 MiB here).
+    rows, dim = 1500, 2048
+    rng = np.random.default_rng(10)
+    op = projector_from_direction(direction(rng.standard_normal(dim)))
+    x = rng.standard_normal((rows, dim))
+    tracemalloc.start()
+    try:
+        op.apply_in_place(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (_PANEL_ROWS * dim + rows * op.basis.shape[1]) * 8 + 64 * 1024
 
 
 def test_operator_requires_orthonormal_basis():
