@@ -13,18 +13,24 @@ each group's covariance is taken in turn (``np.cov``) and added into the
 scatter in place; while group b's is taken, the fit holds b's centred copy
 plus two D x D matrices, n_b D + 2 D^2 values. When group a has fewer rows
 than features, as random-feature groups narrower than their kernel width
-do, both groups' centred rows are written into one block z, each group
-weighted by sqrt(0.5 / n_g), and S_w = z'z is one symmetric product; the fit
-then holds (n_a + n_b) D + D^2 values, which is smaller exactly when
-n_a < D. The block is freed before the solve. Either way the LU solve copies
-the scatter, so two D x D matrices are the floor. The two layouts agree to
-rounding, but the block sums in another order, so its direction is not
-bit-identical to the per-group one.
+do, S_w = z'z, where z stacks both groups' centred rows, each group weighted
+by sqrt(0.5 / n_g). z is never formed whole: the scatter is filled block by
+block from column slices of z ``_SCATTER_COLUMNS`` wide, two slices at a
+time, so the fit holds the scatter plus two (n_a + n_b) x b slices,
+D^2 + 2 (n_a + n_b) b values. A diagonal block is one slice's symmetric
+product and an off-diagonal block is computed once and mirrored, so the
+scatter is exactly symmetric; at D <= b one slice holds all of z. The slices
+sit in an anonymous mapping that is unmapped before the solve, so none of
+their pages stays resident after it. Either way the LU solve copies the
+scatter, so two D x D matrices are the floor. The layouts agree to rounding,
+but each sums in another order, so their directions are not bit-identical to
+each other.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +44,10 @@ from .errors import (
 )
 
 DEFAULT_SHRINKAGE = 1e-2
+
+# Columns per slice of z when the stacked scatter is formed (module
+# docstring).
+_SCATTER_COLUMNS = 512
 
 # Scope tag recorded on fitted directions.
 SCOPE_GLOBAL = "global"
@@ -83,14 +93,38 @@ def _stacked_scatter(
     x_a: np.ndarray, mu_a: np.ndarray, x_b: np.ndarray, mu_b: np.ndarray
 ) -> np.ndarray:
     """The average of the two groups' covariances as z'z, where z stacks
-    each group's centred rows weighted by sqrt(0.5 / n_g); z is freed on
-    return."""
-    n_a = x_a.shape[0]
-    z = np.empty((n_a + x_b.shape[0], x_a.shape[1]))
-    for rows, x, mu in ((z[:n_a], x_a, mu_a), (z[n_a:], x_b, mu_b)):
-        np.subtract(x, mu, out=rows)
-        rows *= math.sqrt(0.5 / x.shape[0])
-    return z.T @ z
+    each group's centred rows weighted by sqrt(0.5 / n_g). z is never whole:
+    the scatter is filled block by block from column slices of z
+    ``_SCATTER_COLUMNS`` wide, two slices at a time. A diagonal block is one
+    slice's symmetric product; an off-diagonal block is computed once and
+    mirrored."""
+    n_a, dim = x_a.shape
+    blocks = [
+        slice(start, min(start + _SCATTER_COLUMNS, dim))
+        for start in range(0, dim, _SCATTER_COLUMNS)
+    ]
+    # The slices get an anonymous mapping of their own, unmapped on return.
+    # Freed into the heap instead, they can stay resident and lift the peaks
+    # of the solve and of later fits.
+    shape = (2, n_a + x_b.shape[0], blocks[0].stop)
+    buffers = np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8)).reshape(shape)
+
+    def weighted(columns: slice, buffer: np.ndarray) -> np.ndarray:
+        z = buffer[:, : columns.stop - columns.start]
+        for rows, x, mu in ((z[:n_a], x_a, mu_a), (z[n_a:], x_b, mu_b)):
+            np.subtract(x[:, columns], mu[columns], out=rows)
+            rows *= math.sqrt(0.5 / x.shape[0])
+        return z
+
+    scatter = np.empty((dim, dim))
+    for i, left in enumerate(blocks):
+        z_left = weighted(left, buffers[0])
+        np.matmul(z_left.T, z_left, out=scatter[left, left])
+        for right in blocks[i + 1 :]:
+            z_right = weighted(right, buffers[1])
+            np.matmul(z_left.T, z_right, out=scatter[left, right])
+            scatter[right, left] = scatter[left, right].T
+    return scatter
 
 
 def fit_lda_direction(
@@ -104,12 +138,13 @@ def fit_lda_direction(
 ) -> BiasDirection:
     """Two-class discriminant direction from group a toward group b's complement.
 
-    With fewer rows in x_a than features the scatter is one product of both
-    groups' stacked, weighted centred rows, and the block is freed before
-    the solve; otherwise it is the sum of the two ``np.cov`` matrices, built
-    in place. Each is the layout with the smaller transient for its shape
-    (module docstring). The LU solve's own copy of the scatter sets a floor
-    of 2 D x D matrices.
+    With fewer rows in x_a than features the scatter is the product of both
+    groups' stacked, weighted centred rows, filled in blocks from two column
+    slices of them at a time, so the fit holds the scatter and two slices;
+    otherwise it is the sum of the two ``np.cov`` matrices, built in place.
+    Each is the layout with the smaller transient for its shape (module
+    docstring). The LU solve's own copy of the scatter sets a floor of
+    2 D x D matrices.
 
     Raises DegenerateMeansError when the group means coincide (relative to
     their scale), DimensionMismatchError when dimensions differ and
