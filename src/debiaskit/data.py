@@ -187,7 +187,7 @@ def _load_csv(path: str) -> EmbeddingTable:
                 line_no = reader.line_num  # a quoted id may span lines
                 if len(row) != dim + 2:
                     raise FormatError(
-                        f"{path}: row at line {line_no} has {len(row) - 2} values, expected {dim}"
+                        f"{path}:line {line_no}: row has {len(row) - 2} values, expected {dim}"
                     )
                 try:
                     frames.append(int(row[1]))
@@ -198,7 +198,7 @@ def _load_csv(path: str) -> EmbeddingTable:
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
     except csv.Error as exc:  # such as a field over the csv module's size limit
-        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
+        raise FormatError(f"{path}:line {reader.line_num}: {exc}") from exc
     vectors = np.frombuffer(values, dtype=np.float64).reshape(len(ids), dim)
     return EmbeddingTable(tuple(ids), np.frombuffer(frames, dtype=np.int64), vectors)
 
@@ -507,7 +507,7 @@ def load_genre_map(path: str) -> GenreMap:
         counts = Counter(k for k, _ in pairs)
         if len(counts) != len(pairs):
             dupes = sorted(k for k, n in counts.items() if n > 1)
-            raise ValidationError(f"duplicate rule keys {dupes} in {path}")
+            raise ValidationError(f"duplicate rule keys {dupes}", path=path)
         return dict(pairs)
 
     obj = read_json(path, "genre map", reject_duplicates)
@@ -555,7 +555,8 @@ def pool_frames(table: EmbeddingTable) -> EmbeddingTable:
     are then summed rank by rank: frame rank 0 of every clip, then rank 1 of
     the clips that have one, and so on. Rank 0 is added to zeros as
     ``x + 0.0``, which IEEE addition makes the bits of ``0.0 + x``: a -0.0
-    pools to +0.0."""
+    pools to +0.0. A clip whose frames sum past the float64 range is a
+    NonFiniteError that names the clip and its frame count."""
     keys = list(zip(table.clip_ids, table.frames.tolist()))
     order = sorted(range(table.n_rows), key=keys.__getitem__)
     ids = np.array([keys[row][0] for row in order], dtype=object)
@@ -567,13 +568,17 @@ def pool_frames(table: EmbeddingTable) -> EmbeddingTable:
     most = counts.max(initial=0)
     sums = table.vectors[order[starts]]
     sums += 0.0
-    # Finite frames can sum past the float64 range; the pooled table refuses
-    # the infinity, so numpy's overflow warning would only repeat it.
+    # Finite frames can sum past the float64 range; the check below names
+    # the clip, so numpy's overflow warning would only repeat it.
     with np.errstate(over="ignore"):
         for rank in range(1, most):
             clips = np.flatnonzero(counts > rank)
             sums[clips] += table.vectors[order[starts[clips] + rank]]
-    if most > 1:  # x / 1 is x, so one-frame clips need no division
+    if most > 1:  # one-frame clips are their own finite rows and x / 1 is x
+        overflowed = np.flatnonzero(~np.isfinite(sums).all(axis=1))
+        if overflowed.size:
+            clip = overflowed[0]
+            raise NonFiniteError(f"clip {ids[starts[clip]]!r}: its {counts[clip]} frames sum past the float64 range")
         sums /= counts[:, None]
     return EmbeddingTable(tuple(ids[starts].tolist()), np.zeros(starts.size, dtype=np.int64), sums)
 

@@ -261,12 +261,10 @@ def load_corpus(config: ExperimentConfig) -> Corpus:
 
 
 def load_domains(
-    config: ExperimentConfig, corpus: Corpus | None = None
-) -> tuple[DomainData, DomainData, tuple[str, ...], GenreMap, SplitGuard]:
-    """Per-run domains over ``corpus`` (loaded from ``config`` when not
-    given), with a fresh split guard and no feature rows built yet."""
-    if corpus is None:
-        corpus = load_corpus(config)
+    config: ExperimentConfig, corpus: Corpus
+) -> tuple[DomainData, DomainData, SplitGuard]:
+    """Per-run domains over ``corpus``, with a fresh split guard and no
+    feature rows built yet."""
     guard = SplitGuard(
         {entry.name: man.indices(TEST) for entry, man in zip(config.datasets, corpus.manifests)}
     )
@@ -276,7 +274,7 @@ def load_domains(
             config.datasets, corpus.tables, corpus.manifests, corpus.genres
         )
     ]
-    return domains[0], domains[1], corpus.classes, corpus.genre_map, guard
+    return domains[0], domains[1], guard
 
 
 # --- bias fitting ---------------------------------------------------------
@@ -424,7 +422,10 @@ def run_strategy(config: ExperimentConfig, *, corpus: Corpus | None = None) -> R
     strategy = config.strategy
     scope = config.effective_scope()
     seeds = derive_run_seeds(config.seed)
-    domain_a, domain_b, classes, genre_map, guard = load_domains(config, corpus)
+    if corpus is None:
+        corpus = load_corpus(config)
+    classes, genre_map = corpus.classes, corpus.genre_map
+    domain_a, domain_b, guard = load_domains(config, corpus)
     domains = (domain_a, domain_b)
     kernelized = STRATEGIES[strategy].kernelized
 
@@ -519,7 +520,6 @@ def run_strategy(config: ExperimentConfig, *, corpus: Corpus | None = None) -> R
         cells=cells,
         correlations=_correlations(strategy, scope, space, domains, classes, models, bias_fit),
         genre_histogram=_genre_histogram(domains, classes),
-        seeds=seeds,
         config=config.to_dict(),
         bias_fit_notes={
             f"{strategy}:{scope}": {
@@ -663,7 +663,6 @@ def run_matrix(
             "matrix_strategies": list(strategies),
             "matrix_scopes": list(scopes),
         },
-        {"master": base_config.seed},
     )
     rendered = render_table(combined, "table1")
     if out_dir is not None:

@@ -56,7 +56,6 @@ class ExperimentReport:
     cells: tuple[Cell, ...]
     correlations: tuple[CorrelationEntry, ...]
     genre_histogram: dict[str, dict[str, dict[str, int]]]
-    seeds: dict[str, int]
     config: dict
     # Per job, keyed "strategy:scope": the genre pairs its bias fit skipped
     # and the fits it found degenerate.
@@ -112,7 +111,6 @@ class ExperimentReport:
             cells=cells,
             correlations=correlations,
             genre_histogram=histogram,
-            seeds=_numbers(obj["seeds"], "seeds", int),
             config=_typed(obj["config"], dict, "config", "an object"),
             bias_fit_notes=notes,
         )
@@ -130,9 +128,10 @@ def _numbers(value, name: str, kind=float) -> dict:
     return {k: _number(kind, v, f"{name} entry {k!r}") for k, v in value.items()}
 
 
-def config_fingerprint(config: dict, seeds: dict) -> str:
-    """Stable digest of the resolved config and derived seeds."""
-    canonical = json.dumps({"config": config, "seeds": seeds}, sort_keys=True)
+def config_fingerprint(config: dict) -> str:
+    """Stable digest of the resolved config. Its ``seed`` sets every derived
+    per-purpose seed, so the digest tells runs apart without them."""
+    canonical = json.dumps(config, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -142,7 +141,6 @@ def build_report(
     cells: list[Cell],
     correlations: list[CorrelationEntry],
     genre_histogram: dict[str, dict[str, dict[str, int]]],
-    seeds: dict[str, int],
     config: dict,
     bias_fit_notes: dict[str, dict],
 ) -> ExperimentReport:
@@ -155,7 +153,7 @@ def build_report(
     "kernelized". Each cell needs an AUC in [0, 1] for every class and a key
     of its own. Every mean is recomputed in ``classes`` order: a cell's over
     all classes, a correlation entry's mean |correlation| over the classes it
-    holds. The fingerprint is recomputed from ``config`` and ``seeds``.
+    holds. The fingerprint is recomputed from ``config``.
     """
     if not classes:
         raise ValidationError("a report needs at least one class")
@@ -205,17 +203,15 @@ def build_report(
         cells=tuple(recomputed),
         correlations=tuple(entries),
         genre_histogram=genre_histogram,
-        seeds=dict(seeds),
         config=config,
         bias_fit_notes=bias_fit_notes,
-        fingerprint=config_fingerprint(config, seeds),
+        fingerprint=config_fingerprint(config),
     )
 
 
-def merge_reports(reports: list[ExperimentReport], config: dict, seeds: dict) -> ExperimentReport:
+def merge_reports(reports: list[ExperimentReport], config: dict) -> ExperimentReport:
     """One report of the cells, correlations and fit notes of ``reports``
-    (shared datasets, classes and genre histogram), under ``config`` and
-    ``seeds``."""
+    (shared datasets, classes and genre histogram), under ``config``."""
     if not reports:
         raise ValidationError("nothing to merge")
     head = reports[0]
@@ -227,7 +223,6 @@ def merge_reports(reports: list[ExperimentReport], config: dict, seeds: dict) ->
         cells=[cell for r in reports for cell in r.cells],
         correlations=[entry for r in reports for entry in r.correlations],
         genre_histogram=head.genre_histogram,
-        seeds=seeds,
         config=config,
         bias_fit_notes={job: notes for r in reports for job, notes in r.bias_fit_notes.items()},
     )

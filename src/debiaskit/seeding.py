@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 
-# Purposes derived for every experiment run; recorded in the report fingerprint.
+# Purposes derived for every run from its master seed, the one seed a report records.
 RUN_PURPOSES = ("sampling", "rff", "cv")
 
 

@@ -24,7 +24,7 @@ from debiaskit.config import load_config
 from debiaskit.data import MAX_CLASSES, EmbeddingTable, load_embeddings, save_embeddings
 from debiaskit.kernel import MAX_FEATURE_VALUES, MAX_MAP_VALUES
 from debiaskit.logreg import MIN_C
-from debiaskit.report import load_report, save_report
+from debiaskit.report import config_fingerprint, load_report, save_report
 from debiaskit.synth import SynthSpec
 
 CLI_SPEC = replace(SMALL_SPEC, samples_per_cell=12)
@@ -223,7 +223,6 @@ REPORT_WITHOUT_TRAIN = {
     ],
     "correlations": [],
     "genre_histogram": {},
-    "seeds": {},
     "config": {},
     "bias_fit_notes": {},
 }
@@ -300,7 +299,8 @@ def edit_correlation(**fields):
         ("synth", {"dim": True}),
         ("synth", {"noise_sigma": "1"}),
         ("report", edit_first_cell(class_auc={"class0": True})),
-        ("report", {**REPORT, "seeds": {"master": "x"}}),
+        # The config's seed sets the derived seeds, so a report holds none.
+        ("report", {**REPORT, "seeds": {}}),
         ("report", {**REPORT, "correlations": [CORRELATION_WITHOUT_CLASSES]}),
         # Reports that no run can write: each would render wrongly.
         ("report", {**REPORT, "datasets": ["synthA", "synthA"]}),
@@ -833,6 +833,24 @@ def test_a_run_report_keeps_its_bytes_when_read_back(cli_corpus):
     assert path.read_text() == written
 
 
+def test_a_report_records_its_seed_once_and_refuses_derived_seeds(cli_corpus, capsys):
+    # The config's seed sets every derived seed: a written report holds no
+    # "seeds", its fingerprint digests the config alone, and `report` refuses
+    # a report that holds "seeds" as it refuses any unknown field.
+    corpus_dir, entries = cli_corpus
+    config_path = write_config(corpus_dir, entries, strategy="LDA", output_dir="results")
+    assert main(["run", "--config", config_path]) == 0
+    path = corpus_dir / "results" / "report.json"
+    written = json.loads(path.read_text())
+    assert "seeds" not in written
+    assert written["fingerprint"] == config_fingerprint(written["config"])
+    capsys.readouterr()
+    path.write_text(json.dumps({**written, "seeds": {}}))
+    assert main(["report", "--in", str(path.parent)]) == 1
+    payload, _ = read_stderr_error(capsys)
+    assert payload == {"error": "ValidationError", "message": "unknown report fields: ['seeds']"}
+
+
 def test_huge_feature_map_ends_in_one_line_json_error(cli_corpus, capsys):
     # Rejected by size before the map's frequencies are drawn.
     corpus_dir, entries = cli_corpus
@@ -951,8 +969,10 @@ def test_frames_that_sum_past_the_float_range_end_in_one_located_json_error(
         assert main(["run", "--config", config_path]) == 1
     payload, _ = read_stderr_error(capsys)
     assert payload["error"] == "NonFiniteError"
-    assert payload["message"].startswith(f"{path.resolve()}: "), payload["message"]
-    assert f"clip {clip!r}: non-finite embedding value" in payload["message"]
+    # Named by the clip and its frames, not by the clip's row in the pooled table.
+    assert payload["message"] == (
+        f"{path.resolve()}: clip {clip!r}: its 2 frames sum past the float64 range"
+    )
 
 
 def test_a_singular_scatter_at_zero_shrinkage_ends_in_one_line_json_error(cli_corpus, capsys):

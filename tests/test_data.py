@@ -5,6 +5,7 @@ import json
 import struct
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -117,8 +118,24 @@ def test_csv_rejects_wrong_width(tmp_path):
 def test_csv_wrong_width_after_a_blank_line_names_its_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("clip_id,frame,e0,e1,e2\nc0,0,1.0,2.0,3.0\n\nc1,0,1.0,2.0\n")
-    with pytest.raises(FormatError, match="line 4 "):
+    with pytest.raises(FormatError, match=":line 4: "):
         load_embeddings(str(path))
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("c0,0\n", "row has 0 values, expected 1"),
+        ("a" * 200_000 + ",0,1.0\n", "field larger than field limit"),
+    ],
+    ids=["short-row", "long-field"],
+)
+def test_csv_format_errors_name_their_line_like_every_located_message(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("clip_id,frame,e0\n" + body)
+    with pytest.raises(FormatError) as excinfo:
+        load_embeddings(str(path))
+    assert str(excinfo.value).startswith(f"{path}:line 2: {message}"), str(excinfo.value)
 
 
 def test_csv_rejects_bad_header(tmp_path):
@@ -696,8 +713,9 @@ def test_a_100k_entry_genre_map_loads_and_applies_in_linear_time(tmp_path, dupli
     path.write_text(text)
     start = time.perf_counter()
     if duplicate:
-        with pytest.raises(ValidationError, match=r"duplicate rule keys \['r0'\]"):
+        with pytest.raises(ValidationError) as excinfo:
             load_genre_map(str(path))
+        assert str(excinfo.value) == f"{path}: duplicate rule keys ['r0']"
     else:
         genre_map = load_genre_map(str(path))
         reduced = [reduce_genres((genre,), genre_map) for genre in [*rules, *targets]]
@@ -775,6 +793,17 @@ def test_pool_two_frames_simple_mean():
     assert pooled.clip_ids == ("a",)
     np.testing.assert_allclose(pooled.vectors, [[2.0, 3.0]])
     assert pooled.frames.tolist() == [0]
+
+
+def test_frames_that_sum_past_the_float_range_name_their_clip():
+    # Clip "a" pools to row 1, from the file's rows 1 and 2; no row of it is
+    # non-finite, only the sum of its frames.
+    table = make_table(["b", "a", "a"], [0, 0, 1], [[1.0], [1e308], [1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError) as excinfo:
+            pool_frames(table)
+    assert str(excinfo.value) == "clip 'a': its 2 frames sum past the float64 range"
 
 
 def test_pool_single_frame_unchanged():

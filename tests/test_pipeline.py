@@ -42,6 +42,7 @@ from debiaskit.pipeline import (
     _align,
     _matrix_jobs,
     fit_bias,
+    load_corpus,
     load_domains,
     run_matrix,
     run_strategy,
@@ -236,8 +237,10 @@ def test_config_dict_excludes_output_dir(small_corpus):
     as_dict = config.to_dict()
     assert "output_dir" not in as_dict
     moved = replace(config, output_dir="/tmp/elsewhere")
-    seeds = derive_run_seeds(config.seed)
-    assert config_fingerprint(as_dict, seeds) == config_fingerprint(moved.to_dict(), seeds)
+    assert config_fingerprint(as_dict) == config_fingerprint(moved.to_dict())
+    # The fingerprint is the config's alone, and one changed setting moves it.
+    reseeded = replace(config, seed=config.seed + 1)
+    assert config_fingerprint(as_dict) != config_fingerprint(reseeded.to_dict())
 
 
 def test_config_dict_holds_json_types(small_corpus):
@@ -408,7 +411,8 @@ def _fit_both_scopes(tmp_path, strategy):
     fits = []
     for scope in ("global", "classwise"):
         config = corpus_config(entries, gm_path, strategy, scope=scope)
-        domain_a, domain_b, _, genre_map, guard = load_domains(config)
+        corpus = load_corpus(config)
+        domain_a, domain_b, guard = load_domains(config, corpus)
         guard.enter(PHASE_BIAS)
         if scope == "global":
             pools = {None: (domain_a.train_indices, domain_b.train_indices)}
@@ -417,7 +421,7 @@ def _fit_both_scopes(tmp_path, strategy):
             pools = {
                 "class0": balanced_subsample(domain_a.manifest, domain_b.manifest, "class0", POS, seed)
             }
-        fits.append(fit_bias(config, domain_a, domain_b, genre_map, pools))
+        fits.append(fit_bias(config, domain_a, domain_b, corpus.genre_map, pools))
     return fits
 
 
@@ -505,7 +509,7 @@ def test_skipped_genre_pairs_follow_the_target_order(small_corpus, monkeypatch):
     noted with both counts; the rest are fitted."""
     entries, _, gm_path = small_corpus
     config = corpus_config(entries, gm_path, "mLDA", scope="classwise", min_genre_samples=10)
-    domain_a, domain_b, _, _, guard = load_domains(config)
+    domain_a, domain_b, guard = load_domains(config, load_corpus(config))
     guard.enter(PHASE_BIAS)
     genre1_b = [i for i in domain_b.train_indices.tolist() if domain_b.genres[i] == "genre1"]
     trimmed_b = np.setdiff1d(domain_b.train_indices, genre1_b[4:])
@@ -571,7 +575,8 @@ def test_no_genre_map_reads_each_observed_genre_as_its_own_target(small_corpus, 
     entries, _, gm_path = small_corpus
     config = corpus_config(entries, gm_path, "mLDA", scope=scope, **FAST)
     without = replace(config, genre_map=None)
-    assert load_domains(without)[3] == load_domains(config)[3] == GenreMap(("genre0", "genre1"))
+    observed = GenreMap(("genre0", "genre1"))
+    assert load_corpus(without).genre_map == load_corpus(config).genre_map == observed
     with_map = run_strategy(config).report
     without_map = run_strategy(without).report
     assert without_map.cells == with_map.cells
@@ -793,7 +798,8 @@ def test_held_out_index_in_a_training_pool_is_refused(small_corpus, monkeypatch,
 
 def test_built_feature_rows_serve_only_their_own_indices(small_corpus):
     entries, _, gm_path = small_corpus
-    domain, _, _, _, guard = load_domains(corpus_config(entries, gm_path, "K"))
+    config = corpus_config(entries, gm_path, "K")
+    domain, _, guard = load_domains(config, load_corpus(config))
     guard.enter(PHASE_EVALUATE)
     held_out = domain.test_indices
     # Below, between and above the built indices.
@@ -944,22 +950,21 @@ def test_matrix_runs_baseline_plus_requested_and_writes_outputs(small_corpus, tm
     assert len(result.combined.cells) == 8
     assert result.combined.config["strategy"] is None
     assert result.combined.config["matrix_strategies"] == ["LDA"]
-    assert result.combined.seeds == {"master": config.seed}
-    assert result.combined.fingerprint == config_fingerprint(
-        result.combined.config, {"master": config.seed}
-    )
+    assert result.combined.fingerprint == config_fingerprint(result.combined.config)
     assert set(result.combined.bias_fit_notes) == set(result.audits) == {
         "none:global",
         "LDA:global",
     }
     # Every job runs at the base config's seed: its config is the base config
-    # at the job's strategy and scope, and every job records the same seeds.
-    # A job's fingerprint covers its config and seeds, and none of its outcome.
+    # at the job's strategy and scope, whose seed sets the derived seeds, so
+    # no report records them. A job's fingerprint covers its config and none
+    # of its outcome.
     for (strategy, scope), report in result.reports.items():
         job = replace(config, strategy=strategy, scope=scope).to_dict()
         assert report.config == job
-        assert report.seeds == derive_run_seeds(config.seed)
-        assert report.fingerprint == config_fingerprint(job, derive_run_seeds(config.seed))
+        assert report.fingerprint == config_fingerprint(job)
+    for path in out_dir.glob("report*.json"):
+        assert "seeds" not in json.loads(path.read_text()), path.name
     for name in (
         "report_none_global.json",
         "report_LDA_global.json",

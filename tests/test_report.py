@@ -1,6 +1,7 @@
 """Report assembly, persistence, fingerprinting, and the three table layouts."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -57,7 +58,6 @@ def assemble(cells, correlations=(), histogram=None, notes=None):
         cells=cells,
         correlations=list(correlations),
         genre_histogram=histogram or {},
-        seeds={"sampling": 1, "rff": 2, "cv": 3},
         config={"strategy": "mixed", "scope": "global"},
         bias_fit_notes=notes or {},
     )
@@ -108,7 +108,6 @@ def test_single_cell_mean():
         cells=[Cell("north", "north", "none", "global", {"guitar": 0.9})],
         correlations=[],
         genre_histogram={},
-        seeds={},
         config={},
         bias_fit_notes={},
     )
@@ -124,7 +123,6 @@ def test_mean_matches_summation_oracle():
         cells=[Cell("north", "north", "none", "global", aucs)],
         correlations=[],
         genre_histogram={},
-        seeds={},
         config={},
         bias_fit_notes={},
     )
@@ -163,7 +161,6 @@ def test_report_without_classes_rejected():
             cells=[Cell("north", "north", "none", "global", {})],
             correlations=[],
             genre_histogram={},
-            seeds={},
             config={},
             bias_fit_notes={},
         )
@@ -191,7 +188,6 @@ def test_cell_lookup_failure_names_the_cell():
 
 
 MATRIX_CONFIG = {"strategy": None, "scope": None}
-MATRIX_SEEDS = {"master": 11}
 
 
 def baseline_plus_lda():
@@ -211,20 +207,20 @@ def baseline_plus_lda():
 
 def test_merge_combines_cells_and_notes_under_the_given_config():
     first, second = baseline_plus_lda()
-    merged = merge_reports([first, second], MATRIX_CONFIG, MATRIX_SEEDS)
+    merged = merge_reports([first, second], MATRIX_CONFIG)
     assert len(merged.cells) == 8
     assert merged.cell("north", "south", "LDA", "global").mean_auc == pytest.approx(0.89)
     assert merged.datasets == DATASETS
     assert merged.bias_fit_notes == {**first.bias_fit_notes, **second.bias_fit_notes}
     assert merged.config == MATRIX_CONFIG
-    assert merged.seeds == MATRIX_SEEDS
-    assert merged.fingerprint == config_fingerprint(MATRIX_CONFIG, MATRIX_SEEDS)
+    assert "seeds" not in merged.to_dict()
+    assert merged.fingerprint == config_fingerprint(MATRIX_CONFIG)
 
 
 def test_merge_rejects_a_repeated_report():
     first, second = baseline_plus_lda()
     with pytest.raises(ValidationError, match="duplicate"):
-        merge_reports([first, second, first], MATRIX_CONFIG, MATRIX_SEEDS)
+        merge_reports([first, second, first], MATRIX_CONFIG)
 
 
 def test_merge_rejects_mismatched_classes():
@@ -235,22 +231,21 @@ def test_merge_rejects_mismatched_classes():
         cells=[Cell("north", "north", "none", "global", {"guitar": 0.9})],
         correlations=[],
         genre_histogram={},
-        seeds={},
         config={},
         bias_fit_notes={},
     )
     with pytest.raises(ValidationError):
-        merge_reports([first, other], MATRIX_CONFIG, MATRIX_SEEDS)
+        merge_reports([first, other], MATRIX_CONFIG)
 
 
 def test_merge_empty_rejected():
     with pytest.raises(ValidationError):
-        merge_reports([], MATRIX_CONFIG, MATRIX_SEEDS)
+        merge_reports([], MATRIX_CONFIG)
 
 
 def test_save_load_round_trip(tmp_path):
     first, second = baseline_plus_lda()
-    merged = merge_reports([first, second], MATRIX_CONFIG, MATRIX_SEEDS)
+    merged = merge_reports([first, second], MATRIX_CONFIG)
     path = tmp_path / "report.json"
     save_report(merged, str(path))
     loaded = load_report(str(path))
@@ -271,7 +266,8 @@ def test_loaded_report_is_built_and_checked_like_a_run_report():
     tampered["cells"][0]["mean_auc"] = 0.5
     tampered["fingerprint"] = "0" * 64
     assert ExperimentReport.from_dict(tampered) == first
-    for field, value in (("extra", 1), ("bias_fit_notes", [])):
+    # The derived seeds are not a report field: the config's seed sets them.
+    for field, value in (("extra", 1), ("seeds", {}), ("bias_fit_notes", [])):
         with pytest.raises(ValidationError, match=field):
             ExperimentReport.from_dict({**stored(), field: value})
     repeated = stored()
@@ -281,20 +277,21 @@ def test_loaded_report_is_built_and_checked_like_a_run_report():
 
 
 def test_fingerprint_stable_and_sensitive():
-    config = {"strategy": "LDA", "scope": "global", "shrinkage": 0.01}
-    seeds = {"sampling": 5, "rff": 6, "cv": 7}
-    assert config_fingerprint(config, seeds) == config_fingerprint(dict(config), dict(seeds))
-    assert config_fingerprint(config, seeds) != config_fingerprint(
-        {**config, "shrinkage": 0.02}, seeds
-    )
-    assert config_fingerprint(config, seeds) != config_fingerprint(
-        config, {**seeds, "cv": 8}
-    )
+    config = {"strategy": "LDA", "scope": "global", "shrinkage": 0.01, "seed": 5}
+    assert config_fingerprint(config) == config_fingerprint(dict(reversed(config.items())))
+    assert config_fingerprint(config) != config_fingerprint({**config, "shrinkage": 0.02})
+    assert config_fingerprint(config) != config_fingerprint({**config, "seed": 6})
+
+
+def test_fingerprint_is_the_digest_of_the_config_alone():
+    config = {"strategy": "LDA", "scope": "global", "seed": 5}
+    canonical = json.dumps(config, sort_keys=True).encode("utf-8")
+    assert config_fingerprint(config) == hashlib.sha256(canonical).hexdigest()
 
 
 def test_report_fingerprint_set_by_builder():
     first, _ = baseline_plus_lda()
-    assert first.fingerprint == config_fingerprint(first.config, first.seeds)
+    assert first.fingerprint == config_fingerprint(first.config)
 
 
 # --- table1 layout --------------------------------------------------------
@@ -398,7 +395,6 @@ def test_table1_csv_quotes_awkward_dataset_names():
         cells=cells,
         correlations=[],
         genre_histogram={},
-        seeds={},
         config={},
         bias_fit_notes={},
     )
@@ -597,7 +593,6 @@ def random_reports(draw):
         cells=cells,
         correlations=[],
         genre_histogram={},
-        seeds={},
         config={},
         bias_fit_notes={},
     )
@@ -641,7 +636,6 @@ def awkward_report():
         cells=cells,
         correlations=correlations,
         genre_histogram=histogram,
-        seeds={},
         config={},
         bias_fit_notes={},
     )
