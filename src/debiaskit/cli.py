@@ -20,7 +20,7 @@ import sys
 
 from .config import BASELINE, STRATEGIES, load_config, read_json, write_json
 from .data import save_embeddings, save_genre_map, save_manifest
-from .errors import DebiasKitError, IoError, ValidationError
+from .errors import DebiasKitError, IoError, ValidationError, located
 from .pipeline import run_matrix, run_strategy
 from .report import LAYOUTS, load_report, render_table, save_report, save_table
 from .synth import (
@@ -70,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_synth(args) -> int:
     if args.spec is not None:
-        spec = spec_from_dict(read_json(args.spec, "synth spec"))
+        with located(args.spec):
+            spec = spec_from_dict(read_json(args.spec, "synth spec"))
     else:
         spec = default_spec()
     os.makedirs(args.out, exist_ok=True)

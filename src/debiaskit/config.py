@@ -16,7 +16,7 @@ from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
 
 from .bias import DEFAULT_SHRINKAGE
-from .errors import ValidationError
+from .errors import ValidationError, located
 from .kernel import DEFAULT_DPRIME_FACTOR
 from .logreg import DEFAULT_C_GRID, DEFAULT_FOLDS, MIN_C
 
@@ -123,18 +123,18 @@ def read_json(path: str, what: str, object_pairs_hook=None):
     """The parsed content of a JSON file; an unreadable or malformed file, one
     nested too deeply to parse or to check, or one holding a lone UTF-16
     surrogate (see ``lone_surrogate``) is a ValidationError naming ``what`` it
-    was meant to be. ``object_pairs_hook`` builds each JSON object, as in
-    ``json.load``."""
+    was meant to be, and the caller's ``located`` names the file.
+    ``object_pairs_hook`` builds each JSON object, as in ``json.load``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             obj = json.load(handle, object_pairs_hook=object_pairs_hook)
         bad = lone_surrogate(obj)
     except OSError as exc:
-        raise ValidationError(f"cannot open {what} {path}: {exc}") from exc
+        raise ValidationError(f"cannot open {what}: {exc.strerror}") from exc
     except (ValueError, RecursionError) as exc:
-        raise ValidationError(f"{what} is not valid JSON: {exc}", path=path) from exc
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
     if bad is not None:
-        raise ValidationError(f"{what} holds a lone UTF-16 surrogate {bad!r}", path=path)
+        raise ValidationError(f"{what} holds a lone UTF-16 surrogate {bad!r}")
     return obj
 
 
@@ -148,11 +148,11 @@ def write_json(path: str, obj, *, indent: int | None = None) -> None:
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate a JSON config; relative paths resolve against the
     config file's own directory."""
-    obj = read_json(path, "config")
-    if not isinstance(obj, dict):
-        raise ValidationError("config must be a JSON object", path=path)
-    base_dir = os.path.dirname(os.path.abspath(path))
-    return config_from_dict(obj, base_dir=base_dir)
+    with located(path):
+        obj = read_json(path, "config")
+        if not isinstance(obj, dict):
+            raise ValidationError("config must be a JSON object")
+        return config_from_dict(obj, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def _typed(value, kinds, name: str, expected: str):

@@ -35,7 +35,6 @@ import json
 import struct
 from array import array
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +47,7 @@ from .errors import (
     NonFiniteError,
     ParseError,
     ValidationError,
+    located,
 )
 
 MAGIC = b"EMB1"
@@ -121,29 +121,22 @@ class EmbeddingTable:
         return self.vectors.shape[0]
 
 
-@contextmanager
-def located(path: str):
-    """Name ``path`` at the start of the message of a table check that fails
-    in the block: a table built from the file's rows, or pooled from them."""
-    try:
-        yield
-    except (NonFiniteError, ValidationError) as exc:  # the table's own checks
-        raise type(exc)(f"{path}: {exc}") from exc
-
-
 def load_embeddings(path: str) -> EmbeddingTable:
     """Read an embedding table from ``path``: the binary format when the file
     starts with ``MAGIC``, CSV otherwise."""
-    try:
-        with open(path, "rb") as handle:
-            binary = handle.read(len(MAGIC)) == MAGIC
-    except OSError as exc:
-        raise IoError(f"cannot open {path}: {exc}") from exc
     with located(path):
-        table = _load_binary(path) if binary else _load_csv(path)
-    if table.n_rows < 1:
-        raise ValidationError("embedding file holds no rows", path=path)
-    return table
+        try:
+            # Unbuffered: a buffered read of the rest copies the file's bytes twice.
+            handle = open(path, "rb", buffering=0)
+        except OSError as exc:
+            raise IoError(f"cannot open {path}: {exc}") from exc
+        with handle:
+            binary = handle.read(len(MAGIC)) == MAGIC
+            handle.seek(0)
+            table = _load_binary(handle) if binary else _load_csv(handle)
+        if table.n_rows < 1:
+            raise ValidationError("embedding file holds no rows")
+        return table
 
 
 def save_embeddings(table: EmbeddingTable, path: str, fmt: str) -> None:
@@ -158,49 +151,50 @@ def save_embeddings(table: EmbeddingTable, path: str, fmt: str) -> None:
         raise ValidationError(f"unknown embedding format {fmt!r}")
 
 
-def _load_csv(path: str) -> EmbeddingTable:
-    try:
-        handle = open(path, "r", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot open {path}: {exc}") from exc
-    try:
-        with handle:
-            reader = csv.reader(handle)
+def _load_csv(handle) -> EmbeddingTable:
+    """The table in the CSV file open for binary reading as ``handle``."""
+    # Closing the text layer closes ``handle`` too.
+    with io.TextIOWrapper(handle, encoding="utf-8", newline="") as text:
+        reader = csv.reader(text)
+        try:
             try:
                 header = next(reader)
             except StopIteration:
-                raise FormatError(f"{path}: empty CSV file") from None
+                raise FormatError("empty CSV file") from None
             if len(header) < 3 or header[0] != "clip_id" or header[1] != "frame":
-                raise FormatError(f"{path}: header must start with clip_id,frame,e0,...")
+                raise FormatError("header must start with clip_id,frame,e0,...")
             dim = len(header) - 2
             expected = ["clip_id", "frame"] + [f"e{i}" for i in range(dim)]
             if header != expected:
-                raise FormatError(f"{path}: malformed header {header[:4]}...")
+                raise FormatError(f"malformed header {header[:4]}...")
             # `float()` parses each value straight into one float64 buffer
             # that grows in place, so no Python object is kept per value.
             ids: list[str] = []
+            lines = array("q")  # each row's file line: a quoted id may span lines
             frames = array("q")
             values = array("d")
             for row in reader:
                 if not row:
                     continue
-                line_no = reader.line_num  # a quoted id may span lines
+                lines.append(reader.line_num)
                 if len(row) != dim + 2:
-                    raise FormatError(
-                        f"{path}:line {line_no}: row has {len(row) - 2} values, expected {dim}"
-                    )
+                    raise FormatError(f"row has {len(row) - 2} values, expected {dim}", line=lines[-1])
                 try:
                     frames.append(int(row[1]))
                     values.extend(map(float, row[2:]))
                 except (ValueError, OverflowError) as exc:
-                    raise ParseError(str(exc), line=line_no, path=path) from exc
+                    raise ParseError(str(exc), line=lines[-1]) from exc
                 ids.append(row[0])
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
-    except csv.Error as exc:  # such as a field over the csv module's size limit
-        raise FormatError(f"{path}:line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"not valid UTF-8 ({exc.reason})") from exc
+        except csv.Error as exc:  # such as a field over the csv module's size limit
+            raise FormatError(str(exc), line=reader.line_num) from exc
     vectors = np.frombuffer(values, dtype=np.float64).reshape(len(ids), dim)
-    return EmbeddingTable(tuple(ids), np.frombuffer(frames, dtype=np.int64), vectors)
+    try:
+        return EmbeddingTable(tuple(ids), np.frombuffer(frames, dtype=np.int64), vectors)
+    except NonFiniteError:  # the table names a row; a CSV fault names its line
+        row = int(np.argmin(np.isfinite(vectors).all(axis=1)))
+        raise NonFiniteError(f"clip {ids[row]!r}: non-finite embedding value", line=lines[row]) from None
 
 
 def _save_csv(table: EmbeddingTable, path: str) -> None:
@@ -232,25 +226,22 @@ _HEADER = struct.Struct("<4sIII")
 _U32 = struct.Struct("<I")
 
 
-def _load_binary(path: str) -> EmbeddingTable:
-    try:
-        with open(path, "rb") as handle:
-            blob = handle.read()
-    except OSError as exc:
-        raise IoError(f"cannot open {path}: {exc}") from exc
+def _load_binary(handle) -> EmbeddingTable:
+    """The table in the binary file open for reading as ``handle``."""
+    blob = handle.read()
     if len(blob) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header")
+        raise FormatError("truncated header")
     _, version, n_rows, dim = _HEADER.unpack_from(blob, 0)
     if version != BINARY_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+        raise FormatError(f"unsupported version {version}")
     if dim < 1:
-        raise FormatError(f"{path}: dimension must be >= 1")
+        raise FormatError("dimension must be >= 1")
     offset = _HEADER.size
     # Each row takes at least its two u32 fields and its values; check the
     # claimed rows fit the file before allocating for them.
     if n_rows * (8 + 4 * dim) > len(blob) - offset:
         raise FormatError(
-            f"{path}: header claims {n_rows} rows of dimension {dim}, "
+            f"header claims {n_rows} rows of dimension {dim}, "
             f"more than the {len(blob) - offset} bytes that follow"
         )
     ids: list[str] = []
@@ -263,15 +254,15 @@ def _load_binary(path: str) -> EmbeddingTable:
     source = memoryview(blob)
     for row in range(n_rows):
         if offset + 4 > len(blob):
-            raise FormatError(f"{path}: truncated at row {row}")
+            raise FormatError(f"truncated at row {row}")
         (id_len,) = _U32.unpack_from(blob, offset)
         offset += 4
         if offset + id_len + 4 + vec_bytes > len(blob):
-            raise FormatError(f"{path}: truncated at row {row}")
+            raise FormatError(f"truncated at row {row}")
         try:
             ids.append(blob[offset : offset + id_len].decode("utf-8"))
         except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: row {row}: invalid UTF-8 clip id") from exc
+            raise FormatError(f"row {row}: invalid UTF-8 clip id") from exc
         offset += id_len
         (frame,) = _U32.unpack_from(blob, offset)
         offset += 4
@@ -279,7 +270,7 @@ def _load_binary(path: str) -> EmbeddingTable:
         dest[row * vec_bytes : (row + 1) * vec_bytes] = source[offset : offset + vec_bytes]
         offset += vec_bytes
     if offset != len(blob):
-        raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
+        raise FormatError(f"{len(blob) - offset} trailing bytes")
     # The file's bytes go before the float64 table is made.
     source.release()
     dest.release()
@@ -385,82 +376,74 @@ def load_manifest(path: str) -> Manifest:
     label_dicts: list[dict[str, str]] = []
     classes: dict[str, str] = {}  # each name to its one copy, in first-seen order
     seen_ids: set[tuple[str, str]] = set()
-    try:
-        with open(path, "rb") as handle:
-            for line_no, raw in enumerate(handle, start=1):
-                try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ParseError(
-                        f"not valid UTF-8 ({exc.reason})", line=line_no, path=path
-                    ) from exc
-                if not line.strip():
-                    continue
-                clip_id, dataset, split, genres, labels = _record(line, line_no, path)
-                if (dataset, clip_id) in seen_ids:
-                    raise ValidationError(
-                        f"duplicate clip_id {clip_id!r} within dataset {dataset!r}",
-                        line=line_no,
-                        path=path,
+    with located(path):
+        try:
+            with open(path, "rb") as handle:
+                for line_no, raw in enumerate(handle, start=1):
+                    try:
+                        line = raw.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise ParseError(f"not valid UTF-8 ({exc.reason})", line=line_no) from exc
+                    if not line.strip():
+                        continue
+                    clip_id, dataset, split, genres, labels = _record(line, line_no)
+                    if (dataset, clip_id) in seen_ids:
+                        raise ValidationError(
+                            f"duplicate clip_id {clip_id!r} within dataset {dataset!r}",
+                            line=line_no,
+                        )
+                    seen_ids.add((dataset, clip_id))
+                    label_dicts.append(
+                        {classes.setdefault(c, c): _STATES[s] for c, s in labels.items()}
                     )
-                seen_ids.add((dataset, clip_id))
-                label_dicts.append(
-                    {classes.setdefault(c, c): _STATES[s] for c, s in labels.items()}
-                )
-                if len(classes) > MAX_CLASSES:
-                    raise ValidationError(
-                        f"more than {MAX_CLASSES} classes", line=line_no, path=path
-                    )
-                clip_ids.append(clip_id)
-                datasets.append(dataset)
-                splits.append(split)
-                genre_lists.append(genres)
-    except OSError as exc:
-        raise IoError(f"cannot open {path}: {exc}") from exc
-    states = {c: [record.get(c, UNK) for record in label_dicts] for c in classes}
-    return Manifest(clip_ids, datasets, splits, genre_lists, states)
+                    if len(classes) > MAX_CLASSES:
+                        raise ValidationError(f"more than {MAX_CLASSES} classes", line=line_no)
+                    clip_ids.append(clip_id)
+                    datasets.append(dataset)
+                    splits.append(split)
+                    genre_lists.append(genres)
+        except OSError as exc:
+            raise IoError(f"cannot open {path}: {exc}") from exc
+        states = {c: [record.get(c, UNK) for record in label_dicts] for c in classes}
+        return Manifest(clip_ids, datasets, splits, genre_lists, states)
 
 
-def _record(line: str, line_no: int, path: str) -> tuple:
+def _record(line: str, line_no: int) -> tuple:
     """One manifest line's (clip_id, dataset, split, genres, labels), checked."""
     try:
         obj = json.loads(line)
         # The line is valid UTF-8, so only a \u escape can hold a lone surrogate.
         bad = lone_surrogate(obj) if "\\u" in line else None
     except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON ({exc.msg})", line=line_no, path=path) from exc
+        raise ParseError(f"malformed JSON ({exc.msg})", line=line_no) from exc
     except RecursionError as exc:
-        raise ParseError("JSON nested too deeply", line=line_no, path=path) from exc
+        raise ParseError("JSON nested too deeply", line=line_no) from exc
     except ValueError as exc:  # an integer too long to convert
-        raise ParseError(str(exc), line=line_no, path=path) from exc
+        raise ParseError(str(exc), line=line_no) from exc
     if not isinstance(obj, dict):
-        raise ParseError("record is not a JSON object", line=line_no, path=path)
+        raise ParseError("record is not a JSON object", line=line_no)
     if bad is not None:
-        raise ParseError(f"lone UTF-16 surrogate {bad!r}", line=line_no, path=path)
+        raise ParseError(f"lone UTF-16 surrogate {bad!r}", line=line_no)
     for key in ("clip_id", "dataset", "split", "genres", "labels"):
         if key not in obj:
-            raise ValidationError(f"missing field {key!r}", line=line_no, path=path)
+            raise ValidationError(f"missing field {key!r}", line=line_no)
     clip_id, dataset, split = obj["clip_id"], obj["dataset"], obj["split"]
     if not isinstance(clip_id, str) or not isinstance(dataset, str):
-        raise ValidationError("clip_id and dataset must be strings", line=line_no, path=path)
+        raise ValidationError("clip_id and dataset must be strings", line=line_no)
     if split not in SPLITS:
         raise ValidationError(
-            f"unknown split token {split!r} (expected one of {SPLITS})",
-            line=line_no,
-            path=path,
+            f"unknown split token {split!r} (expected one of {SPLITS})", line=line_no
         )
     genres = obj["genres"]
     if not isinstance(genres, list) or not all(isinstance(g, str) for g in genres):
-        raise ValidationError("genres must be a list of strings", line=line_no, path=path)
+        raise ValidationError("genres must be a list of strings", line=line_no)
     labels = obj["labels"]
     if not isinstance(labels, dict):
-        raise ValidationError("labels must be an object", line=line_no, path=path)
+        raise ValidationError("labels must be an object", line=line_no)
     for cls, state in labels.items():
         if state not in LABEL_STATES:
             raise ValidationError(
-                f"label state {state!r} for class {cls!r} not in {LABEL_STATES}",
-                line=line_no,
-                path=path,
+                f"label state {state!r} for class {cls!r} not in {LABEL_STATES}", line=line_no
             )
     return clip_id, dataset, split, tuple(genres), labels
 
@@ -502,26 +485,28 @@ class GenreMap:
         object.__setattr__(self, "_canonical", {**canonical, **self.rules})
 
 
-def load_genre_map(path: str) -> GenreMap:
-    def reject_duplicates(pairs):
-        counts = Counter(k for k, _ in pairs)
-        if len(counts) != len(pairs):
-            dupes = sorted(k for k, n in counts.items() if n > 1)
-            raise ValidationError(f"duplicate rule keys {dupes}", path=path)
-        return dict(pairs)
+def _reject_duplicate_keys(pairs) -> dict:
+    counts = Counter(k for k, _ in pairs)
+    if len(counts) != len(pairs):
+        dupes = sorted(k for k, n in counts.items() if n > 1)
+        raise ValidationError(f"duplicate rule keys {dupes}")
+    return dict(pairs)
 
-    obj = read_json(path, "genre map", reject_duplicates)
-    if not isinstance(obj, dict) or "targets" not in obj:
-        raise ValidationError(f"{path}: genre map must be an object with a targets list")
-    targets = obj["targets"]
-    rules = obj.get("rules", {})
-    if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
-        raise ValidationError(f"{path}: targets must be a list of strings")
-    if not isinstance(rules, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in rules.items()
-    ):
-        raise ValidationError(f"{path}: rules must map strings to strings")
-    return GenreMap(tuple(targets), dict(rules))
+
+def load_genre_map(path: str) -> GenreMap:
+    with located(path):
+        obj = read_json(path, "genre map", _reject_duplicate_keys)
+        if not isinstance(obj, dict) or "targets" not in obj:
+            raise ValidationError("genre map must be an object with a targets list")
+        targets = obj["targets"]
+        rules = obj.get("rules", {})
+        if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
+            raise ValidationError("targets must be a list of strings")
+        if not isinstance(rules, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in rules.items()
+        ):
+            raise ValidationError("rules must map strings to strings")
+        return GenreMap(tuple(targets), dict(rules))
 
 
 def save_genre_map(genre_map: GenreMap, path: str) -> None:

@@ -3,10 +3,13 @@
 Everything derives from DebiasKitError so callers can catch the package's
 failures with one except clause while still matching specific conditions.
 An error is its type and its message: the message names the file and line,
-the row, or the job, class and cell, and no attribute repeats them.
+the row, or the job, class and cell. ``located`` alone writes a file's path
+into an input error's message; the raise sites give at most its line.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 
 class DebiasKitError(Exception):
@@ -17,14 +20,24 @@ class DebiasKitError(Exception):
 
 
 class _InputError(DebiasKitError):
-    """An input problem, located by file path and line when known."""
+    """An input problem, at a line of its file when ``line`` is given;
+    ``located`` reads ``line`` to place the file's path."""
 
-    def __init__(self, message: str, *, line: int | None = None, path: str | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        if path is not None:
-            message = f"{path}:{message}" if line is not None else f"{path}: {message}"
-        super().__init__(message)
+    def __init__(self, message: str, *, line: int | None = None):
+        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
+
+
+@contextmanager
+def located(path: str):
+    """Name ``path`` at the start of the message of an input error raised in
+    the block: ``<path>:line N: ...`` for an error built with ``line``,
+    ``<path>: ...`` otherwise."""
+    try:
+        yield
+    except _InputError as exc:
+        separator = ":" if exc.line is not None else ": "
+        raise type(exc)(f"{path}{separator}{exc}") from exc
 
 
 class ParseError(_InputError):
@@ -35,11 +48,11 @@ class ValidationError(_InputError):
     """Structurally readable input that violates a contract."""
 
 
-class FormatError(DebiasKitError):
+class FormatError(_InputError):
     """Byte- or layout-level problem in an embedding file."""
 
 
-class NonFiniteError(DebiasKitError):
+class NonFiniteError(_InputError):
     """NaN or infinity where finite values are required."""
 
 

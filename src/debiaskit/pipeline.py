@@ -60,7 +60,6 @@ from .data import (
     load_embeddings,
     load_genre_map,
     load_manifest,
-    located,
     pool_frames,
     reduce_genres,
 )
@@ -72,6 +71,7 @@ from .errors import (
     PipelineError,
     ValidationError,
     ZeroVectorError,
+    located,
 )
 from .guard import (
     PHASE_BIAS,

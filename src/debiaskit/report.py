@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 from .config import BASELINE, SCOPES, STRATEGIES, _number, _typed, effective_scope, read_json, write_json
 from .data import csv_field
-from .errors import IncompleteMatrixError, LayoutError, ValidationError
+from .errors import IncompleteMatrixError, LayoutError, ValidationError, located
 
 DELTA_FLAG_PP = 0.1
 
@@ -233,11 +233,11 @@ def save_report(report: ExperimentReport, path: str) -> None:
 
 
 def load_report(path: str) -> ExperimentReport:
-    obj = read_json(path, "report")
-    try:
-        return ExperimentReport.from_dict(obj)
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed report: {exc!r}", path=path) from exc
+    with located(path):
+        try:
+            return ExperimentReport.from_dict(read_json(path, "report"))
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"malformed report: {exc!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -345,7 +345,58 @@ def test_a_dataset_entry_naming_its_format_is_refused(cli_corpus, capsys):
     config_path = write_config(corpus_dir, entries, entry={"format": "csv"})
     assert main(["run", "--config", config_path]) == 1
     payload, _ = read_stderr_error(capsys)
-    assert payload == {"error": "ValidationError", "message": "unknown dataset entry fields: ['format']"}
+    assert payload == {
+        "error": "ValidationError",
+        "message": f"{config_path}: unknown dataset entry fields: ['format']",
+    }
+
+
+@pytest.mark.parametrize(
+    "command, fault",
+    [
+        ("run", {"seeds": {}}),
+        ("run", {"c_grid": [MIN_C / 2]}),
+        ("run", {"entry": {"format": "csv"}}),
+        ("run", {"genre_map": "missing.json"}),
+        ("run", {"targets": "class0"}),
+        ("report", {**REPORT, "seeds": {}}),
+        ("report", {key: value for key, value in REPORT.items() if key != "cells"}),
+        ("synth", {**CLI_SPEC_JSON, "bogus": 1}),
+    ],
+    ids=[
+        "config-seeds",
+        "c-below-min-c",
+        "entry-format",
+        "missing-referenced-file",
+        "genre-map-targets",
+        "report-seeds",
+        "report-without-cells",
+        "spec-unknown-field",
+    ],
+)
+def test_every_whole_file_input_names_its_file_once(cli_corpus, capsys, command, fault):
+    corpus_dir, entries = cli_corpus
+    if command == "synth":
+        path = corpus_dir / "spec.json"
+        path.write_text(json.dumps(fault))
+        argv = ["synth", "--spec", str(path), "--out", str(corpus_dir / "x")]
+    elif command == "report":
+        (corpus_dir / "written").mkdir()
+        path = corpus_dir / "written" / "report.json"
+        path.write_text(json.dumps(fault))
+        argv = ["report", "--in", str(path.parent)]
+    elif "targets" in fault:
+        path = corpus_dir / "genres.json"
+        path.write_text(json.dumps(fault))
+        argv = ["run", "--config", write_config(corpus_dir, entries)]
+    else:
+        path = write_config(corpus_dir, entries, **fault)
+        argv = ["run", "--config", path]
+    assert main(argv) == 1
+    payload, _ = read_stderr_error(capsys)
+    assert payload["error"] == "ValidationError"
+    assert payload["message"].startswith(f"{path}: "), payload["message"]
+    assert payload["message"].count(str(path)) == 1, payload["message"]
 
 
 @pytest.mark.parametrize(
@@ -380,7 +431,8 @@ def test_a_repeated_or_non_finite_embedding_row_ends_in_one_json_line_naming_fil
     assert main(["run", "--config", write_config(corpus_dir, entries)]) == 1
     payload, _ = read_stderr_error(capsys)
     assert payload["error"] == error
-    assert payload["message"].startswith(f"{path}: ")
+    # A CSV value is located by its file line, like every other CSV fault.
+    assert payload["message"].startswith(f"{path}: " if fault == "repeat" else f"{path}:line 2: ")
     assert f"clip {fields[0].decode()!r}" in payload["message"]
     if fault == "repeat":
         assert f"frame {int(fields[1])} twice" in payload["message"]
@@ -848,7 +900,7 @@ def test_a_report_records_its_seed_once_and_refuses_derived_seeds(cli_corpus, ca
     path.write_text(json.dumps({**written, "seeds": {}}))
     assert main(["report", "--in", str(path.parent)]) == 1
     payload, _ = read_stderr_error(capsys)
-    assert payload == {"error": "ValidationError", "message": "unknown report fields: ['seeds']"}
+    assert payload == {"error": "ValidationError", "message": f"{path}: unknown report fields: ['seeds']"}
 
 
 def test_huge_feature_map_ends_in_one_line_json_error(cli_corpus, capsys):
@@ -926,7 +978,11 @@ def set_first_value(entry, text):
 @pytest.mark.parametrize(
     "extras, error, message",
     [
-        ({"c_grid": [1e-310]}, "ValidationError", f"c_grid entry must be >= {MIN_C}, got 1e-310"),
+        (
+            {"c_grid": [1e-310]},
+            "ValidationError",
+            "{config}: c_grid entry must be >= " + f"{MIN_C}, got 1e-310",
+        ),
         (
             {"strategy": "KLDA", "gamma": 1e308},
             "PipelineError",
@@ -949,7 +1005,7 @@ def test_numbers_past_the_float_range_end_in_one_line_json_error(
     assert main(["run", "--config", config_path]) == 1
     assert time.perf_counter() - start < 5.0
     payload, _ = read_stderr_error(capsys)
-    assert payload == {"error": error, "message": message.format(clip=clip)}
+    assert payload == {"error": error, "message": message.format(clip=clip, config=config_path)}
 
 
 def test_frames_that_sum_past_the_float_range_end_in_one_located_json_error(

@@ -43,6 +43,7 @@ from debiaskit.errors import (
     NonFiniteError,
     ParseError,
     ValidationError,
+    located,
 )
 
 
@@ -90,7 +91,14 @@ def test_a_message_located_by_path_alone_has_a_space_after_the_path(tmp_path):
         load_embeddings(str(path))
     assert str(excinfo.value) == f"{path}: embedding file holds no rows"
     # A located line keeps its form: the path, a colon, then the line.
-    assert str(ParseError("bad", path="m.jsonl", line=3)) == "m.jsonl:line 3: bad"
+    for error, message in [
+        (ParseError("bad", line=3), "m.jsonl:line 3: bad"),
+        (ParseError("bad"), "m.jsonl: bad"),
+    ]:
+        with pytest.raises(ParseError) as excinfo:
+            with located("m.jsonl"):
+                raise error
+        assert str(excinfo.value) == message
     assert str(ParseError("bad", line=3)) == "line 3: bad"
 
 
@@ -146,16 +154,17 @@ def test_csv_rejects_bad_header(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "fmt, body",
+    "fmt, body, where",
     [
-        ("csv", "c0,0,1.0\nc1,0,nan\n"),
-        ("csv", "c0,0,1.0\n\nc1,0,-Infinity\n"),
-        ("csv", "c0,0,1.0\nc1,0,1e400\n"),
-        ("binary", None),
+        ("csv", "c0,0,1.0\nc1,0,nan\n", ":line 3: clip 'c1'"),
+        ("csv", "c0,0,1.0\n\nc1,0,-Infinity\n", ":line 4: clip 'c1'"),
+        ("csv", "c0,0,1.0\nc1,0,1e400\n", ":line 3: clip 'c1'"),
+        ("csv", 'c0,0,1.0\n"c\n1",0,nan\n', ":line 4: clip 'c\\n1'"),
+        ("binary", None, ": row 1: clip 'c1'"),
     ],
-    ids=["csv", "csv-infinity-after-blank", "csv-overflow", "binary"],
+    ids=["csv", "csv-infinity-after-blank", "csv-overflow", "csv-id-over-two-lines", "binary"],
 )
-def test_loader_rejects_nan(tmp_path, fmt, body):
+def test_loader_rejects_nan(tmp_path, fmt, body, where):
     path = tmp_path / "bad"
     if fmt == "csv":
         path.write_text("clip_id,frame,e0\n" + body)
@@ -167,7 +176,8 @@ def test_loader_rejects_nan(tmp_path, fmt, body):
         )
     with pytest.raises(NonFiniteError) as excinfo:
         load_embeddings(str(path))
-    assert str(excinfo.value) == f"{path}: row 1: clip 'c1': non-finite embedding value"
+    # A CSV row is located by its file line, a binary row by its index.
+    assert str(excinfo.value) == f"{path}{where}: non-finite embedding value"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "binary"])
@@ -418,6 +428,16 @@ def test_binary_reader_matches_the_row_by_row_reader_byte_for_byte(tmp_path, see
     assert loaded.frames.tobytes() == ref_frames.tobytes()
     assert loaded.vectors.dtype == np.float64
     assert loaded.vectors.tobytes() == ref_vectors.tobytes()
+
+
+def test_binary_loader_peaks_below_twice_its_float64_table(tmp_path):
+    # The file's bytes are dropped before the float32 table is widened, so
+    # the peak holds the two tables, not the bytes as well.
+    table = random_table(np.random.default_rng(4), n=4000, dim=256)
+    path = str(tmp_path / "t.emb")
+    save_embeddings(table, path, "binary")
+    peak = traced_peak(lambda: load_embeddings(path))
+    assert peak < 1.9 * table.vectors.nbytes, peak / table.vectors.nbytes
 
 
 def test_refuses_to_write_empty_table(tmp_path):
