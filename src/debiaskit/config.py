@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
 
@@ -150,15 +151,29 @@ def load_config(path: str) -> ExperimentConfig:
     config file's own directory."""
     with located(path):
         obj = read_json(path, "config")
-        if not isinstance(obj, dict):
-            raise ValidationError("config must be a JSON object")
         return config_from_dict(obj, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def _typed(value, kinds, name: str, expected: str):
-    if not isinstance(value, kinds):
-        raise ValidationError(f"{name} must be {expected}, got {value!r}")
+    if not isinstance(value, kinds):  # abridged: the value may be a whole file
+        raise ValidationError(f"{name} must be {expected}, got {reprlib.repr(value)}")
     return value
+
+
+def _keyed(obj, kind: str, cls, optional=None, internal=()) -> None:
+    """The key contract of every JSON object input: ``obj`` holds only the
+    field names of ``cls`` less ``internal``, and each not in ``optional`` (by
+    default, the fields with a default); else a ValidationError names ``kind``."""
+    _typed(obj, dict, kind, "a JSON object")
+    names = [f.name for f in fields(cls) if f.name not in internal]
+    unknown = sorted(set(obj) - set(names))
+    if unknown:
+        raise ValidationError(f"unknown {kind} fields: {unknown}")
+    if optional is None:
+        optional = {f.name for f in fields(cls) if (f.default, f.default_factory) != (MISSING, MISSING)}
+    for name in names:
+        if name not in obj and name not in optional:
+            raise ValidationError(f"{kind} is missing required field {name!r}")
 
 
 def _number(kind, value, name: str, least=None):
@@ -193,14 +208,7 @@ def config_from_dict(obj: dict, base_dir: str | None = None) -> ExperimentConfig
     """Validate a config object; relative paths resolve against ``base_dir``.
     Only the fields the object holds are passed on, so every default is the
     dataclass's."""
-    _typed(obj, dict, "config", "a JSON object")
-    keys = {f.name for f in fields(ExperimentConfig)} - {"base_dir"}
-    unknown = sorted(set(obj) - keys)
-    if unknown:
-        raise ValidationError(f"unknown config fields: {unknown}")
-    for f in fields(ExperimentConfig):
-        if f.default is MISSING and f.name not in obj:
-            raise ValidationError(f"config is missing required field {f.name!r}")
+    _keyed(obj, "config", ExperimentConfig, internal=("base_dir",))
 
     def resolve(p, name: str) -> str | None:
         if p is None or os.path.isabs(_typed(p, str, name, "a path string")) or base_dir is None:
@@ -212,13 +220,9 @@ def config_from_dict(obj: dict, base_dir: str | None = None) -> ExperimentConfig
         raise ValidationError("config needs exactly two dataset entries")
     entries = []
     for raw in raw_datasets:
-        _typed(raw, dict, "a dataset entry", "an object")
-        unknown = sorted(set(raw) - {"name", "embeddings", "manifest"})
-        if unknown:
-            raise ValidationError(f"unknown dataset entry fields: {unknown}")
-        for key in ("name", "embeddings", "manifest"):
-            if not isinstance(raw.get(key), str):
-                raise ValidationError(f"dataset entry needs a string field {key!r}")
+        _keyed(raw, "dataset entry", DatasetEntry)
+        for key in raw:
+            _typed(raw[key], str, f"dataset entry {key!r}", "a string")
         emb = resolve(raw["embeddings"], "embeddings")
         man = resolve(raw["manifest"], "manifest")
         entries.append(DatasetEntry(raw["name"], emb, man))

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import lone_surrogate, read_json, write_json
+from .config import _keyed, lone_surrogate, read_json, write_json
 from .errors import (
     EmptyClassError,
     FormatError,
@@ -496,10 +496,8 @@ def _reject_duplicate_keys(pairs) -> dict:
 def load_genre_map(path: str) -> GenreMap:
     with located(path):
         obj = read_json(path, "genre map", _reject_duplicate_keys)
-        if not isinstance(obj, dict) or "targets" not in obj:
-            raise ValidationError("genre map must be an object with a targets list")
-        targets = obj["targets"]
-        rules = obj.get("rules", {})
+        _keyed(obj, "genre map", GenreMap)
+        targets, rules = obj["targets"], obj.get("rules", {})
         if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
             raise ValidationError("targets must be a list of strings")
         if not isinstance(rules, dict) or not all(

@@ -56,6 +56,10 @@ class NonFiniteError(_InputError):
     """NaN or infinity where finite values are required."""
 
 
+class InfeasibleSpecError(_InputError):
+    """Synthetic-corpus spec admits no valid geometry."""
+
+
 class IoError(DebiasKitError):
     """Filesystem-level failure wrapped with context."""
 
@@ -108,10 +112,6 @@ class IncompleteMatrixError(DebiasKitError):
 
 class LayoutError(DebiasKitError):
     """The requested rendering layout cannot be produced from this report."""
-
-
-class InfeasibleSpecError(DebiasKitError):
-    """Synthetic-corpus spec admits no valid geometry."""
 
 
 class LeakageError(DebiasKitError):

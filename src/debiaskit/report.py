@@ -17,9 +17,11 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
-from .config import BASELINE, SCOPES, STRATEGIES, _number, _typed, effective_scope, read_json, write_json
+from .config import (
+    BASELINE, SCOPES, STRATEGIES, _keyed, _number, _typed, effective_scope, read_json, write_json
+)
 from .data import csv_field
 from .errors import IncompleteMatrixError, LayoutError, ValidationError, located
 
@@ -76,22 +78,22 @@ class ExperimentReport:
     @staticmethod
     def from_dict(obj: dict) -> "ExperimentReport":
         """Rebuild a report from :meth:`to_dict` output through
-        :func:`build_report`, after checking each field's type. The stored
-        means and fingerprint are recomputed, not read."""
-        unknown = sorted(set(obj) - {f.name for f in fields(ExperimentReport)})
-        if unknown:
-            raise ValidationError(f"unknown report fields: {unknown}")
+        :func:`build_report`, after checking its keys and each field's type.
+        The stored means and fingerprint are recomputed, not read."""
+        _keyed(obj, "report", ExperimentReport, optional=("fingerprint",))
         datasets = _strings(obj["datasets"], "datasets")
         if len(datasets) != 2:
             raise ValidationError(f"datasets must name two datasets, got {list(datasets)}")
         cells = []
         for c in _typed(obj["cells"], list, "cells", "a list"):
+            _keyed(c, "report cell", Cell, optional=())
             _strings([c["train"], c["test"], c["strategy"], c["scope"]], "cell keys")
             class_auc = _numbers(c["class_auc"], "class_auc")
             mean = _number(float, c["mean_auc"], "mean_auc")
             cells.append(Cell(**{**c, "class_auc": class_auc, "mean_auc": mean}))
         correlations = []
         for e in _typed(obj["correlations"], list, "correlations", "a list"):
+            _keyed(e, "correlation entry", CorrelationEntry, optional=())
             _strings([e["domain"], e["strategy"], e["scope"], e["space"]], "correlation keys")
             class_corr = _numbers(e["class_corr"], "class_corr")
             mean = _number(float, e["mean_abs_corr"], "mean_abs_corr")
@@ -234,10 +236,7 @@ def save_report(report: ExperimentReport, path: str) -> None:
 
 def load_report(path: str) -> ExperimentReport:
     with located(path):
-        try:
-            return ExperimentReport.from_dict(read_json(path, "report"))
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed report: {exc!r}") from exc
+        return ExperimentReport.from_dict(read_json(path, "report"))
 
 
 @dataclass(frozen=True)

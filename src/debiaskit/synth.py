@@ -29,11 +29,11 @@ collections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _number, _typed, write_json
+from .config import _keyed, _number, _typed, write_json
 from .data import (
     NEG,
     POS,
@@ -309,16 +309,12 @@ _SPEC_NUMBERS = {
     "noise_sigma": float,
     "seed": int,
 }
-_SPEC_FIELDS = {f.name for f in fields(SynthSpec)}
 
 
 def spec_from_dict(obj: dict) -> SynthSpec:
     """Build a valid SynthSpec from a JSON object (the CLI's --spec file); a
     field of the wrong type or out of range is a ValidationError."""
-    _typed(obj, dict, "synth spec", "a JSON object")
-    unknown = set(obj) - _SPEC_FIELDS
-    if unknown:
-        raise ValidationError(f"unknown synth spec fields: {sorted(unknown)}")
+    _keyed(obj, "synth spec", SynthSpec)
     kwargs: dict = {
         key: _number(kind, obj[key], key) for key, kind in _SPEC_NUMBERS.items() if key in obj
     }
@@ -330,11 +326,11 @@ def spec_from_dict(obj: dict) -> SynthSpec:
     if "bias" in obj:
         entries = []
         for raw in _typed(obj["bias"], list, "bias", "a list"):
-            _typed(raw, dict, "a bias entry", "an object")
+            _keyed(raw, "bias entry", BiasSpec, optional=("scope", "direction_index"))
             entries.append(
                 BiasSpec(
                     _typed(raw.get("scope", GLOBAL_SCOPE), str, "bias scope", "a string"),
-                    _number(float, raw.get("magnitude"), "bias magnitude"),
+                    _number(float, raw["magnitude"], "bias magnitude"),
                     _number(int, raw.get("direction_index", 0), "direction_index"),
                 )
             )

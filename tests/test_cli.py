@@ -351,30 +351,142 @@ def test_a_dataset_entry_naming_its_format_is_refused(cli_corpus, capsys):
     }
 
 
+# Every JSON object input refuses a key it does not know and names the first
+# required key it lacks, in one wording. A synth spec requires no key.
 @pytest.mark.parametrize(
-    "command, fault",
+    "command, fault, error, named",
     [
-        ("run", {"seeds": {}}),
-        ("run", {"c_grid": [MIN_C / 2]}),
-        ("run", {"entry": {"format": "csv"}}),
-        ("run", {"genre_map": "missing.json"}),
-        ("run", {"targets": "class0"}),
-        ("report", {**REPORT, "seeds": {}}),
-        ("report", {key: value for key, value in REPORT.items() if key != "cells"}),
-        ("synth", {**CLI_SPEC_JSON, "bogus": 1}),
-    ],
-    ids=[
-        "config-seeds",
-        "c-below-min-c",
-        "entry-format",
-        "missing-referenced-file",
-        "genre-map-targets",
-        "report-seeds",
-        "report-without-cells",
-        "spec-unknown-field",
+        pytest.param("run", {"seeds": {}}, "ValidationError", "unknown config fields: ['seeds']", id="config-seeds"),
+        # A value that is not an object is shown abridged: it may be a whole file.
+        pytest.param(
+            "config",
+            list(range(1000)),
+            "ValidationError",
+            "config must be a JSON object, got [0, 1, 2, 3, 4, 5, ...]",
+            id="config-not-an-object",
+        ),
+        pytest.param(
+            "config",
+            {"datasets": [], "strategy": "none"},
+            "ValidationError",
+            "config is missing required field 'seed'",
+            id="config-without-seed",
+        ),
+        pytest.param("run", {"c_grid": [MIN_C / 2]}, "ValidationError", "c_grid entry must be >= ", id="c-below-min-c"),
+        pytest.param(
+            "run",
+            {"entry": {"format": "csv"}},
+            "ValidationError",
+            "unknown dataset entry fields: ['format']",
+            id="entry-format",
+        ),
+        pytest.param(
+            "config",
+            {
+                "datasets": [{"name": "a", "embeddings": "a.csv"}, {"name": "b", "embeddings": "b.csv"}],
+                "strategy": "none",
+                "seed": 1,
+            },
+            "ValidationError",
+            "dataset entry is missing required field 'manifest'",
+            id="entry-without-manifest",
+        ),
+        pytest.param(
+            "run",
+            {"genre_map": "missing.json"},
+            "ValidationError",
+            "referenced file does not exist: ",
+            id="missing-referenced-file",
+        ),
+        pytest.param(
+            "genres", {"targets": "class0"}, "ValidationError", "targets must be a list", id="genre-map-targets"
+        ),
+        pytest.param(
+            "genres",
+            {"targets": ["genre0"], "rulez": {"g": "genre0"}},
+            "ValidationError",
+            "unknown genre map fields: ['rulez']",
+            id="genre-map-rulez",
+        ),
+        pytest.param(
+            "genres",
+            {"rules": {}},
+            "ValidationError",
+            "genre map is missing required field 'targets'",
+            id="genre-map-without-targets",
+        ),
+        pytest.param(
+            "report", {**REPORT, "seeds": {}}, "ValidationError", "unknown report fields: ['seeds']", id="report-seeds"
+        ),
+        pytest.param(
+            "report", [REPORT], "ValidationError", "report must be a JSON object, got [{", id="report-not-an-object"
+        ),
+        pytest.param(
+            "report",
+            {key: value for key, value in REPORT.items() if key != "cells"},
+            "ValidationError",
+            "report is missing required field 'cells'",
+            id="report-without-cells",
+        ),
+        pytest.param(
+            "report",
+            edit_first_cell(extra=1),
+            "ValidationError",
+            "unknown report cell fields: ['extra']",
+            id="report-cell-extra",
+        ),
+        pytest.param(
+            "report",
+            REPORT_WITHOUT_TRAIN,
+            "ValidationError",
+            "report cell is missing required field 'train'",
+            id="report-cell-without-train",
+        ),
+        pytest.param(
+            "report",
+            {**REPORT, "correlations": [edit_correlation(extra=1)]},
+            "ValidationError",
+            "unknown correlation entry fields: ['extra']",
+            id="correlation-extra",
+        ),
+        pytest.param(
+            "report",
+            {**REPORT, "correlations": [{k: v for k, v in edit_correlation().items() if k != "space"}]},
+            "ValidationError",
+            "correlation entry is missing required field 'space'",
+            id="correlation-without-space",
+        ),
+        pytest.param(
+            "synth",
+            {**CLI_SPEC_JSON, "bogus": 1},
+            "ValidationError",
+            "unknown synth spec fields: ['bogus']",
+            id="spec-unknown-field",
+        ),
+        pytest.param(
+            "synth",
+            {**CLI_SPEC_JSON, "bias": [{"magnitude": 1.0, "direction_idx": 1}]},
+            "ValidationError",
+            "unknown bias entry fields: ['direction_idx']",
+            id="bias-entry-direction-idx",
+        ),
+        pytest.param(
+            "synth",
+            {**CLI_SPEC_JSON, "bias": [{"scope": "global"}]},
+            "ValidationError",
+            "bias entry is missing required field 'magnitude'",
+            id="bias-entry-without-magnitude",
+        ),
+        pytest.param(
+            "synth",
+            {"dim": 2, "n_classes": 2, "n_genres": 1},
+            "InfeasibleSpecError",
+            "dim 2 too small for 1 bias + 2 class directions",
+            id="spec-infeasible",
+        ),
     ],
 )
-def test_every_whole_file_input_names_its_file_once(cli_corpus, capsys, command, fault):
+def test_every_whole_file_input_names_its_file_once(cli_corpus, capsys, command, fault, error, named):
     corpus_dir, entries = cli_corpus
     if command == "synth":
         path = corpus_dir / "spec.json"
@@ -385,18 +497,23 @@ def test_every_whole_file_input_names_its_file_once(cli_corpus, capsys, command,
         path = corpus_dir / "written" / "report.json"
         path.write_text(json.dumps(fault))
         argv = ["report", "--in", str(path.parent)]
-    elif "targets" in fault:
+    elif command == "genres":
         path = corpus_dir / "genres.json"
         path.write_text(json.dumps(fault))
         argv = ["run", "--config", write_config(corpus_dir, entries)]
+    elif command == "config":
+        path = corpus_dir / "config.json"
+        path.write_text(json.dumps(fault))
+        argv = ["run", "--config", str(path)]
     else:
         path = write_config(corpus_dir, entries, **fault)
         argv = ["run", "--config", path]
     assert main(argv) == 1
     payload, _ = read_stderr_error(capsys)
-    assert payload["error"] == "ValidationError"
+    assert payload["error"] == error
     assert payload["message"].startswith(f"{path}: "), payload["message"]
     assert payload["message"].count(str(path)) == 1, payload["message"]
+    assert named in payload["message"], payload["message"]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Embedding/manifest IO, genre reduction, pooling, and balanced sampling."""
 
 import csv
+import io
 import json
 import struct
 import time
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from debiaskit import data
 from debiaskit.data import (
     BINARY_VERSION,
     LABEL_STATES,
@@ -320,6 +322,29 @@ def test_binary_magic_bytes(tmp_path):
     path = tmp_path / "t.emb"
     save_embeddings(random_table(rng), str(path), "binary")
     assert path.read_bytes()[:4] == b"EMB1"
+
+
+def test_a_binary_file_is_read_into_memory_once(tmp_path, monkeypatch):
+    # The loader opens the file unbuffered: a buffered read() of the whole
+    # file joins the read-ahead to a second full-size copy, twice its size.
+    table = f32_table(np.random.default_rng(4), n=2000, dim=128)
+    path = tmp_path / "t.emb"
+    save_embeddings(table, str(path), "binary")
+    load_binary, peaks = data._load_binary, []
+
+    def measured(handle):
+        tracemalloc.start()
+        try:
+            blob = handle.read()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return load_binary(io.BytesIO(blob))
+
+    monkeypatch.setattr(data, "_load_binary", measured)
+    loaded = load_embeddings(str(path))
+    np.testing.assert_array_equal(loaded.vectors, table.vectors)
+    assert peaks[0] < 1.25 * path.stat().st_size
 
 
 def test_binary_small_header_round_trip(tmp_path):
